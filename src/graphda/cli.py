@@ -36,7 +36,7 @@ from .datasets import (
     write_dataset,
     write_label_file,
 )
-from .graphs import EdgeStats, build_graph, edge_stats, percentile_threshold
+from .graphs import EdgeStats, build_graph, edge_stats, pair_distances, percentile_threshold
 from .model import Model, config_from_tensors, load_checkpoint
 from .pseudo import assign_pseudo_labels
 from .training import (
@@ -216,14 +216,6 @@ def _read_eval_labels(path, target: Dataset) -> np.ndarray:
     return labels
 
 
-def _pooled_phi(model: Model, source: Dataset, target: Dataset, chunk: int = 512) -> np.ndarray:
-    blocks = []
-    for ds in (source, target):
-        for lo in range(0, len(ds), chunk):
-            blocks.append(model.backbone_forward(ds.features[lo:lo + chunk]).data)
-    return np.concatenate(blocks)
-
-
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -355,15 +347,15 @@ def cmd_export(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     emb_path = out / f"embeddings_epoch{epoch:03d}.csv"
-    export_embeddings(emb_path, model, source_n, target_n,
-                      epoch=epoch, pseudo_labels=state.labels)
+    phi = export_embeddings(emb_path, model, source_n, target_n,
+                            epoch=epoch, pseudo_labels=state.labels)
 
     # Pooled graph at the stored threshold, audited against source truth
     # plus the eval sidecar when provided (-1 rows count as unknown).
-    phi = _pooled_phi(model, source_n, target_n)
+    dists = pair_distances(phi)
     percentile = float(blob["meta/threshold_percentile"])
     if np.isfinite(percentile):
-        threshold = percentile_threshold(phi, percentile)
+        threshold = percentile_threshold(phi, percentile, dists=dists)
     else:
         threshold = float(blob["meta/threshold"])
     audit = np.concatenate([
@@ -371,7 +363,7 @@ def cmd_export(args) -> int:
         eval_labels if eval_labels is not None else np.full(len(target), -1, dtype=np.int64),
     ])
     if threshold > 0:
-        stats = edge_stats(build_graph(phi, threshold), audit)
+        stats = edge_stats(build_graph(phi, threshold, dists=dists), audit)
     else:
         stats = EdgeStats(right=0, wrong=0, unknown=0)
     edges_path = out / f"edges_epoch{epoch:03d}.csv"

@@ -4,13 +4,14 @@ An undirected edge connects samples i and j exactly when the Euclidean
 distance between their feature rows is strictly below a threshold T.
 Edges ignore domain membership, so labeled source nodes can sit next to
 unlabeled target nodes; that adjacency is what lets label information
-travel across domains in the propagation layer.
+travel across domains in the propagation layer. ``pair_distances`` is
+the one O(N^2 D) scan; the threshold, edges and kernel median read it.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +20,7 @@ __all__ = [
     "EdgeStats",
     "build_graph",
     "edge_stats",
+    "pair_distances",
     "percentile_threshold",
 ]
 
@@ -32,29 +34,34 @@ def _as_matrix(phi) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BatchGraph:
     """Immutable undirected graph on the samples of one batch.
 
-    edges holds each pair once as (i, j) with i < j, in sorted order.
-    neighbors[i] is the full symmetric adjacency list of node i.
+    Edge k joins rows[k] and cols[k], with rows[k] < cols[k]; each pair
+    appears once, sorted by (row, col). Both are read-only int64 arrays.
     """
 
     num_nodes: int
-    edges: tuple  # of (i, j), i < j
+    rows: np.ndarray
+    cols: np.ndarray
     threshold: float
-    neighbors: tuple = field(repr=False)  # of tuples of int
+
+    def __post_init__(self):
+        for name in ("rows", "cols"):
+            arr = np.asarray(getattr(self, name), dtype=np.int64).view()
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return int(self.rows.size)
 
     def adjacency(self) -> np.ndarray:
         """Dense symmetric 0/1 matrix, zero diagonal."""
         a = np.zeros((self.num_nodes, self.num_nodes), dtype=np.float64)
-        for i, j in self.edges:
-            a[i, j] = 1.0
-            a[j, i] = 1.0
+        a[self.rows, self.cols] = 1.0
+        a[self.cols, self.rows] = 1.0
         return a
 
 
@@ -71,33 +78,41 @@ class EdgeStats:
         return self.right + self.wrong + self.unknown
 
 
-def build_graph(phi, threshold: float) -> BatchGraph:
+def pair_distances(phi) -> np.ndarray:
+    """Distance of every pair i < j, condensed row-major: pair (i, j) of
+    n rows sits at i*n - i*(i+1)/2 + j - i - 1.
+
+    Direct differences per row, not a Gram expansion, which moves the
+    last ulp and can flip edges that sit exactly at a threshold.
+    """
+    x = _as_matrix(phi)
+    n = x.shape[0]
+    out = np.empty(n * (n - 1) // 2)
+    lo = 0
+    for i in range(n - 1):
+        diff = x[i + 1:] - x[i]
+        np.sqrt((diff * diff).sum(axis=1), out=out[lo:lo + n - 1 - i])
+        lo += n - 1 - i
+    return out
+
+
+def build_graph(phi, threshold: float, dists=None) -> BatchGraph:
     """Connect i and j iff ||phi_i - phi_j||_2 < threshold (strict).
 
     Every pair is examined; a distance exactly equal to the threshold
-    does not produce an edge. No self-loops.
+    does not produce an edge. No self-loops. Pass ``dists`` =
+    ``pair_distances(phi)`` if already computed.
     """
     x = _as_matrix(phi)
     if not threshold > 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
     n = x.shape[0]
-    edges = []
-    neighbors = [[] for _ in range(n)]
-    for i in range(n - 1):
-        # one row of the pair scan, vectorized over j > i
-        diff = x[i + 1:] - x[i]
-        dist = np.sqrt((diff * diff).sum(axis=1))
-        for off in np.nonzero(dist < threshold)[0]:
-            j = i + 1 + int(off)
-            edges.append((i, j))
-            neighbors[i].append(j)
-            neighbors[j].append(i)
-    return BatchGraph(
-        num_nodes=n,
-        edges=tuple(edges),
-        threshold=float(threshold),
-        neighbors=tuple(tuple(sorted(ns)) for ns in neighbors),
-    )
+    k = np.flatnonzero((pair_distances(x) if dists is None else dists) < threshold)
+    i = np.arange(n - 1, dtype=np.int64)
+    starts = i * n - i * (i + 1) // 2  # offset of pair (i, i+1)
+    rows = np.searchsorted(starts, k, side="right") - 1
+    cols = k - starts[rows] + rows + 1
+    return BatchGraph(num_nodes=n, rows=rows, cols=cols, threshold=float(threshold))
 
 
 def edge_stats(graph: BatchGraph, labels) -> EdgeStats:
@@ -112,23 +127,20 @@ def edge_stats(graph: BatchGraph, labels) -> EdgeStats:
         raise ValueError(
             f"labels shape {lab.shape} does not match node count {graph.num_nodes}"
         )
-    right = wrong = unknown = 0
-    for i, j in graph.edges:
-        if lab[i] == -1 or lab[j] == -1:
-            unknown += 1
-        elif lab[i] == lab[j]:
-            right += 1
-        else:
-            wrong += 1
-    return EdgeStats(right=right, wrong=wrong, unknown=unknown)
+    a, b = lab[graph.rows], lab[graph.cols]
+    unknown = (a == -1) | (b == -1)
+    right = int(np.count_nonzero((a == b) & ~unknown))
+    n_unknown = int(np.count_nonzero(unknown))
+    return EdgeStats(right=right, wrong=graph.num_edges - right - n_unknown, unknown=n_unknown)
 
 
-def percentile_threshold(phi, p: float) -> float:
+def percentile_threshold(phi, p: float, dists=None) -> float:
     """p-th percentile (linear interpolation) of all pairwise distances.
 
     Scale-free alternative to a fixed threshold: the same p yields a
     comparable edge density regardless of feature magnitude. p=0 gives
-    the minimum pairwise distance, p=100 the maximum.
+    the minimum pairwise distance, p=100 the maximum. Pass ``dists`` =
+    ``pair_distances(phi)`` if already computed.
     """
     x = _as_matrix(phi)
     n = x.shape[0]
@@ -136,11 +148,7 @@ def percentile_threshold(phi, p: float) -> float:
         raise ValueError(f"need at least 2 rows to take pairwise distances, got {n}")
     if not 0 <= p <= 100:
         raise ValueError(f"percentile must lie in [0, 100], got {p}")
-    dists = []
-    for i in range(n - 1):
-        diff = x[i + 1:] - x[i]
-        dists.append(np.sqrt((diff * diff).sum(axis=1)))
-    t = float(np.percentile(np.concatenate(dists), p))
+    t = float(np.percentile(pair_distances(x) if dists is None else dists, p))
     if t == 0.0:
         warnings.warn(
             "all pairwise distances at or below this percentile are zero; "

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, exp, log_softmax, pairwise_sqdist, relu, take_per_row, take_rows
+from .graphs import _as_matrix, pair_distances
 
 __all__ = [
     "KernelSpec",
@@ -32,14 +33,6 @@ __all__ = [
 
 # bandwidth multipliers around the median pairwise distance
 MEDIAN_SCALES = (0.25, 0.5, 1.0, 2.0, 4.0)
-
-
-def _rows(x) -> np.ndarray:
-    data = getattr(x, "data", x)
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-D feature matrix, got shape {arr.shape}")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -80,23 +73,20 @@ class KernelSpec:
         return out
 
     @classmethod
-    def from_median_heuristic(cls, *feature_sets, scales=MEDIAN_SCALES) -> "KernelSpec":
+    def from_median_heuristic(cls, *feature_sets, scales=MEDIAN_SCALES, dists=None) -> "KernelSpec":
         """Bandwidths from the median pairwise distance of the joint batch.
 
         The median is scale-matched to the data, so the same kernel family
         works across feature magnitudes; ``scales`` spreads bandwidths
         around it. All-identical rows give no usable scale; falls back to
-        a median of 1 with a warning.
+        a median of 1 with a warning. Pass ``dists`` = ``pair_distances``
+        of the stacked feature sets if already computed.
         """
-        x = np.concatenate([_rows(fs) for fs in feature_sets], axis=0)
+        x = np.concatenate([_as_matrix(fs) for fs in feature_sets], axis=0)
         n = x.shape[0]
         if n < 2:
             raise ValueError("median heuristic needs at least 2 rows")
-        dists = []
-        for i in range(n - 1):
-            diff = x[i + 1:] - x[i]
-            dists.append(np.sqrt((diff * diff).sum(axis=1)))
-        med = float(np.median(np.concatenate(dists)))
+        med = float(np.median(pair_distances(x) if dists is None else dists))
         if med == 0.0:
             warnings.warn(
                 "median pairwise distance is 0 (identical rows); using bandwidth 1",

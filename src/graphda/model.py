@@ -221,13 +221,15 @@ class Model:
     def load_state(self, tensors: dict) -> None:
         for name, _, _ in _param_shapes(self.config):
             if name not in tensors:
-                raise ValueError(f"checkpoint is missing parameter {name!r}")
+                raise DataFormatError(f"checkpoint is missing parameter {name!r}")
             arr = np.asarray(tensors[name], dtype=np.float64)
             if arr.shape != self.params[name].shape:
-                raise ValueError(
+                raise DataFormatError(
                     f"parameter {name!r} has shape {arr.shape}, expected "
                     f"{self.params[name].shape}"
                 )
+            if not np.isfinite(arr).all():
+                raise DataFormatError(f"parameter {name!r} holds non-finite values")
             self.params[name].data = arr.copy()
             self.params[name].zero_grad()
 
@@ -314,3 +316,5 @@ def config_from_tensors(tensors: dict) -> ModelConfig:
         )
     except KeyError as e:
         raise DataFormatError(f"checkpoint lacks architecture entry {e.args[0]!r}") from None
+    except (ValueError, OverflowError, IndexError) as e:  # NaN, inf, empty or out-of-range entries
+        raise DataFormatError(f"checkpoint architecture entries are invalid: {e}") from None

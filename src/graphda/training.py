@@ -23,7 +23,7 @@ import numpy as np
 
 from .autodiff import Tensor, backward, get_default_dtype, set_default_dtype, take_rows
 from .datasets import Dataset, TwoDomainSampler, normalize, warp_image
-from .graphs import BatchGraph, build_graph, edge_stats, percentile_threshold
+from .graphs import BatchGraph, build_graph, edge_stats, pair_distances, percentile_threshold
 from .losses import (
     MEDIAN_SCALES,
     KernelSpec,
@@ -391,24 +391,29 @@ def _train_inner(config, source, target, eval_labels, run_dir):
 
                 x = Tensor(feats)
                 phi = model.backbone_forward(x)
+                # one pair scan feeds the kernel median and, on pre_relu, the graph
+                dists = pair_distances(phi.data)
                 graph = None
                 if config.use_gnn:
-                    gf = phi.data if config.graph_features == "pre_relu" else np.maximum(phi.data, 0.0)
+                    if config.graph_features == "pre_relu":
+                        gf, gdists = phi.data, dists
+                    else:
+                        gf = np.maximum(phi.data, 0.0)
+                        gdists = pair_distances(gf)
                     if config.threshold_percentile is None:
                         t_used = config.threshold
                     else:
                         with warnings.catch_warnings():
                             warnings.simplefilter("ignore")  # degenerate batch still trains
-                            t_used = percentile_threshold(gf, config.threshold_percentile)
-                    graph = build_graph(gf, t_used) if t_used > 0 else BatchGraph(
-                        num_nodes=len(batch), edges=(), threshold=0.0,
-                        neighbors=((),) * len(batch))
+                            t_used = percentile_threshold(gf, config.threshold_percentile,
+                                                          dists=gdists)
+                    graph = build_graph(gf, t_used, dists=gdists) if t_used > 0 else BatchGraph(
+                        num_nodes=len(batch), rows=(), cols=(), threshold=0.0)
                 f = model.gnn_forward(phi, graph)
                 logits, _ = model.classify(f)
 
-                phi_s, phi_t = phi.data[:half], phi.data[half:]
                 kernels = KernelSpec.from_median_heuristic(
-                    phi_s, phi_t, scales=config.kernel_scales)
+                    phi.data, scales=config.kernel_scales, dists=dists)
                 l_mmd = mmd_loss(
                     _take_block(phi, 0, half), _take_block(phi, half, len(batch)), kernels)
                 lg_input = f if config.lg_features == "gnn" else phi
@@ -530,12 +535,13 @@ def export_embeddings(
     epoch: int,
     pseudo_labels=None,
     chunk: int = 512,
-) -> None:
+) -> np.ndarray:
     """Per-sample backbone features plus a shared 2-D projection.
 
     Rows: epoch, id, domain, label (source truth; target pseudo or -1),
     the phi vector, then the two principal coordinates computed over the
     pooled source+target matrix. Deterministic: same inputs, same bytes.
+    Returns that pooled (N_s + N_t, phi_dim) matrix, source rows first.
     """
 
     def phi_of(ds):
@@ -571,3 +577,4 @@ def export_embeddings(
             row += 1
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+    return pooled

@@ -172,7 +172,7 @@ def test_criterion_4_graph_layer_invariants():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(7, 3))
 
-    empty = BatchGraph(num_nodes=7, edges=(), threshold=1.0, neighbors=((),) * 7)
+    empty = BatchGraph(num_nodes=7, rows=(), cols=(), threshold=1.0)
     bit_exact = np.array_equal(model.forward(x, empty).probs.data,
                                model.infer(x).probs.data)
 
@@ -187,11 +187,10 @@ def test_criterion_4_graph_layer_invariants():
 
         perm = draw.permutation(8)
         inv = np.argsort(perm)
-        pedges = tuple(tuple(sorted((int(inv[i]), int(inv[j])))) for i, j in graph.edges)
-        pneigh = tuple(tuple(sorted(int(inv[j]) for j in graph.neighbors[perm[i]]))
-                       for i in range(8))
-        pgraph = BatchGraph(num_nodes=8, edges=pedges, threshold=graph.threshold,
-                            neighbors=pneigh)
+        edges = list(zip(graph.rows.tolist(), graph.cols.tolist()))
+        pedges = sorted(tuple(sorted((int(inv[i]), int(inv[j])))) for i, j in edges)
+        pgraph = BatchGraph(num_nodes=8, rows=[i for i, _ in pedges],
+                            cols=[j for _, j in pedges], threshold=graph.threshold)
         pout = model.forward(pts[perm], pgraph).f.data
         equi_err = max(equi_err, float(np.abs(pout - out[perm]).max()))
 
@@ -199,7 +198,8 @@ def test_criterion_4_graph_layer_invariants():
         moved = pts.copy()
         moved[0] += draw.normal(size=3)
         out2 = model.forward(moved, graph).f.data
-        untouched = [i for i in range(1, 8) if i not in graph.neighbors[0]]
+        neighbors0 = {j for i, j in edges if i == 0} | {i for i, j in edges if j == 0}
+        untouched = [i for i in range(1, 8) if i not in neighbors0]
         if untouched and not np.array_equal(out2[untouched], out[untouched]):
             local_exact = False
 

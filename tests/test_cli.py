@@ -13,6 +13,7 @@ import pytest
 
 from graphda.cli import main
 from graphda.datasets import Domain, read_dataset
+from graphda.model import load_checkpoint, save_checkpoint
 
 scipy_stats = pytest.importorskip("scipy.stats")
 
@@ -351,6 +352,44 @@ def test_eval_shape_mismatch_clear_error(run_dir, tmp_path, capsys):
                  "--out", str(tmp_path / "e.csv")])
     assert code == 3
     assert "does not match checkpoint" in capsys.readouterr().err
+
+
+def _drop_theta2(blob):
+    del blob["theta2"]
+
+
+def _nan_hidden(blob):
+    blob["meta/hidden"] = np.asarray(np.nan)
+
+
+def _nan_weight(blob):
+    blob["theta1"] = blob["theta1"].copy()
+    blob["theta1"][0, 0] = np.nan
+
+
+@pytest.mark.parametrize("command", ["eval", "export"])
+@pytest.mark.parametrize("mutate,message", [
+    (_drop_theta2, "theta2"),
+    (_nan_hidden, "architecture"),
+    (_nan_weight, "non-finite"),
+])
+def test_malformed_checkpoint_is_format_error(run_dir, data_dir, tmp_path, capsys,
+                                              command, mutate, message):
+    blob = load_checkpoint(run_dir / "checkpoint_final.hdap")
+    mutate(blob)
+    bad = tmp_path / "bad.hdap"
+    save_checkpoint(bad, blob)
+    out = tmp_path / "out"
+    args = {
+        "eval": ["eval", "--checkpoint", str(bad), "--target", str(data_dir / "target.hda"),
+                 "--labels", str(data_dir / "target_labels.hda"), "--out", str(out)],
+        "export": ["export", "--checkpoint", str(bad), "--source", str(data_dir / "source.hda"),
+                   "--target", str(data_dir / "target.hda"), "--out", str(out)],
+    }[command]
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 # -- export ----------------------------------------------------------------------

@@ -8,8 +8,33 @@ from graphda.graphs import (
     EdgeStats,
     build_graph,
     edge_stats,
+    pair_distances,
     percentile_threshold,
 )
+from graphda.losses import KernelSpec
+
+
+def _edges(g):
+    """The edge arrays as a tuple of (i, j) pairs."""
+    return tuple(zip(g.rows.tolist(), g.cols.tolist()))
+
+
+def _neighbors(g):
+    """Adjacency lists derived from the edge arrays."""
+    out = [[] for _ in range(g.num_nodes)]
+    for i, j in _edges(g):
+        out[i].append(j)
+        out[j].append(i)
+    return out
+
+
+def _row_loop_distances(x):
+    """Reference pair scan: one direct-difference row at a time, concatenated."""
+    rows = []
+    for i in range(len(x) - 1):
+        diff = x[i + 1:] - x[i]
+        rows.append(np.sqrt((diff * diff).sum(axis=1)))
+    return np.concatenate(rows) if rows else np.zeros(0)
 
 
 def _oracle_edges(x, threshold):
@@ -27,22 +52,23 @@ def _oracle_edges(x, threshold):
 class TestBuildGraph:
     def test_identical_rows_always_connect(self):
         g = build_graph(np.array([[1.0, 2.0], [1.0, 2.0]]), threshold=1e-12)
-        assert g.edges == ((0, 1),)
+        assert _edges(g) == ((0, 1),)
 
     def test_distance_exactly_threshold_excluded(self):
         # ||(0,0)-(6,8)|| = 10 exactly
         phi = np.array([[0.0, 0.0], [6.0, 8.0]])
-        assert build_graph(phi, threshold=10.0).edges == ()
-        assert build_graph(phi, threshold=10.0 + 1e-6).edges == ((0, 1),)
+        assert _edges(build_graph(phi, threshold=10.0)) == ()
+        assert _edges(build_graph(phi, threshold=10.0 + 1e-6)) == ((0, 1),)
 
     def test_no_self_loops_and_symmetric_neighbors(self):
         rng = np.random.default_rng(7)
         phi = rng.normal(size=(30, 4))
         g = build_graph(phi, threshold=2.0)
-        for i, ns in enumerate(g.neighbors):
+        neighbors = _neighbors(g)
+        for i, ns in enumerate(neighbors):
             assert i not in ns
             for j in ns:
-                assert i in g.neighbors[j]
+                assert i in neighbors[j]
 
     def test_matches_double_loop_oracle(self):
         for seed in range(10):
@@ -50,13 +76,13 @@ class TestBuildGraph:
             phi = rng.normal(size=(25, 3))
             t = float(rng.uniform(0.5, 4.0))
             g = build_graph(phi, t)
-            assert set(g.edges) == _oracle_edges(phi.tolist(), t)
+            assert set(_edges(g)) == _oracle_edges(phi.tolist(), t)
 
     def test_every_edge_below_threshold(self):
         rng = np.random.default_rng(11)
         phi = rng.normal(size=(40, 5))
         g = build_graph(phi, threshold=2.5)
-        for i, j in g.edges:
+        for i, j in _edges(g):
             assert np.linalg.norm(phi[i] - phi[j]) < 2.5
 
     def test_edges_sorted_and_deterministic(self):
@@ -64,14 +90,14 @@ class TestBuildGraph:
         phi = rng.normal(size=(20, 3))
         g1 = build_graph(phi, 2.0)
         g2 = build_graph(phi, 2.0)
-        assert g1.edges == g2.edges == tuple(sorted(g1.edges))
+        assert _edges(g1) == _edges(g2) == tuple(sorted(_edges(g1)))
 
     def test_monotone_in_threshold(self):
         for seed in range(8):
             rng = np.random.default_rng(100 + seed)
             phi = rng.normal(size=(30, 4))
-            lo = set(build_graph(phi, 1.0).edges)
-            hi = set(build_graph(phi, 2.0).edges)
+            lo = set(_edges(build_graph(phi, 1.0)))
+            hi = set(_edges(build_graph(phi, 2.0)))
             assert lo <= hi
 
     def test_accepts_tensor_input(self):
@@ -79,7 +105,7 @@ class TestBuildGraph:
 
         phi = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0]])
         g = build_graph(Tensor(phi), threshold=1.0)
-        assert g.edges == ((0, 1),)
+        assert _edges(g) == ((0, 1),)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -98,6 +124,45 @@ class TestBuildGraph:
         assert np.array_equal(a, a.T)
         assert np.all(np.diag(a) == 0.0)
         assert a.sum() == 2 * g.num_edges
+
+
+class TestPairGeometry:
+    def test_pair_distances_equal_row_loop_reference(self):
+        for seed, (n, d) in enumerate([(0, 3), (1, 3), (2, 1), (17, 4), (128, 64)]):
+            phi = np.random.default_rng(300 + seed).normal(size=(n, d))
+            got = pair_distances(phi)
+            assert got.shape == (n * (n - 1) // 2,)
+            assert np.array_equal(got, _row_loop_distances(phi))
+
+    def test_ties_exactly_at_threshold(self):
+        # integer grid points with repeats: many pairs sit exactly at the median
+        phi = np.random.default_rng(31).integers(0, 4, size=(40, 2)).astype(float)
+        dists = pair_distances(phi)
+        assert np.array_equal(dists, _row_loop_distances(phi))
+        t = percentile_threshold(phi, 50)
+        assert np.count_nonzero(dists == t) > 1
+        g = build_graph(phi, t)
+        assert set(_edges(g)) == _oracle_edges(phi.tolist(), t)
+        assert _edges(build_graph(phi, t, dists=dists)) == _edges(g)
+
+    def test_consumers_agree_with_and_without_dists(self):
+        for seed in range(6):
+            rng = np.random.default_rng(400 + seed)
+            phi = rng.normal(size=(24, 5))
+            dists = pair_distances(phi)
+            for p in (0, 37.5, 50, 100):
+                assert percentile_threshold(phi, p, dists=dists) == percentile_threshold(phi, p)
+            t = percentile_threshold(phi, 40)
+            g1, g2 = build_graph(phi, t), build_graph(phi, t, dists=dists)
+            assert _edges(g1) == _edges(g2)
+            assert g1.threshold == g2.threshold and g1.num_nodes == g2.num_nodes
+            assert (KernelSpec.from_median_heuristic(phi[:12], phi[12:], dists=dists)
+                    == KernelSpec.from_median_heuristic(phi[:12], phi[12:]))
+
+    def test_edge_arrays_are_read_only(self):
+        g = build_graph(np.arange(4.0).reshape(4, 1), 1.5)
+        with pytest.raises(ValueError):
+            g.rows[0] = 3
 
 
 class TestEdgeStats:
@@ -131,6 +196,22 @@ class TestEdgeStats:
             s = edge_stats(g, labels)
             assert s.total == g.num_edges
             assert s.right >= 0 and s.wrong >= 0 and s.unknown >= 0
+
+    def test_matches_python_loop_oracle(self):
+        for seed in range(6):
+            rng = np.random.default_rng(500 + seed)
+            g = build_graph(rng.normal(size=(30, 3)), 1.5)
+            labels = rng.integers(-1, 3, size=30)
+            right = wrong = unknown = 0
+            for i, j in _edges(g):
+                if labels[i] == -1 or labels[j] == -1:
+                    unknown += 1
+                elif labels[i] == labels[j]:
+                    right += 1
+                else:
+                    wrong += 1
+            assert unknown > 0 and right > 0 and wrong > 0
+            assert edge_stats(g, labels) == EdgeStats(right, wrong, unknown)
 
     def test_label_length_mismatch(self):
         g = self._chain(3)

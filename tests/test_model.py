@@ -20,12 +20,9 @@ def t(x):
 
 
 def _graph_from_edges(n, edges):
-    neighbors = [[] for _ in range(n)]
-    for i, j in edges:
-        neighbors[i].append(j)
-        neighbors[j].append(i)
-    return BatchGraph(num_nodes=n, edges=tuple(sorted(edges)), threshold=1.0,
-                      neighbors=tuple(tuple(sorted(ns)) for ns in neighbors))
+    pairs = sorted(edges)
+    return BatchGraph(num_nodes=n, rows=[i for i, _ in pairs], cols=[j for _, j in pairs],
+                      threshold=1.0)
 
 
 def _small_model(d=3, m=2, hidden=4, phi=4, backbone_hidden=4, seed=0):

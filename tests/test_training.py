@@ -338,6 +338,27 @@ def test_no_gnn_flag_disables_graph(tmp_path):
     assert any(h.edges_right + h.edges_wrong > 0 for h in hist_g)
 
 
+@pytest.mark.parametrize("features,passes", [("pre_relu", 1), ("post_relu", 2)])
+def test_one_pair_scan_per_step_per_feature_matrix(monkeypatch, features, passes):
+    import graphda.graphs
+    import graphda.losses
+    import graphda.training
+
+    calls = []
+    real = graphda.graphs.pair_distances
+
+    def counting(phi):
+        calls.append(1)
+        return real(phi)
+
+    for mod in (graphda.graphs, graphda.losses, graphda.training):
+        monkeypatch.setattr(mod, "pair_distances", counting)
+    src, tgt, _ = shift_data(seed=10)  # 40 per domain: one 80-sample step per epoch
+    _, hist = train(tiny_cfg(epochs=1, batch_size=80, graph_features=features), src, tgt)
+    assert len(calls) == passes
+    assert hist[0].edges_unknown > 0  # the graph was built
+
+
 def test_fixed_threshold_mode_runs():
     src, tgt, ev = shift_data(seed=11)
     cfg = tiny_cfg(threshold_percentile=None, threshold=3.0)
@@ -454,9 +475,12 @@ def test_export_embeddings_layout(tmp_path):
     model = small_model(input_dim=2, phi=4)
     out = tmp_path / "emb.csv"
     pseudo = np.array([1, -1, 0, -1, 1, -1, 0, 1, -1, 0])
-    export_embeddings(out, model, src_n, tgt_n, epoch=7, pseudo_labels=pseudo)
+    pooled = export_embeddings(out, model, src_n, tgt_n, epoch=7, pseudo_labels=pseudo)
     lines = read_lines(out)
     width = model.config.phi_dim
+    assert pooled.shape == (20, width)
+    for line, vec in zip(lines[1:], pooled):
+        assert line.split(",")[4:4 + width] == [repr(float(v)) for v in vec]
     assert lines[0] == ("epoch,id,domain,label," +
                         ",".join(f"phi_{k}" for k in range(width)) + ",pca_0,pca_1")
     assert len(lines) == 1 + 10 + 10
