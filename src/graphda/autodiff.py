@@ -11,8 +11,9 @@ Only the operations the models and losses in this package need are
 provided: elementwise arithmetic with broadcasting, matrix products,
 reductions, ReLU/exp, row and element gathers, pairwise squared
 distances, (log-)softmax, and an im2col expansion for small
-convolutions.  Everything runs at 64-bit precision by default; 32-bit
-can be selected per tensor or globally.
+convolutions (a window-view copy forward, a shift-add backward).
+Everything runs at 64-bit precision by default; 32-bit can be selected
+per tensor or globally.
 """
 
 from __future__ import annotations
@@ -412,6 +413,8 @@ def im2col(a: Tensor, kh: int, kw: int, padding: int = 0) -> Tensor:
 
     Output has shape (B*oh*ow, c*kh*kw) with channel-major columns, so a
     convolution is one matmul against a (c*kh*kw, out_channels) weight.
+    Forward: one copy of a window view of the padded input. Backward: kh*kw
+    shifted slice adds in descending (i, j), a patch scatter-add's order.
     """
     if a.ndim != 4:
         raise ShapeError(f"im2col expects (B, c, h, w), got shape {a.shape}")
@@ -421,19 +424,16 @@ def im2col(a: Tensor, kh: int, kw: int, padding: int = 0) -> Tensor:
     if oh <= 0 or ow <= 0:
         raise ShapeError(f"im2col kernel {kh}x{kw} too large for input {a.shape} with padding {p}")
     xp = np.pad(a.data, ((0, 0), (0, 0), (p, p), (p, p)))
-    ki = np.repeat(np.arange(kh), kw)
-    kj = np.tile(np.arange(kw), kh)
-    oi = np.repeat(np.arange(oh), ow)
-    oj = np.tile(np.arange(ow), oh)
-    rows = oi[:, None] + ki[None, :]
-    cols = oj[:, None] + kj[None, :]
-    patches = xp[:, :, rows, cols]  # (B, c, oh*ow, kh*kw)
-    data = patches.transpose(0, 2, 1, 3).reshape(bsz * oh * ow, c * kh * kw).copy()
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))  # (B,c,oh,ow,kh,kw)
+    data = win.transpose(0, 2, 3, 1, 4, 5).reshape(bsz * oh * ow, c * kh * kw)
 
     def bw(g):
-        gp = g.reshape(bsz, oh * ow, c, kh * kw).transpose(0, 2, 1, 3)
+        # (kh, kw, B, c, oh, ow): each shifted add reads one contiguous block
+        gk = g.reshape(bsz, oh, ow, c, kh, kw).transpose(4, 5, 0, 3, 1, 2).copy()
         gx = np.zeros_like(xp)
-        np.add.at(gx, (slice(None), slice(None), rows, cols), gp)
+        for i in reversed(range(kh)):
+            for j in reversed(range(kw)):
+                gx[:, :, i:i + oh, j:j + ow] += gk[i, j]
         a._accum(gx[:, :, p:p + h, p:p + w])
 
     return _result(data, (a,), bw)

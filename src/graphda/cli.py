@@ -20,6 +20,7 @@ import os
 import sys
 from importlib import metadata
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -198,6 +199,50 @@ def _model_from_blob(blob: dict) -> Model:
     return model
 
 
+class _RunMeta(NamedTuple):
+    epoch: int
+    positive_class: int
+    threshold: float | None  # None when the graph threshold is a percentile
+    percentile: float | None
+    source_stats: NormStats
+    target_stats: NormStats
+
+
+def _run_meta(blob: dict, model: Model) -> _RunMeta:
+    """The checkpoint's ``meta/*`` run entries and ``norm/*`` statistics.
+
+    A missing, mis-shaped, non-finite or out-of-range entry raises
+    DataFormatError before any output is written.
+    """
+    def entry(key, shape=(), ok=np.isfinite):
+        if key not in blob:
+            raise DataFormatError(f"checkpoint lacks entry {key!r}")
+        value = blob[key]
+        if value.shape != shape or not np.all(ok(value)):
+            raise DataFormatError(f"checkpoint entry {key!r} is invalid: shape {value.shape}, "
+                                  f"values {value.ravel()[:4].tolist()}")
+        return value if shape else float(value)
+
+    def count(key, stop=np.inf):
+        return int(entry(key, ok=lambda v: (v == np.floor(v)) & (0 <= v) & (v < stop)))
+
+    def stats(domain):
+        dims = model.config.input_dims[:1]  # one entry per channel
+        return NormStats(entry(f"norm/{domain}_mean", dims),
+                         entry(f"norm/{domain}_std", dims, ok=lambda v: np.isfinite(v) & (v > 0)))
+
+    percentile = entry("meta/threshold_percentile", ok=lambda v: ~((v < 0) | (v > 100)))
+    fixed = np.isnan(percentile)  # NaN marks a fixed threshold
+    return _RunMeta(
+        epoch=count("meta/epoch"),
+        positive_class=count("meta/positive_class", model.config.num_classes),
+        threshold=entry("meta/threshold", ok=lambda v: v > 0) if fixed else None,
+        percentile=None if fixed else percentile,
+        source_stats=stats("source"),
+        target_stats=stats("target"),
+    )
+
+
 def _check_input_dims(model: Model, dataset: Dataset, path) -> None:
     if dataset.feature_dims != model.config.input_dims:
         raise DataFormatError(
@@ -298,17 +343,13 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     blob = load_checkpoint(args.checkpoint)
     model = _model_from_blob(blob)
+    meta = _run_meta(blob, model)
     target = read_dataset(args.target, Domain.TARGET)
     _check_input_dims(model, target, args.target)
     labels = _read_eval_labels(args.labels, target)
-    stats = NormStats(blob["norm/target_mean"], blob["norm/target_std"])
-    metrics = evaluate(
-        model,
-        stats.apply(target.features),
-        labels,
-        positive_class=int(blob["meta/positive_class"]),
-    )
-    epoch = int(blob["meta/epoch"])
+    metrics = evaluate(model, meta.target_stats.apply(target.features), labels,
+                       positive_class=meta.positive_class)
+    epoch = meta.epoch
     if args.json:
         print(json.dumps({
             "epoch": epoch,
@@ -331,14 +372,15 @@ def cmd_eval(args) -> int:
 def cmd_export(args) -> int:
     blob = load_checkpoint(args.checkpoint)
     model = _model_from_blob(blob)
+    meta = _run_meta(blob, model)
     source = read_dataset(args.source, Domain.SOURCE)
     target = read_dataset(args.target, Domain.TARGET)
     _check_input_dims(model, source, args.source)
     _check_input_dims(model, target, args.target)
     eval_labels = _read_eval_labels(args.labels, target) if args.labels else None
-    source_n, _ = normalize(source, NormStats(blob["norm/source_mean"], blob["norm/source_std"]))
-    target_n, _ = normalize(target, NormStats(blob["norm/target_mean"], blob["norm/target_std"]))
-    epoch = int(blob["meta/epoch"])
+    source_n, _ = normalize(source, meta.source_stats)
+    target_n, _ = normalize(target, meta.target_stats)
+    epoch = meta.epoch
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -353,11 +395,10 @@ def cmd_export(args) -> int:
     # Pooled graph at the stored threshold, audited against source truth
     # plus the eval sidecar when provided (-1 rows count as unknown).
     dists = pair_distances(phi)
-    percentile = float(blob["meta/threshold_percentile"])
-    if np.isfinite(percentile):
-        threshold = percentile_threshold(phi, percentile, dists=dists)
+    if meta.percentile is None:
+        threshold = meta.threshold
     else:
-        threshold = float(blob["meta/threshold"])
+        threshold = percentile_threshold(phi, meta.percentile, dists=dists)
     audit = np.concatenate([
         source.labels,
         eval_labels if eval_labels is not None else np.full(len(target), -1, dtype=np.int64),

@@ -106,12 +106,7 @@ class Dataset:
         return self.features.shape[1:]
 
     def sample(self, i: int) -> Sample:
-        return Sample(
-            id=int(i),
-            features=self.features[i],
-            domain=self.domain,
-            label=int(self.labels[i]),
-        )
+        return Sample(int(i), self.features[i], self.domain, int(self.labels[i]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,8 +203,9 @@ def _reflect(idx: np.ndarray, n: int) -> np.ndarray:
     return np.where(idx > n - 1, period - idx, idx)
 
 
-def warp_image(img: np.ndarray, theta_deg: float, scale: float, shear: float) -> np.ndarray:
-    """Affine warp of a (c, h, w) image about its center.
+def warp_image(img: np.ndarray, theta_deg, scale, shear) -> np.ndarray:
+    """Affine warp of a (c, h, w) image about its center, or of each image
+    of a (B, c, h, w) batch given length-B parameter sequences.
 
     Forward map is rotation(theta) . scale . shear applied to (row, col)
     offsets; pixels are pulled through the inverse map with bilinear
@@ -217,37 +213,40 @@ def warp_image(img: np.ndarray, theta_deg: float, scale: float, shear: float) ->
     reproduce the input exactly.
     """
     img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 3:
-        raise ValueError(f"expected (c, h, w) image, got shape {img.shape}")
-    c, h, w = img.shape
-    th = math.radians(theta_deg)
-    cos, sin = math.cos(th), math.sin(th)
-    # M = R(theta) @ (scale * I) @ [[1, shear], [0, 1]]
-    m00, m01 = scale * cos, scale * (cos * shear - sin)
-    m10, m11 = scale * sin, scale * (sin * shear + cos)
-    det = m00 * m11 - m01 * m10
-    i00, i01, i10, i11 = m11 / det, -m01 / det, -m10 / det, m00 / det
+    if img.ndim == 3:
+        return warp_image(img[None], [theta_deg], [scale], [shear])[0]
+    if img.ndim != 4 or {np.shape(p) for p in (theta_deg, scale, shear)} != {img.shape[:1]}:
+        raise ValueError(f"expected a (c, h, w) image or a (B, c, h, w) batch with B "
+                         f"parameter triples, got shape {img.shape}")
+    b, c, h, w = img.shape
+    inv = []  # inverse-map coefficients per image, in Python float arithmetic
+    for t, s, sh in zip(theta_deg, scale, shear):
+        th = math.radians(t)
+        cos, sin = math.cos(th), math.sin(th)
+        # M = R(theta) @ (s * I) @ [[1, sh], [0, 1]]
+        m00, m01 = s * cos, s * (cos * sh - sin)
+        m10, m11 = s * sin, s * (sin * sh + cos)
+        det = m00 * m11 - m01 * m10
+        inv.append((m11 / det, -m01 / det, -m10 / det, m00 / det))
+    i00, i01, i10, i11 = np.array(inv).T.reshape(4, b, 1, 1, 1)
 
     cr, cc = (h - 1) / 2.0, (w - 1) / 2.0
-    rows, cols = np.meshgrid(np.arange(h, dtype=np.float64),
-                             np.arange(w, dtype=np.float64), indexing="ij")
-    dr, dc = rows - cr, cols - cc
-    src_r = i00 * dr + i01 * dc + cr
+    dr = np.arange(h, dtype=np.float64)[:, None] - cr
+    dc = np.arange(w, dtype=np.float64)[None, :] - cc
+    src_r = i00 * dr + i01 * dc + cr  # (B, 1, h, w)
     src_c = i10 * dr + i11 * dc + cc
 
-    r0 = np.floor(src_r).astype(np.int64)
-    c0 = np.floor(src_c).astype(np.int64)
-    fr = src_r - r0
-    fc = src_c - c0
+    r0, c0 = np.floor(src_r).astype(np.int64), np.floor(src_c).astype(np.int64)
+    fr, fc = src_r - r0, src_c - c0
     r0r, r1r = _reflect(r0, h), _reflect(r0 + 1, h)
     c0r, c1r = _reflect(c0, w), _reflect(c0 + 1, w)
-    out = (
-        img[:, r0r, c0r] * ((1 - fr) * (1 - fc))
-        + img[:, r0r, c1r] * ((1 - fr) * fc)
-        + img[:, r1r, c0r] * (fr * (1 - fc))
-        + img[:, r1r, c1r] * (fr * fc)
+    bi, ci = np.arange(b)[:, None, None, None], np.arange(c)[None, :, None, None]
+    return (
+        img[bi, ci, r0r, c0r] * ((1 - fr) * (1 - fc))
+        + img[bi, ci, r0r, c1r] * ((1 - fr) * fc)
+        + img[bi, ci, r1r, c0r] * (fr * (1 - fc))
+        + img[bi, ci, r1r, c1r] * (fr * fc)
     )
-    return out
 
 
 def augment(sample: Sample, rng: np.random.Generator) -> Sample:

@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor, backward, get_default_dtype, set_default_dtype, take_rows
-from .datasets import Dataset, TwoDomainSampler, normalize, warp_image
+from .datasets import (ROTATION_RANGE_DEG, SCALE_RANGE, SHEAR_RANGE, Dataset, TwoDomainSampler,
+                       normalize, warp_image)
 from .graphs import BatchGraph, build_graph, edge_stats, pair_distances, percentile_threshold
 from .losses import (
     MEDIAN_SCALES,
@@ -236,13 +237,11 @@ def evaluate(model: Model, features: np.ndarray, labels, *, positive_class: int 
 def _augment_batch(features: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     if features.ndim != 4:
         return features
-    out = np.empty_like(features)
-    for i in range(features.shape[0]):
-        theta = rng.uniform(-30.0, 30.0)
-        scale = rng.uniform(0.9, 1.1)
-        shear = rng.uniform(-0.1, 0.1)
-        out[i] = warp_image(features[i], theta, scale, shear)
-    return out
+    # the seeded stream is drawn image by image (rotation, scale, shear), as in augment()
+    draws = [(rng.uniform(-ROTATION_RANGE_DEG, ROTATION_RANGE_DEG), rng.uniform(*SCALE_RANGE),
+              rng.uniform(-SHEAR_RANGE, SHEAR_RANGE)) for _ in range(features.shape[0])]
+    theta, scale, shear = zip(*draws)
+    return warp_image(features, theta, scale, shear)
 
 
 def _empty_pseudo(n: int, epsilon: float) -> PseudoState:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import graphda.model
 from graphda.autodiff import (
     GradCheckReport,
     ShapeError,
@@ -16,7 +17,9 @@ from graphda.autodiff import (
     softmax,
     take_per_row,
     take_rows,
+    _result,
 )
+from graphda.model import Model, ModelConfig
 
 
 def t(data):
@@ -262,6 +265,25 @@ class TestPairwiseSqdist:
             pairwise_sqdist(t(np.zeros((2, 3))), t(np.zeros((2, 4))))
 
 
+def _oracle_im2col(a, kh, kw, padding=0):
+    """im2col by a fancy-index gather forward and an ``np.add.at`` backward."""
+    bsz, c, h, w = a.shape
+    p = padding
+    oh, ow = h + 2 * p - kh + 1, w + 2 * p - kw + 1
+    xp = np.pad(a.data, ((0, 0), (0, 0), (p, p), (p, p)))
+    rows = np.repeat(np.arange(oh), ow)[:, None] + np.repeat(np.arange(kh), kw)[None, :]
+    cols = np.tile(np.arange(ow), oh)[:, None] + np.tile(np.arange(kw), kh)[None, :]
+    data = xp[:, :, rows, cols].transpose(0, 2, 1, 3).reshape(bsz * oh * ow, c * kh * kw)
+
+    def bw(g):
+        gx = np.zeros_like(xp)
+        np.add.at(gx, (slice(None), slice(None), rows, cols),
+                  g.reshape(bsz, oh * ow, c, kh * kw).transpose(0, 2, 1, 3))
+        a._accum(gx[:, :, p:p + h, p:p + w])
+
+    return _result(data, (a,), bw)
+
+
 class TestIm2col:
     def test_reconstructs_convolution(self):
         rng = np.random.default_rng(3)
@@ -285,3 +307,40 @@ class TestIm2col:
     def test_bad_rank(self):
         with pytest.raises(ShapeError):
             im2col(t(np.zeros((3, 4))), 3, 3)
+
+    @staticmethod
+    def _mixed(rng, shape):
+        # signed values spread over 1e-8..1e8, so any change of summation order shows
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("kernel", [(3, 3), (2, 3)])
+    def test_bit_equal_to_gather_scatter_oracle(self, c, padding, kernel):
+        rng = np.random.default_rng(7)
+        x = self._mixed(rng, (3, c, 6, 7))
+        got, ref = t(x), t(x)
+        out, want = im2col(got, *kernel, padding=padding), _oracle_im2col(ref, *kernel, padding)
+        assert np.array_equal(out.data, want.data)
+        g = self._mixed(rng, out.shape)
+        backward((out * g).sum())
+        backward((want * g).sum())
+        assert np.array_equal(got.grad.view(np.int64), ref.grad.view(np.int64))
+
+    def test_conv_backbone_gradients_bit_equal_to_oracle(self, monkeypatch):
+        cfg = ModelConfig(input_dims=(2, 6, 6), num_classes=2, hidden=5, phi_dim=4,
+                          conv_channels=(3, 4))
+        x0 = self._mixed(np.random.default_rng(8), (5, 2, 6, 6))
+
+        def grads(model):
+            x = t(x0)
+            backward(model.backbone_forward(x).sum())
+            return [x.grad] + [p.grad for name, p in model.parameters() if name.startswith("backbone/")]
+
+        got = grads(Model.init(cfg, np.random.default_rng(9)))
+        monkeypatch.setattr(graphda.model, "im2col", _oracle_im2col)
+        want = grads(Model.init(cfg, np.random.default_rng(9)))
+        assert len(got) == len(want) == 7  # input, two convs and biases, w3, b3
+        for a, b in zip(got, want):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+

@@ -367,11 +367,36 @@ def _nan_weight(blob):
     blob["theta1"][0, 0] = np.nan
 
 
+def _drop_target_mean(blob):
+    del blob["norm/target_mean"]
+
+
+def _drop_positive_class(blob):
+    del blob["meta/positive_class"]
+
+
+def _nan_epoch(blob):
+    blob["meta/epoch"] = np.asarray(np.nan)
+
+
+def _positive_class_out_of_range(blob):
+    blob["meta/positive_class"] = np.asarray(5.0)
+
+
+def _target_std_wrong_shape(blob):
+    blob["norm/target_std"] = np.ones(blob["norm/target_std"].size + 1)
+
+
 @pytest.mark.parametrize("command", ["eval", "export"])
 @pytest.mark.parametrize("mutate,message", [
     (_drop_theta2, "theta2"),
     (_nan_hidden, "architecture"),
     (_nan_weight, "non-finite"),
+    (_drop_target_mean, "norm/target_mean"),
+    (_drop_positive_class, "meta/positive_class"),
+    (_nan_epoch, "meta/epoch"),
+    (_positive_class_out_of_range, "meta/positive_class"),
+    (_target_std_wrong_shape, "norm/target_std"),
 ])
 def test_malformed_checkpoint_is_format_error(run_dir, data_dir, tmp_path, capsys,
                                               command, mutate, message):

@@ -132,6 +132,20 @@ class TestWarpImage:
         with pytest.raises(ValueError):
             warp_image(np.zeros((4, 4)), 10.0, 1.0, 0.0)
 
+    def test_batch_bit_equal_to_per_image_loop(self):
+        rng = np.random.default_rng(9)
+        imgs = rng.normal(size=(6, 2, 7, 5)) * 10.0 ** rng.uniform(-8, 8, (6, 2, 7, 5))
+        theta, scale, shear = rng.uniform(-30, 30, 6), rng.uniform(0.7, 1.3, 6), rng.uniform(-0.2, 0.2, 6)
+        loop = np.stack([warp_image(imgs[i], theta[i], scale[i], shear[i]) for i in range(6)])
+        batch = warp_image(imgs, theta, scale, shear)
+        assert np.array_equal(batch.view(np.int64), loop.view(np.int64))
+
+    def test_batch_needs_one_parameter_triple_per_image(self):
+        with pytest.raises(ValueError):
+            warp_image(np.zeros((3, 1, 4, 4)), [0.0, 1.0], [1.0, 1.0], [0.0, 0.0])
+        with pytest.raises(ValueError):
+            warp_image(np.zeros((1, 1, 4, 4)), 0.0, 1.0, 0.0)
+
 
 class TestAugment:
     def _img_sample(self):

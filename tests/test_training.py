@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
+import graphda.training
 from graphda.autodiff import Tensor, get_default_dtype
-from graphda.datasets import Dataset, Domain, ShiftConfig, gen_synthetic_shift, normalize
+from graphda.datasets import Dataset, Domain, ShiftConfig, gen_synthetic_shift, normalize, warp_image
 from graphda.model import Model, ModelConfig, load_checkpoint, config_from_tensors
 from graphda.training import (
     METRICS_COLUMNS,
@@ -509,3 +510,19 @@ def test_export_embeddings_validates_pseudo_length(tmp_path):
     with pytest.raises(ValueError, match="pseudo labels"):
         export_embeddings(tmp_path / "x.csv", model, src, tgt, epoch=0,
                           pseudo_labels=np.zeros(3, dtype=np.int64))
+
+
+def test_augment_batch_is_one_warp_equal_to_per_image_loop(monkeypatch):
+    feats = np.random.default_rng(11).normal(size=(5, 1, 6, 6))
+    calls = []
+    monkeypatch.setattr(graphda.training, "warp_image",
+                        lambda *args: calls.append(args[0].shape) or warp_image(*args))
+    got = graphda.training._augment_batch(feats, np.random.default_rng(5))
+    # oracle: the per-image loop, drawing rotation, scale, shear for each image in turn
+    rng = np.random.default_rng(5)
+    want = []
+    for img in feats:
+        theta, scale, shear = rng.uniform(-30.0, 30.0), rng.uniform(0.9, 1.1), rng.uniform(-0.1, 0.1)
+        want.append(warp_image(img, theta, scale, shear))
+    assert calls == [feats.shape]
+    assert np.array_equal(got.view(np.int64), np.stack(want).view(np.int64))
