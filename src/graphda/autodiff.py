@@ -10,8 +10,9 @@ so the next forward pass starts clean.
 Only the operations the models and losses in this package need are
 provided: elementwise arithmetic with broadcasting, matrix products,
 reductions, ReLU/exp, row and element gathers, pairwise squared
-distances, (log-)softmax, and an im2col expansion for small
-convolutions (a window-view copy forward, a shift-add backward).
+distances, (log-)softmax, and an im2col expansion for small channels-last
+(B, h, w, c) convolutions (a window-view copy forward, a shift-add
+backward). ``reshape`` returns a view: no op writes ``data`` in place.
 Everything runs at 64-bit precision by default; 32-bit can be selected
 per tensor or globally.
 """
@@ -133,9 +134,10 @@ class Tensor:
     # -- gradient plumbing ---------------------------------------------------
 
     def _accum(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        if self.grad is None:  # bits of zeros + g, -0.0 included, in one pass
+            self.grad = np.add(g, 0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         backward(self)
@@ -296,7 +298,7 @@ def _reduce(a: Tensor, axis, mean: bool) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    data = np.reshape(a.data, shape).copy()
+    data = np.reshape(a.data, shape)
 
     def bw(g):
         a._accum(g.reshape(a.shape))
@@ -409,32 +411,32 @@ def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
 
 
 def im2col(a: Tensor, kh: int, kw: int, padding: int = 0) -> Tensor:
-    """Unfold (B, c, h, w) into patch rows for stride-1 convolution.
+    """Unfold channels-last (B, h, w, c) into patch rows for stride-1 convolution.
 
     Output has shape (B*oh*ow, c*kh*kw) with channel-major columns, so a
-    convolution is one matmul against a (c*kh*kw, out_channels) weight.
+    convolution is one matmul with a (c*kh*kw, out) weight and stays NHWC.
     Forward: one copy of a window view of the padded input. Backward: kh*kw
     shifted slice adds in descending (i, j), a patch scatter-add's order.
     """
     if a.ndim != 4:
-        raise ShapeError(f"im2col expects (B, c, h, w), got shape {a.shape}")
-    bsz, c, h, w = a.shape
+        raise ShapeError(f"im2col expects (B, h, w, c), got shape {a.shape}")
+    bsz, h, w, c = a.shape
     p = padding
     oh, ow = h + 2 * p - kh + 1, w + 2 * p - kw + 1
     if oh <= 0 or ow <= 0:
         raise ShapeError(f"im2col kernel {kh}x{kw} too large for input {a.shape} with padding {p}")
-    xp = np.pad(a.data, ((0, 0), (0, 0), (p, p), (p, p)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))  # (B,c,oh,ow,kh,kw)
-    data = win.transpose(0, 2, 3, 1, 4, 5).reshape(bsz * oh * ow, c * kh * kw)
+    xp = np.pad(a.data, ((0, 0), (p, p), (p, p), (0, 0)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))  # (B,oh,ow,c,kh,kw)
+    data = win.reshape(bsz * oh * ow, c * kh * kw)
 
     def bw(g):
-        # (kh, kw, B, c, oh, ow): each shifted add reads one contiguous block
-        gk = g.reshape(bsz, oh, ow, c, kh, kw).transpose(4, 5, 0, 3, 1, 2).copy()
+        # (kh, kw, B, oh, ow, c): each shifted add reads one contiguous block
+        gk = g.reshape(bsz, oh, ow, c, kh, kw).transpose(4, 5, 0, 1, 2, 3).copy()
         gx = np.zeros_like(xp)
         for i in reversed(range(kh)):
             for j in reversed(range(kw)):
-                gx[:, :, i:i + oh, j:j + ow] += gk[i, j]
-        a._accum(gx[:, :, p:p + h, p:p + w])
+                gx[:, i:i + oh, j:j + ow] += gk[i, j]
+        a._accum(gx[:, p:p + h, p:p + w])
 
     return _result(data, (a,), bw)
 

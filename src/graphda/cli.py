@@ -30,6 +30,7 @@ from .datasets import (
     Domain,
     NormStats,
     ShiftConfig,
+    _write_atomic,
     gen_synthetic_shift,
     normalize,
     read_dataset,
@@ -188,9 +189,8 @@ def _digest(path) -> str:
 
 
 def _write_manifest(path, entries: dict) -> None:
-    with open(path, "w", newline="\n") as fh:
-        for key in sorted(entries):
-            fh.write(f"{key}={entries[key]}\n")
+    text = "".join(f"{key}={entries[key]}\n" for key in sorted(entries))
+    _write_atomic(path, text.encode("utf-8"))
 
 
 def _model_from_blob(blob: dict) -> Model:
@@ -408,9 +408,8 @@ def cmd_export(args) -> int:
     else:
         stats = EdgeStats(right=0, wrong=0, unknown=0)
     edges_path = out / f"edges_epoch{epoch:03d}.csv"
-    with open(edges_path, "w", newline="\n") as fh:
-        fh.write("epoch,right,wrong,unknown,total\n")
-        fh.write(f"{epoch},{stats.right},{stats.wrong},{stats.unknown},{stats.total}\n")
+    _write_atomic(edges_path, "epoch,right,wrong,unknown,total\n"
+                  f"{epoch},{stats.right},{stats.wrong},{stats.unknown},{stats.total}\n".encode())
     print(f"wrote {emb_path.name} and {edges_path.name} to {out}")
     return 0
 

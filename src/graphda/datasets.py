@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -412,6 +414,16 @@ def _pack_header(magic: bytes, count: int, dims: tuple, m: int) -> bytes:
     )
 
 
+def _write_atomic(path, data: bytes) -> None:
+    """Write through a temp file beside ``path`` and a rename: a failed write keeps the old file."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_dataset(path, dataset: Dataset) -> None:
     """Serialize features (32-bit reals) and labels, little-endian."""
     dims = dataset.feature_dims
@@ -419,9 +431,8 @@ def write_dataset(path, dataset: Dataset) -> None:
     payload = np.empty(len(dataset), dtype=rec)
     payload["features"] = dataset.features.reshape(len(dataset), -1).astype("<f4")
     payload["label"] = dataset.labels.astype("<i4")
-    with open(path, "wb") as fh:
-        fh.write(_pack_header(MAGIC, len(dataset), dims, dataset.num_classes))
-        fh.write(payload.tobytes())
+    _write_atomic(path, _pack_header(MAGIC, len(dataset), dims, dataset.num_classes)
+                  + payload.tobytes())
 
 
 def read_dataset(path, domain: Domain) -> Dataset:
@@ -462,9 +473,7 @@ def read_dataset(path, domain: Domain) -> Dataset:
 def write_label_file(path, labels, dims: tuple, num_classes: int) -> None:
     """Sidecar label file: dataset header plus labels only."""
     lab = np.asarray(labels, dtype="<i4")
-    with open(path, "wb") as fh:
-        fh.write(_pack_header(MAGIC, lab.size, tuple(dims), num_classes))
-        fh.write(lab.tobytes())
+    _write_atomic(path, _pack_header(MAGIC, lab.size, tuple(dims), num_classes) + lab.tobytes())
 
 
 def read_label_file(path) -> tuple[np.ndarray, tuple, int]:

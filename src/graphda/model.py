@@ -13,6 +13,7 @@ whatever else shares its batch.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ from .autodiff import (
     relu,
     softmax,
 )
-from .datasets import DataFormatError, _Reader
+from .datasets import DataFormatError, _Reader, _write_atomic
 from .graphs import BatchGraph
 
 __all__ = [
@@ -162,18 +163,26 @@ class Model:
             )
         return x
 
+    def chunks(self, n: int, chunk: int | None = None) -> list:
+        """Row slices for inference over ``n`` rows; by default each holds at
+        most 2**14 input values, which bounds the memory of a chunk's trace."""
+        step = chunk or max(1, 2 ** 14 // math.prod(self.config.input_dims))
+        return [slice(lo, lo + step) for lo in range(0, n, step)]
+
     def backbone_forward(self, features) -> Tensor:
         """Extract (B, phi_dim) features; shared weights for both domains."""
         x = self._as_input(features)
         p = self.params
         if self.config.is_image:
             b = x.shape[0]
-            _, h, w = self.config.input_dims
-            c1, c2 = self.config.conv_channels
-            y = add(matmul(im2col(x, 3, 3, padding=1), p["backbone/conv1"]), p["backbone/cb1"])
-            y = relu(y).reshape((b, h, w, c1)).transpose((0, 3, 1, 2))
-            y = add(matmul(im2col(y, 3, 3, padding=1), p["backbone/conv2"]), p["backbone/cb2"])
-            pooled = relu(y).reshape((b, h, w, c2)).transpose((0, 3, 1, 2)).mean(axis=(2, 3))
+            c, h, w = self.config.input_dims
+            # channels-last (B, h, w, c) activations; a view of x when c == 1
+            y = x.reshape((b, h, w, 1)) if c == 1 else x.transpose((0, 2, 3, 1))
+            for i, ch in enumerate(self.config.conv_channels, 1):
+                y = add(matmul(im2col(y, 3, 3, 1), p[f"backbone/conv{i}"]), p[f"backbone/cb{i}"])
+                y = relu(y).reshape((b, h, w, ch))
+            # pooling sums an NCHW copy: that summation order sets the bits of phi
+            pooled = y.transpose((0, 3, 1, 2)).mean(axis=(2, 3))
             return add(matmul(pooled, p["backbone/w3"]), p["backbone/b3"])
         y = add(matmul(x, p["backbone/w1"]), p["backbone/b1"])
         if self.config.backbone_hidden == 0:
@@ -254,8 +263,7 @@ def save_checkpoint(path, tensors: dict) -> None:
         head.append(struct.pack("<I", len(nb)) + nb)
         head.append(struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape))
         body.append(arr.astype("<f8").tobytes(order="C"))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(head) + b"".join(body))
+    _write_atomic(path, b"".join(head) + b"".join(body))
 
 
 def load_checkpoint(path) -> dict:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import Dataset
+from .datasets import Dataset, _write_atomic
 
 __all__ = [
     "PseudoState",
@@ -92,23 +92,22 @@ def assign_pseudo_labels(
     epoch: int = 0,
     prior: PseudoState | None = None,
     sticky: bool = False,
-    chunk: int = 512,
+    chunk: int | None = None,
 ) -> PseudoState:
     """Refresh pseudo-labels over the whole (already normalized) target set.
 
     Default is full reassignment: a label granted earlier disappears if
     the model is no longer confident. With ``sticky=True`` labels are
     never revoked; a fresh confident prediction still overwrites.
-    Inference runs in fixed-size chunks purely to bound memory.
+    Inference runs in ``model.chunks`` of rows purely to bound memory.
     """
     _check_epsilon(epsilon, target_set.num_classes)
     n = len(target_set)
     labels = np.empty(n, dtype=np.int64)
     conf = np.empty(n, dtype=np.float64)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        probs = model.infer(target_set.features[lo:hi]).probs.data
-        labels[lo:hi], conf[lo:hi] = label_from_probs(probs, epsilon)
+    for rows in model.chunks(n, chunk):
+        probs = model.infer(target_set.features[rows]).probs.data
+        labels[rows], conf[rows] = label_from_probs(probs, epsilon)
     if sticky and prior is not None:
         fresh = labels != -1
         keep = ~fresh & (prior.labels != -1)
@@ -134,5 +133,4 @@ def write_pseudo_csv(path, state: PseudoState) -> None:
         lines.append(
             f"{i},{state.labels[i]},{repr(float(state.confidence[i]))},{state.epoch}"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))

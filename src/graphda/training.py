@@ -23,7 +23,7 @@ import numpy as np
 
 from .autodiff import Tensor, backward, get_default_dtype, set_default_dtype, take_rows
 from .datasets import (ROTATION_RANGE_DEG, SCALE_RANGE, SHEAR_RANGE, Dataset, TwoDomainSampler,
-                       normalize, warp_image)
+                       _write_atomic, normalize, warp_image)
 from .graphs import BatchGraph, build_graph, edge_stats, pair_distances, percentile_threshold
 from .losses import (
     MEDIAN_SCALES,
@@ -98,18 +98,20 @@ class TrainConfig:
         object.__setattr__(self, "kernel_scales", tuple(float(s) for s in self.kernel_scales))
         object.__setattr__(self, "conv_channels", tuple(int(c) for c in self.conv_channels))
         object.__setattr__(self, "loss_weights", tuple(float(w) for w in self.loss_weights))
-        if self.lr <= 0 or self.weight_decay < 0:
-            raise ValueError("lr must be positive and weight_decay nonnegative")
+        if not 0 < self.lr < math.inf or not 0 <= self.weight_decay < math.inf:
+            raise ValueError("lr must be positive and weight_decay nonnegative, both finite")
         if self.batch_size < 2 or self.batch_size % 2:
             raise ValueError(f"batch_size must be even and >= 2, got {self.batch_size}")
         if self.epochs < 1 or self.checkpoint_every < 1:
             raise ValueError("epochs and checkpoint_every must be >= 1")
         if not 0 < self.epsilon < 1:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.margin <= 0:
-            raise ValueError(f"margin must be positive, got {self.margin}")
-        if self.threshold <= 0:
-            raise ValueError(f"threshold must be positive, got {self.threshold}")
+        if not 0 < self.margin < math.inf:
+            raise ValueError(f"margin must be positive and finite, got {self.margin}")
+        if not 0 < self.threshold < math.inf:
+            raise ValueError(f"threshold must be positive and finite, got {self.threshold}")
+        if not self.kernel_scales or not all(0 < s < math.inf for s in self.kernel_scales):
+            raise ValueError(f"kernel_scales must be positive and finite, got {self.kernel_scales}")
         if self.threshold_percentile is not None and not 0 <= self.threshold_percentile <= 100:
             raise ValueError(f"threshold_percentile must lie in [0, 100], got {self.threshold_percentile}")
         if self.precision not in ("f32", "f64"):
@@ -120,8 +122,8 @@ class TrainConfig:
             raise ValueError(f"graph_features must be pre_relu or post_relu, got {self.graph_features!r}")
         if self.lg_features not in ("gnn", "backbone"):
             raise ValueError(f"lg_features must be gnn or backbone, got {self.lg_features!r}")
-        if len(self.loss_weights) != 3 or any(w < 0 for w in self.loss_weights):
-            raise ValueError(f"loss_weights must be 3 nonnegative values, got {self.loss_weights}")
+        if len(self.loss_weights) != 3 or not all(0 <= w < math.inf for w in self.loss_weights):
+            raise ValueError(f"loss_weights must be 3 nonnegative finite values, got {self.loss_weights}")
         if self.warmup_epochs < 0 or self.seed < 0:
             raise ValueError("warmup_epochs and seed must be nonnegative")
 
@@ -201,7 +203,7 @@ class Adam:
 
 
 def evaluate(model: Model, features: np.ndarray, labels, *, positive_class: int = 1,
-             chunk: int = 512) -> EvalMetrics:
+             chunk: int | None = None) -> EvalMetrics:
     """Inference-path metrics against ground-truth labels.
 
     Features must already carry the normalization used in training.
@@ -218,8 +220,8 @@ def evaluate(model: Model, features: np.ndarray, labels, *, positive_class: int 
     if not 0 <= positive_class < m:
         raise ValueError(f"positive class {positive_class} outside [0, {m})")
     pred = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, chunk):
-        pred[lo:lo + chunk] = model.predict(features[lo:lo + chunk])
+    for rows in model.chunks(n, chunk):
+        pred[rows] = model.predict(features[rows])
     confusion = np.zeros((m, m), dtype=np.int64)
     np.add.at(confusion, (lab, pred), 1)
     predicted_pos = int(confusion[:, positive_class].sum())
@@ -533,7 +535,7 @@ def export_embeddings(
     *,
     epoch: int,
     pseudo_labels=None,
-    chunk: int = 512,
+    chunk: int | None = None,
 ) -> np.ndarray:
     """Per-sample backbone features plus a shared 2-D projection.
 
@@ -544,9 +546,7 @@ def export_embeddings(
     """
 
     def phi_of(ds):
-        out = []
-        for lo in range(0, len(ds), chunk):
-            out.append(model.backbone_forward(ds.features[lo:lo + chunk]).data)
+        out = [model.backbone_forward(ds.features[r]).data for r in model.chunks(len(ds), chunk)]
         return np.concatenate(out) if out else np.zeros((0, model.config.phi_dim))
 
     phi_s, phi_t = phi_of(source), phi_of(target)
@@ -574,6 +574,5 @@ def export_embeddings(
                 + f",{_f(proj[row, 0])},{_f(proj[row, 1])}"
             )
             row += 1
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
     return pooled

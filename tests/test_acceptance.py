@@ -314,6 +314,7 @@ def _edge_ratio(epoch_row):
     return epoch_row.edges_right / labeled if labeled else float("nan")
 
 
+@pytest.mark.slow
 def test_criterion_6_adaptation_gap(adaptation_runs):
     gaps = [r["full"][-1].precision - r["base"][-1].precision for r in adaptation_runs]
     mean_gap = float(np.mean(gaps))
@@ -327,6 +328,7 @@ def test_criterion_6_adaptation_gap(adaptation_runs):
             detail)
 
 
+@pytest.mark.slow
 def test_criterion_7_edge_quality_improves(adaptation_runs):
     deltas = [
         _edge_ratio(r["full"][-1]) - _edge_ratio(r["full"][0]) for r in adaptation_runs

@@ -6,6 +6,7 @@ from graphda.autodiff import (
     GradCheckReport,
     ShapeError,
     Tensor,
+    add,
     backward,
     exp,
     grad_check,
@@ -95,6 +96,15 @@ class TestBackward:
         x = t([1.5, -2.0])
         backward((x * x).sum())
         assert np.array_equal(x.grad, 2.0 * x.data)
+
+    def test_first_gradient_lands_as_zeros_plus_g(self):
+        x = t([1.0, 2.0, 3.0])
+        g = np.array([-0.0, -1.5, 0.0])
+        x._accum(g)
+        assert not np.signbit(x.grad[0])  # zeros + g maps -0.0 to +0.0
+        assert np.array_equal(x.grad.view(np.int64), (np.zeros(3) + g).view(np.int64))
+        g[1] = 7.0
+        assert x.grad[1] == -1.5  # the buffer is the tensor's own, not g
 
     def test_three_layer_composition_vs_central_differences(self):
         rng = np.random.default_rng(7)
@@ -213,7 +223,7 @@ OP_CASES = {
     "log_softmax": ((3, 5), _weighted(lambda rng: _rand(rng, (3, 5)), lambda x, c: (log_softmax(x) * c).sum())),
     "pairwise_sqdist_a": ((5, 3), _weighted(lambda rng: (_rand(rng, (4, 3)), _rand(rng, (5, 4))), lambda x, c: (pairwise_sqdist(x, c[0]) * c[1]).sum())),
     "pairwise_sqdist_self": ((4, 3), _weighted(lambda rng: _rand(rng, (4, 4)), lambda x, c: (pairwise_sqdist(x, x) * c).sum())),
-    "im2col": ((2, 2, 4, 4), _weighted(lambda rng: _rand(rng, (2 * 4 * 4, 2 * 9)), lambda x, c: (im2col(x, 3, 3, padding=1) * c).sum())),
+    "im2col": ((2, 4, 4, 2), _weighted(lambda rng: _rand(rng, (2 * 4 * 4, 2 * 9)), lambda x, c: (im2col(x, 3, 3, padding=1) * c).sum())),
 }
 
 
@@ -265,8 +275,8 @@ class TestPairwiseSqdist:
             pairwise_sqdist(t(np.zeros((2, 3))), t(np.zeros((2, 4))))
 
 
-def _oracle_im2col(a, kh, kw, padding=0):
-    """im2col by a fancy-index gather forward and an ``np.add.at`` backward."""
+def _oracle_im2col_nchw(a, kh, kw, padding=0):
+    """NCHW im2col by a fancy-index gather forward and an ``np.add.at`` backward."""
     bsz, c, h, w = a.shape
     p = padding
     oh, ow = h + 2 * p - kh + 1, w + 2 * p - kw + 1
@@ -284,12 +294,30 @@ def _oracle_im2col(a, kh, kw, padding=0):
     return _result(data, (a,), bw)
 
 
+def _oracle_im2col(a, kh, kw, padding=0):
+    """The NCHW oracle on a channels-last input: transposed to NCHW, gradient back."""
+    return _oracle_im2col_nchw(a.transpose((0, 3, 1, 2)), kh, kw, padding)
+
+
+def _nchw_backbone(model, x):
+    """The conv backbone as it was with NCHW activations, kept as the bit reference."""
+    p = model.params
+    b = x.shape[0]
+    _, h, w = model.config.input_dims
+    c1, c2 = model.config.conv_channels
+    y = add(matmul(_oracle_im2col_nchw(x, 3, 3, padding=1), p["backbone/conv1"]), p["backbone/cb1"])
+    y = relu(y).reshape((b, h, w, c1)).transpose((0, 3, 1, 2))
+    y = add(matmul(_oracle_im2col_nchw(y, 3, 3, padding=1), p["backbone/conv2"]), p["backbone/cb2"])
+    pooled = relu(y).reshape((b, h, w, c2)).transpose((0, 3, 1, 2)).mean(axis=(2, 3))
+    return add(matmul(pooled, p["backbone/w3"]), p["backbone/b3"])
+
+
 class TestIm2col:
     def test_reconstructs_convolution(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 3, 5, 5))
         w = rng.normal(size=(3, 2, 2, 4))  # (c, kh, kw, out)
-        cols = im2col(t(x), 2, 2, padding=0).data
+        cols = im2col(t(x.transpose(0, 2, 3, 1)), 2, 2, padding=0).data
         out = cols @ w.reshape(3 * 2 * 2, 4)
         out = out.reshape(2, 4, 4, 4)
         # brute-force convolution oracle
@@ -318,7 +346,7 @@ class TestIm2col:
     @pytest.mark.parametrize("kernel", [(3, 3), (2, 3)])
     def test_bit_equal_to_gather_scatter_oracle(self, c, padding, kernel):
         rng = np.random.default_rng(7)
-        x = self._mixed(rng, (3, c, 6, 7))
+        x = self._mixed(rng, (3, 6, 7, c))
         got, ref = t(x), t(x)
         out, want = im2col(got, *kernel, padding=padding), _oracle_im2col(ref, *kernel, padding)
         assert np.array_equal(out.data, want.data)
@@ -341,6 +369,28 @@ class TestIm2col:
         monkeypatch.setattr(graphda.model, "im2col", _oracle_im2col)
         want = grads(Model.init(cfg, np.random.default_rng(9)))
         assert len(got) == len(want) == 7  # input, two convs and biases, w3, b3
+        for a, b in zip(got, want):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_backbone_bit_equal_to_nchw_backbone(self, c):
+        cfg = ModelConfig(input_dims=(c, 6, 7), num_classes=2, hidden=5, phi_dim=4,
+                          conv_channels=(3, 4))
+        model = Model.init(cfg, np.random.default_rng(10))
+        x0 = self._mixed(np.random.default_rng(11), (5, c, 6, 7))
+        g = self._mixed(np.random.default_rng(12), (5, 4))
+
+        def run(forward):
+            for _, p in model.parameters():
+                p.zero_grad()
+            x = t(x0)
+            phi = forward(x)
+            backward((phi * g).sum())
+            return [phi.data, x.grad] + [p.grad for name, p in model.parameters()
+                                         if name.startswith("backbone/")]
+
+        got, want = run(model.backbone_forward), run(lambda x: _nchw_backbone(model, x))
+        assert len(got) == len(want) == 8  # phi, input, two convs and biases, w3, b3
         for a, b in zip(got, want):
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
 

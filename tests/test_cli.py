@@ -6,14 +6,16 @@ short training run keep the suite fast.
 """
 
 import json
+import pathlib
 import warnings
 
 import numpy as np
 import pytest
 
-from graphda.cli import main
-from graphda.datasets import Domain, read_dataset
+from graphda.cli import _write_manifest, main
+from graphda.datasets import Dataset, Domain, read_dataset, write_dataset
 from graphda.model import load_checkpoint, save_checkpoint
+from graphda.pseudo import PseudoState, write_pseudo_csv
 
 scipy_stats = pytest.importorskip("scipy.stats")
 
@@ -265,6 +267,16 @@ def test_bad_config_file_is_usage_error(data_dir, tmp_path, line, capsys):
     assert "bad.cfg:1" in capsys.readouterr().err
 
 
+def test_non_finite_flag_is_usage_error(data_dir, tmp_path, capsys):
+    out = tmp_path / "x"
+    code = main(["train", "--source", str(data_dir / "source.hda"),
+                 "--target", str(data_dir / "target.hda"), "--out", str(out),
+                 "--threshold", "nan", "--threshold-percentile", "none"])
+    assert code == 2
+    assert "threshold" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_reproducible_from_manifest_alone(data_dir, run_dir, tmp_path):
     # feeding the manifest's config section back in must replay the run
     manifest = read_manifest(run_dir / "manifest.txt")
@@ -480,3 +492,38 @@ def test_no_subcommand_is_usage_error(capsys):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "graphda" in capsys.readouterr().out
+
+
+# -- crash-safe artifacts ------------------------------------------------------
+
+
+ARTIFACT_WRITERS = {
+    "checkpoint": lambda path, v: save_checkpoint(path, {"w": np.full(3, v)}),
+    "pseudo_csv": lambda path, v: write_pseudo_csv(path, PseudoState(
+        labels=np.array([-1]), confidence=np.array([v]), epoch=1, epsilon=0.97)),
+    "manifest": lambda path, v: _write_manifest(path, {"config.lr": v}),
+    "dataset": lambda path, v: write_dataset(path, Dataset(np.full((2, 3), v), np.zeros(2), Domain.SOURCE, 2)),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(ARTIFACT_WRITERS))
+def test_failed_write_keeps_old_artifact(writer, tmp_path, monkeypatch):
+    path = tmp_path / "artifact"
+    write = ARTIFACT_WRITERS[writer]
+    write(path, 0.5)
+    old = path.read_bytes()
+    real_write_bytes = pathlib.Path.write_bytes
+
+    def half_then_fail(self, data):
+        real_write_bytes(self, data[:len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(pathlib.Path, "write_bytes", half_then_fail)
+    with pytest.raises(OSError):
+        write(path, 0.25)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+    monkeypatch.undo()
+    write(path, 0.25)
+    assert path.read_bytes() != old
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]

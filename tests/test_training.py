@@ -9,6 +9,7 @@ import graphda.training
 from graphda.autodiff import Tensor, get_default_dtype
 from graphda.datasets import Dataset, Domain, ShiftConfig, gen_synthetic_shift, normalize, warp_image
 from graphda.model import Model, ModelConfig, load_checkpoint, config_from_tensors
+from graphda.pseudo import assign_pseudo_labels
 from graphda.training import (
     METRICS_COLUMNS,
     STEPS_COLUMNS,
@@ -139,6 +140,19 @@ def test_adam_rejects_duplicate_names():
     dict(loss_weights=(1.0, 1.0)),
     dict(loss_weights=(1.0, -1.0, 1.0)),
     dict(warmup_epochs=-1),
+    # non-finite values, which plain comparisons let through
+    dict(threshold=float("nan"), threshold_percentile=None),
+    dict(threshold=float("inf")),
+    dict(lr=float("nan")),
+    dict(lr=float("inf")),
+    dict(margin=float("nan")),
+    dict(weight_decay=float("nan")),
+    dict(weight_decay=float("inf")),
+    dict(kernel_scales=(float("nan"), 1.0)),
+    dict(kernel_scales=(0.0, 1.0)),
+    dict(kernel_scales=()),
+    dict(loss_weights=(float("nan"), 1.0, 1.0)),
+    dict(loss_weights=(1.0, float("inf"), 1.0)),
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):
@@ -210,6 +224,43 @@ def test_evaluate_chunking_irrelevant():
     b = evaluate(model, feats, labels, chunk=1000)
     assert a.precision == b.precision
     assert np.array_equal(a.confusion, b.confusion)
+
+
+def test_inference_chunk_size_changes_no_bit(tmp_path, monkeypatch):
+    # the default widths; a one-row chunk is a BLAS gemv and a 7-row chunk ends in
+    # edge kernels, which round some last bits differently, so those only match closely
+    model = Model.init(ModelConfig(input_dims=(1, 16, 16), num_classes=2),
+                       np.random.default_rng(40))
+    n = 150
+    assert len(model.chunks(n)) == 3  # 64 rows of 2**14 input values by default
+    rng = np.random.default_rng(41)
+    feats = rng.normal(size=(n, 1, 16, 16))
+    labels = rng.integers(0, 2, size=n)
+    src = Dataset(feats[:20], labels[:20], Domain.SOURCE, 2)
+    tgt = Dataset(feats, np.full(n, -1), Domain.TARGET, 2)
+    infer = model.infer
+    seen = []
+    monkeypatch.setattr(model, "infer", lambda f: seen.append(infer(f)) or seen[-1])
+
+    def outputs(chunk):
+        seen.clear()
+        preds = evaluate(model, feats, labels, chunk=chunk).confusion
+        eval_probs = np.concatenate([o.probs.data for o in seen])
+        seen.clear()
+        state = assign_pseudo_labels(model, tgt, 0.6, chunk=chunk)
+        pseudo_probs = np.concatenate([o.probs.data for o in seen])
+        phi = export_embeddings(tmp_path / "e.csv", model, src, tgt, epoch=0, chunk=chunk)
+        return eval_probs, pseudo_probs, phi, preds, state.labels
+
+    want = outputs(n)
+    for chunk in (None, 32, 512, 1, 7):
+        got = outputs(chunk)
+        for a, b in zip(got, want):
+            if chunk in (1, 7):
+                assert np.allclose(a, b, rtol=1e-12, atol=0), chunk
+            else:
+                assert np.array_equal(a.view(np.int64), b.view(np.int64)), chunk
+        assert np.array_equal(got[3], want[3]) and np.array_equal(got[4], want[4])
 
 
 def test_evaluate_validates_inputs():
