@@ -9,24 +9,15 @@ autodiff; the ``graphda`` command exposes dataset generation, training,
 evaluation, and embedding export.
 """
 
-from .autodiff import (
-    GradCheckReport,
-    ShapeError,
-    Tensor,
-    get_default_dtype,
-    grad_check,
-    set_default_dtype,
-)
+from .autodiff import GradCheckReport, ShapeError, Tensor, grad_check
 from .datasets import (
     Batch,
     DataFormatError,
     Dataset,
     Domain,
     NormStats,
-    Sample,
     ShiftConfig,
     TwoDomainSampler,
-    augment,
     compute_norm_stats,
     gen_synthetic_shift,
     normalize,
@@ -90,14 +81,12 @@ __all__ = [
     "ModelConfig",
     "NormStats",
     "PseudoState",
-    "Sample",
     "ShapeError",
     "ShiftConfig",
     "Tensor",
     "TrainConfig",
     "TwoDomainSampler",
     "assign_pseudo_labels",
-    "augment",
     "build_graph",
     "compute_norm_stats",
     "cross_entropy_loss",
@@ -106,7 +95,6 @@ __all__ = [
     "export_embeddings",
     "feature_similarity_loss",
     "gen_synthetic_shift",
-    "get_default_dtype",
     "grad_check",
     "label_from_probs",
     "load_checkpoint",
@@ -118,7 +106,6 @@ __all__ = [
     "read_dataset",
     "read_label_file",
     "save_checkpoint",
-    "set_default_dtype",
     "total_loss",
     "train",
     "write_dataset",

@@ -13,8 +13,7 @@ reductions, ReLU/exp, row and element gathers, pairwise squared
 distances, (log-)softmax, and an im2col expansion for small channels-last
 (B, h, w, c) convolutions (a window-view copy forward, a shift-add
 backward). ``reshape`` returns a view: no op writes ``data`` in place.
-Everything runs at 64-bit precision by default; 32-bit can be selected
-per tensor or globally.
+Everything runs at 64-bit precision by default.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ __all__ = [
     "Tensor",
     "ShapeError",
     "GradCheckReport",
-    "set_default_dtype",
-    "get_default_dtype",
     "backward",
     "matmul",
     "relu",
@@ -51,38 +48,6 @@ class ShapeError(ValueError):
 
 _node_ids = itertools.count()
 
-_DTYPE_ALIASES = {
-    32: np.float32,
-    64: np.float64,
-    "32": np.float32,
-    "64": np.float64,
-    "f32": np.float32,
-    "f64": np.float64,
-    "float32": np.float32,
-    "float64": np.float64,
-}
-
-_default_dtype = np.float64
-
-
-def set_default_dtype(precision) -> None:
-    """Set the dtype new tensors use when none is given (32 or 64 bit)."""
-    global _default_dtype
-    _default_dtype = _resolve_dtype(precision)
-
-
-def get_default_dtype():
-    return _default_dtype
-
-
-def _resolve_dtype(precision):
-    if precision in _DTYPE_ALIASES:
-        return _DTYPE_ALIASES[precision]
-    dt = np.dtype(precision)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported precision {precision!r}; use 32 or 64")
-    return dt.type
-
 
 class Tensor:
     """Dense n-d array carrying a value, a gradient, and trace links.
@@ -97,7 +62,7 @@ class Tensor:
     def __init__(self, data, dtype=None):
         if dtype is None:
             dtype = data.dtype if isinstance(data, np.ndarray) and data.dtype in (
-                np.dtype(np.float32), np.dtype(np.float64)) else _default_dtype
+                np.dtype(np.float32), np.dtype(np.float64)) else np.float64
         self.data = np.asarray(data, dtype=dtype)
         self.grad: np.ndarray | None = None
         self.node_id = next(_node_ids)

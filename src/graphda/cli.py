@@ -84,38 +84,21 @@ def _parse_ints(text: str) -> tuple:
     return tuple(int(p) for p in text.split(",") if p.strip())
 
 
-def _parse_percentile(text: str):
+def _parse_optional_float(text: str):
     return None if text.strip().lower() == "none" else float(text)
 
 
-_FIELD_PARSERS = {
-    "lr": float,
-    "weight_decay": float,
-    "batch_size": int,
-    "epochs": int,
-    "threshold": float,
-    "threshold_percentile": _parse_percentile,
-    "epsilon": float,
-    "margin": float,
-    "kernel_scales": _parse_floats,
-    "hidden": int,
-    "phi_dim": int,
-    "backbone_hidden": int,
-    "conv_channels": _parse_ints,
-    "seed": int,
-    "precision": str,
-    "use_gnn": _parse_bool,
-    "use_pseudo": _parse_bool,
-    "sticky_pseudo": _parse_bool,
-    "pseudo_refresh": str,
-    "warmup_epochs": int,
-    "loss_weights": _parse_floats,
-    "graph_features": str,
-    "lg_features": str,
-    "augment": _parse_bool,
-    "checkpoint_every": int,
-    "positive_class": int,
+# value parser per TrainConfig annotation, shared by flags and config files
+_VALUE_PARSERS = {
+    "bool": _parse_bool,
+    "int": int,
+    "float": float,
+    "float | None": _parse_optional_float,
+    "str": str,
+    "tuple[float, ...]": _parse_floats,
+    "tuple[int, ...]": _parse_ints,
 }
+_CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
 
 
 def _fmt(value) -> str:
@@ -133,9 +116,9 @@ def _fmt(value) -> str:
 def _read_config_file(path) -> dict:
     """Flat key=value text; blank lines and # comments are skipped."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}")
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}")
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -145,10 +128,12 @@ def _read_config_file(path) -> dict:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _FIELD_PARSERS:
+        if key == "precision" and val in ("f32", "f64"):
+            continue  # retired key of older manifests; both widths ran in float64
+        if key not in _CONFIG_FIELDS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            out[key] = _FIELD_PARSERS[key](val)
+            out[key] = _VALUE_PARSERS[_CONFIG_FIELDS[key].type](val)
         except ValueError as exc:
             raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}")
     return out
@@ -156,7 +141,7 @@ def _read_config_file(path) -> dict:
 
 def _resolve_train_config(args) -> TrainConfig:
     """Defaults, then HDA_SEED, then the config file, then explicit flags."""
-    values = {f.name: getattr(_DEFAULT_CONFIG, f.name) for f in dataclasses.fields(TrainConfig)}
+    values = {}
     env_seed = os.environ.get("HDA_SEED")
     if env_seed is not None:
         try:
@@ -165,16 +150,13 @@ def _resolve_train_config(args) -> TrainConfig:
             raise UsageError(f"HDA_SEED must be an integer, got {env_seed!r}")
     if args.config is not None:
         values.update(_read_config_file(args.config))
-    for name in _FIELD_PARSERS:
+    for name in _CONFIG_FIELDS:
         if hasattr(args, name):  # flags use SUPPRESS: present only when given
             values[name] = getattr(args, name)
     try:
         return TrainConfig(**values)
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc))
-
-
-_DEFAULT_CONFIG = TrainConfig()
 
 
 # -- shared helpers ------------------------------------------------------------
@@ -326,8 +308,8 @@ def cmd_train(args) -> int:
     if args.labels:
         entries["eval_labels"] = str(args.labels)
         entries["digest.eval_labels"] = _digest(args.labels)
-    for f in dataclasses.fields(TrainConfig):
-        entries[f"config.{f.name}"] = _fmt(getattr(config, f.name))
+    for name in _CONFIG_FIELDS:
+        entries[f"config.{name}"] = _fmt(getattr(config, name))
     _write_manifest(run_dir / "manifest.txt", entries)
 
     _, history = train(config, source, target, eval_labels=eval_labels, run_dir=run_dir)
@@ -418,58 +400,20 @@ def cmd_export(args) -> int:
 
 
 def _add_config_flags(parser) -> None:
-    g = parser.add_argument_group("training configuration")
-    S = argparse.SUPPRESS
-    g.add_argument("--lr", type=float, default=S, help="Adam learning rate (0.001)")
-    g.add_argument("--weight-decay", dest="weight_decay", type=float, default=S,
-                   help="coupled L2 penalty (1e-6)")
-    g.add_argument("--batch", dest="batch_size", type=int, default=S,
-                   help="joint batch size, half per domain (256)")
-    g.add_argument("--epochs", type=int, default=S, help="training epochs (100)")
-    g.add_argument("--threshold", type=float, default=S,
-                   help="fixed edge distance threshold (150.0)")
-    g.add_argument("--threshold-percentile", dest="threshold_percentile",
-                   type=_parse_percentile, default=S,
-                   help="derive threshold from this pairwise-distance percentile; 'none' for fixed")
-    g.add_argument("--epsilon", type=float, default=S,
-                   help="pseudo-label confidence gate (0.97)")
-    g.add_argument("--margin", type=float, default=S,
-                   help="cross-class separation margin (2.0)")
-    g.add_argument("--kernel-scales", dest="kernel_scales", type=_parse_floats, default=S,
-                   help="comma list of bandwidth multipliers for the kernel mixture")
-    g.add_argument("--hidden", type=int, default=S, help="graph layer width (64)")
-    g.add_argument("--phi-dim", dest="phi_dim", type=int, default=S,
-                   help="backbone feature width (64)")
-    g.add_argument("--backbone-hidden", dest="backbone_hidden", type=int, default=S,
-                   help="backbone hidden width (64)")
-    g.add_argument("--conv-channels", dest="conv_channels", type=_parse_ints, default=S,
-                   help="comma pair of conv channels for image inputs (8,16)")
-    g.add_argument("--seed", type=int, default=S, help="run seed (0)")
-    g.add_argument("--precision", choices=("f32", "f64"), default=S,
-                   help="float width for the whole run (f64)")
-    g.add_argument("--no-gnn", dest="use_gnn", action="store_false", default=S,
-                   help="classify from backbone features; no graph is built")
-    g.add_argument("--no-pseudo", dest="use_pseudo", action="store_false", default=S,
-                   help="train on source labels only")
-    g.add_argument("--sticky", dest="sticky_pseudo", action="store_true", default=S,
-                   help="pseudo-labels persist once assigned")
-    g.add_argument("--pseudo-refresh", dest="pseudo_refresh", choices=("epoch", "batch"),
-                   default=S, help="when to reassign pseudo-labels (epoch)")
-    g.add_argument("--warmup", dest="warmup_epochs", type=int, default=S,
-                   help="epochs before pseudo-labeling starts (0)")
-    g.add_argument("--loss-weights", dest="loss_weights", type=_parse_floats, default=S,
-                   help="comma triple scaling alignment, separation, and classification terms")
-    g.add_argument("--graph-features", dest="graph_features",
-                   choices=("pre_relu", "post_relu"), default=S,
-                   help="backbone activations used for edge distances (pre_relu)")
-    g.add_argument("--lg-features", dest="lg_features", choices=("gnn", "backbone"),
-                   default=S, help="features the separation loss acts on (gnn)")
-    g.add_argument("--no-augment", dest="augment", action="store_false", default=S,
-                   help="disable image augmentation")
-    g.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=S,
-                   help="epochs between checkpoints (10)")
-    g.add_argument("--positive-class", dest="positive_class", type=int, default=S,
-                   help="class whose precision is reported (1)")
+    """One flag per TrainConfig field, spelled, parsed and documented as the field declares."""
+    g = parser.add_argument_group("training configuration",
+                                  "each help ends with the option's --config line at its default")
+    defaults = TrainConfig()
+    for name, f in _CONFIG_FIELDS.items():
+        default = getattr(defaults, name)
+        kw = {"dest": name, "default": argparse.SUPPRESS,
+              "help": f"{f.metadata['help']} ({name}={_fmt(default)})"}
+        if f.type == "bool":
+            kw["action"] = "store_false" if default else "store_true"
+        else:
+            kw["type"] = _VALUE_PARSERS[f.type]
+            kw["choices"] = f.metadata["choices"] or None
+        g.add_argument(f.metadata["flag"] or "--" + name.replace("_", "-"), **kw)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "Domain",
-    "Sample",
     "Dataset",
     "Batch",
     "NormStats",
@@ -31,7 +30,6 @@ __all__ = [
     "normalize",
     "compute_norm_stats",
     "warp_image",
-    "augment",
     "gen_synthetic_shift",
     "write_dataset",
     "read_dataset",
@@ -41,12 +39,6 @@ __all__ = [
 
 MAGIC = b"HDA1"
 FORMAT_VERSION = 1
-
-# augmentation parameter ranges: the transform families are fixed
-# (rotation, isotropic scale, shear); magnitudes are tuning choices
-ROTATION_RANGE_DEG = 30.0
-SCALE_RANGE = (0.9, 1.1)
-SHEAR_RANGE = 0.1
 
 
 class DataFormatError(ValueError):
@@ -61,16 +53,6 @@ class Domain(enum.Enum):
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
-
-
-@dataclass(frozen=True, eq=False)
-class Sample:
-    """One data point. ``label`` is -1 when unknown."""
-
-    id: int
-    features: np.ndarray
-    domain: Domain
-    label: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,9 +89,6 @@ class Dataset:
     def feature_dims(self) -> tuple:
         return self.features.shape[1:]
 
-    def sample(self, i: int) -> Sample:
-        return Sample(int(i), self.features[i], self.domain, int(self.labels[i]))
-
 
 @dataclass(frozen=True, eq=False)
 class Batch:
@@ -131,10 +110,6 @@ class Batch:
     @property
     def target_count(self) -> int:
         return len(self) - self.source_count
-
-    def sample_view(self, i: int) -> Sample:
-        dom = Domain.SOURCE if i < self.source_count else Domain.TARGET
-        return Sample(int(self.ids[i]), self.features[i], dom, int(self.labels[i]))
 
 
 # -- normalization -------------------------------------------------------------
@@ -249,20 +224,6 @@ def warp_image(img: np.ndarray, theta_deg, scale, shear) -> np.ndarray:
         + img[bi, ci, r1r, c0r] * (fr * (1 - fc))
         + img[bi, ci, r1r, c1r] * (fr * fc)
     )
-
-
-def augment(sample: Sample, rng: np.random.Generator) -> Sample:
-    """Random rotation, isotropic scale, and shear for image samples.
-
-    Flat feature vectors pass through unchanged. Parameter draw order is
-    fixed (rotation, scale, shear) so a seeded stream reproduces runs.
-    """
-    if sample.features.ndim != 3:
-        return sample
-    theta = rng.uniform(-ROTATION_RANGE_DEG, ROTATION_RANGE_DEG)
-    scale = rng.uniform(*SCALE_RANGE)
-    shear = rng.uniform(-SHEAR_RANGE, SHEAR_RANGE)
-    return replace(sample, features=_frozen(warp_image(sample.features, theta, scale, shear)))
 
 
 # -- synthetic domain-shift generator ------------------------------------------

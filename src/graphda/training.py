@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, backward, get_default_dtype, set_default_dtype, take_rows
-from .datasets import (ROTATION_RANGE_DEG, SCALE_RANGE, SHEAR_RANGE, Dataset, TwoDomainSampler,
-                       _write_atomic, normalize, warp_image)
+from .autodiff import Tensor, backward, take_rows
+from .datasets import Dataset, TwoDomainSampler, _write_atomic, normalize, warp_image
 from .graphs import BatchGraph, build_graph, edge_stats, pair_distances, percentile_threshold
 from .losses import (
     MEDIAN_SCALES,
@@ -60,39 +59,55 @@ class DivergenceError(RuntimeError):
     """Raised when the loss goes non-finite; training must not continue."""
 
 
+def _option(default, help: str, *, flag: str | None = None, choices: tuple = ()):
+    """A TrainConfig field with its ``graphda train`` flag (``--field-name``
+    unless given), help sentence and, for strings, the allowed values."""
+    return field(default=default, metadata={"help": help, "flag": flag, "choices": choices})
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters. lr, weight_decay, batch_size, epochs, epsilon,
     margin, and threshold=150 follow the published protocol; the rest
-    are implementation choices with stated defaults.
+    are implementation choices with stated defaults. Each field declares
+    its command-line flag, config-file key (the field name) and help here.
     """
 
-    lr: float = 0.001
-    weight_decay: float = 1e-6
-    batch_size: int = 256
-    epochs: int = 100
-    threshold: float = 150.0
-    threshold_percentile: float | None = None  # set to use a scale-free T per batch
-    epsilon: float = 0.97
-    margin: float = 2.0
-    kernel_scales: tuple = MEDIAN_SCALES
-    hidden: int = 64
-    phi_dim: int = 64
-    backbone_hidden: int = 64
-    conv_channels: tuple = (8, 16)
-    seed: int = 0
-    precision: str = "f64"
-    use_gnn: bool = True
-    use_pseudo: bool = True
-    sticky_pseudo: bool = False
-    pseudo_refresh: str = "epoch"  # or "batch"
-    warmup_epochs: int = 0  # epochs before pseudo-labeling starts
-    loss_weights: tuple = (1.0, 1.0, 1.0)  # ablation only; objective is unweighted
-    graph_features: str = "pre_relu"  # or "post_relu"
-    lg_features: str = "gnn"  # or "backbone"
-    augment: bool = True  # images only; flat features pass through
-    checkpoint_every: int = 10
-    positive_class: int = 1
+    lr: float = _option(0.001, "Adam learning rate")
+    weight_decay: float = _option(1e-6, "coupled L2 penalty")
+    batch_size: int = _option(256, "joint batch size, half per domain", flag="--batch")
+    epochs: int = _option(100, "training epochs")
+    threshold: float = _option(150.0, "fixed edge distance threshold")
+    threshold_percentile: float | None = _option(
+        None, "derive the threshold per batch from this pairwise-distance percentile; "
+        "'none' for fixed")
+    epsilon: float = _option(0.97, "pseudo-label confidence gate")
+    margin: float = _option(2.0, "cross-class separation margin")
+    kernel_scales: tuple[float, ...] = _option(
+        MEDIAN_SCALES, "comma list of bandwidth multipliers for the kernel mixture")
+    hidden: int = _option(64, "graph layer width")
+    phi_dim: int = _option(64, "backbone feature width")
+    backbone_hidden: int = _option(64, "backbone hidden width")
+    conv_channels: tuple[int, ...] = _option((8, 16), "comma pair of conv channels for image inputs")
+    seed: int = _option(0, "run seed")
+    use_gnn: bool = _option(True, "classify from backbone features; no graph is built",
+                            flag="--no-gnn")
+    use_pseudo: bool = _option(True, "train on source labels only", flag="--no-pseudo")
+    sticky_pseudo: bool = _option(False, "pseudo-labels persist once assigned", flag="--sticky")
+    pseudo_refresh: str = _option("epoch", "when to reassign pseudo-labels",
+                                  choices=("epoch", "batch"))
+    warmup_epochs: int = _option(0, "epochs before pseudo-labeling starts", flag="--warmup")
+    loss_weights: tuple[float, ...] = _option(
+        (1.0, 1.0, 1.0), "comma triple scaling alignment, separation, and classification "
+        "terms; ablation only, the paper's objective is unweighted")
+    graph_features: str = _option("pre_relu", "backbone activations used for edge distances",
+                                  choices=("pre_relu", "post_relu"))
+    lg_features: str = _option("gnn", "features the separation loss acts on",
+                               choices=("gnn", "backbone"))
+    augment: bool = _option(True, "disable image augmentation; flat features always pass through",
+                            flag="--no-augment")
+    checkpoint_every: int = _option(10, "epochs between checkpoints")
+    positive_class: int = _option(1, "class whose precision is reported")
 
     def __post_init__(self):
         object.__setattr__(self, "kernel_scales", tuple(float(s) for s in self.kernel_scales))
@@ -114,14 +129,11 @@ class TrainConfig:
             raise ValueError(f"kernel_scales must be positive and finite, got {self.kernel_scales}")
         if self.threshold_percentile is not None and not 0 <= self.threshold_percentile <= 100:
             raise ValueError(f"threshold_percentile must lie in [0, 100], got {self.threshold_percentile}")
-        if self.precision not in ("f32", "f64"):
-            raise ValueError(f"precision must be f32 or f64, got {self.precision!r}")
-        if self.pseudo_refresh not in ("epoch", "batch"):
-            raise ValueError(f"pseudo_refresh must be epoch or batch, got {self.pseudo_refresh!r}")
-        if self.graph_features not in ("pre_relu", "post_relu"):
-            raise ValueError(f"graph_features must be pre_relu or post_relu, got {self.graph_features!r}")
-        if self.lg_features not in ("gnn", "backbone"):
-            raise ValueError(f"lg_features must be gnn or backbone, got {self.lg_features!r}")
+        for f in fields(self):
+            choices = f.metadata["choices"]
+            if choices and getattr(self, f.name) not in choices:
+                raise ValueError(f"{f.name} must be one of {', '.join(choices)}, "
+                                 f"got {getattr(self, f.name)!r}")
         if len(self.loss_weights) != 3 or not all(0 <= w < math.inf for w in self.loss_weights):
             raise ValueError(f"loss_weights must be 3 nonnegative finite values, got {self.loss_weights}")
         if self.warmup_epochs < 0 or self.seed < 0:
@@ -236,10 +248,19 @@ def evaluate(model: Model, features: np.ndarray, labels, *, positive_class: int 
 # -- training loop ---------------------------------------------------------------
 
 
+# augmentation parameter ranges: the transform families are fixed
+# (rotation, isotropic scale, shear); magnitudes are tuning choices
+ROTATION_RANGE_DEG = 30.0
+SCALE_RANGE = (0.9, 1.1)
+SHEAR_RANGE = 0.1
+
+
 def _augment_batch(features: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Random rotation, isotropic scale, and shear for each image of a
+    (B, c, h, w) batch; flat features are returned unchanged."""
     if features.ndim != 4:
         return features
-    # the seeded stream is drawn image by image (rotation, scale, shear), as in augment()
+    # drawn image by image in a fixed order so a seeded stream reproduces runs
     draws = [(rng.uniform(-ROTATION_RANGE_DEG, ROTATION_RANGE_DEG), rng.uniform(*SCALE_RANGE),
               rng.uniform(-SHEAR_RANGE, SHEAR_RANGE)) for _ in range(features.shape[0])]
     theta, scale, shear = zip(*draws)
@@ -306,15 +327,6 @@ def train(
         if eval_labels.shape != (len(target),):
             raise ValueError("eval labels do not match the target set")
 
-    prior_dtype = get_default_dtype()
-    set_default_dtype(config.precision)
-    try:
-        return _train_inner(config, source, target, eval_labels, run_dir)
-    finally:
-        set_default_dtype(prior_dtype)
-
-
-def _train_inner(config, source, target, eval_labels, run_dir):
     init_ss, sampler_ss, augment_ss = np.random.SeedSequence(config.seed).spawn(3)
     init_rng = np.random.default_rng(init_ss)
     sampler_rng = np.random.default_rng(sampler_ss)

@@ -5,17 +5,20 @@ and emitted files are the assertions. A shared tiny dataset and one
 short training run keep the suite fast.
 """
 
+import dataclasses
 import json
 import pathlib
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from graphda.cli import _write_manifest, main
+from graphda.cli import _build_parser, _fmt, _read_config_file, _write_manifest, main
 from graphda.datasets import Dataset, Domain, read_dataset, write_dataset
 from graphda.model import load_checkpoint, save_checkpoint
 from graphda.pseudo import PseudoState, write_pseudo_csv
+from graphda.training import TrainConfig
 
 scipy_stats = pytest.importorskip("scipy.stats")
 
@@ -267,6 +270,17 @@ def test_bad_config_file_is_usage_error(data_dir, tmp_path, line, capsys):
     assert "bad.cfg:1" in capsys.readouterr().err
 
 
+def test_non_utf8_config_is_usage_error(data_dir, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff\xfeepochs=1\n")
+    code = main(["train", "--source", str(data_dir / "source.hda"),
+                 "--target", str(data_dir / "target.hda"),
+                 "--out", str(tmp_path / "x"), "--config", str(cfg)])
+    assert code == 2
+    assert "bad.cfg" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_non_finite_flag_is_usage_error(data_dir, tmp_path, capsys):
     out = tmp_path / "x"
     code = main(["train", "--source", str(data_dir / "source.hda"),
@@ -293,6 +307,64 @@ def test_run_reproducible_from_manifest_alone(data_dir, run_dir, tmp_path):
     assert code == 0
     for name in ("metrics.csv", "checkpoint_final.hdap"):
         assert (d / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+def test_retired_precision_key_replays_unchanged(data_dir, run_dir, tmp_path, capsys):
+    # manifests written before the float-width option was removed carry
+    # precision=f32 or f64; both ran in float64, so the key is skipped
+    manifest = read_manifest(run_dir / "manifest.txt")
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("precision=f32\n" + "".join(
+        f"{k.removeprefix('config.')}={v}\n"
+        for k, v in manifest.items() if k.startswith("config.")
+    ))
+    d = tmp_path / "old"
+    code = main(["train", "--source", manifest["source"],
+                 "--target", manifest["target"],
+                 "--labels", manifest["eval_labels"],
+                 "--out", str(d), "--config", str(cfg)])
+    assert code == 0
+    assert (d / "metrics.csv").read_bytes() == (run_dir / "metrics.csv").read_bytes()
+    assert "config.precision" not in read_manifest(d / "manifest.txt")
+    assert main(["train", "--source", "a", "--target", "b", "--out", "c",
+                 "--precision", "f64"]) == 2
+    capsys.readouterr()
+
+
+# every training flag, frozen: --precision is gone and no other spelling may change
+TRAIN_CONFIG_FLAGS = [
+    "--lr", "--weight-decay", "--batch", "--epochs", "--threshold",
+    "--threshold-percentile", "--epsilon", "--margin", "--kernel-scales",
+    "--hidden", "--phi-dim", "--backbone-hidden", "--conv-channels", "--seed",
+    "--no-gnn", "--no-pseudo", "--sticky", "--pseudo-refresh", "--warmup",
+    "--loss-weights", "--graph-features", "--lg-features", "--no-augment",
+    "--checkpoint-every", "--positive-class",
+]
+
+
+def test_train_options_come_from_the_dataclass(data_dir, tmp_path, capsys):
+    train_parser = _build_parser()._subparsers._group_actions[0].choices["train"]
+    group, = [g for g in train_parser._action_groups if g.title == "training configuration"]
+    assert [s for a in group._group_actions for s in a.option_strings] == TRAIN_CONFIG_FLAGS
+
+    # one flag and one config-file key per field, each parsing its default's text
+    names = [f.name for f in dataclasses.fields(TrainConfig)]
+    assert [a.dest for a in group._group_actions] == names
+    defaults = {name: _fmt(getattr(TrainConfig(), name)) for name in names}
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in defaults.items()))
+    assert TrainConfig(**_read_config_file(cfg)) == TrainConfig()
+
+    # --help shows each default as its config-file line
+    assert main(["train", "--help"]) == 0
+    shown = re.findall(r"\((\w+)=(\S*?)\)", " ".join(capsys.readouterr().out.split()))
+    assert dict(shown) == defaults and len(shown) == len(names)
+
+    assert main(["train", "--source", str(data_dir / "source.hda"),
+                 "--target", str(data_dir / "target.hda"), "--out", str(tmp_path / "x"),
+                 "--graph-features", "post"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 # -- eval ------------------------------------------------------------------------

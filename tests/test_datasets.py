@@ -11,7 +11,6 @@ from graphda.datasets import (
     NormStats,
     ShiftConfig,
     TwoDomainSampler,
-    augment,
     compute_norm_stats,
     gen_synthetic_shift,
     normalize,
@@ -21,6 +20,7 @@ from graphda.datasets import (
     write_dataset,
     write_label_file,
 )
+from graphda.training import _augment_batch
 
 
 def _dataset(features, labels, domain=Domain.SOURCE, m=3):
@@ -32,9 +32,8 @@ class TestDatasetType:
         ds = _dataset([[1.0, 2.0], [3.0, 4.0]], [0, 2])
         assert len(ds) == 2
         assert ds.feature_dims == (2,)
-        s = ds.sample(1)
-        assert (s.id, s.label, s.domain) == (1, 2, Domain.SOURCE)
-        assert np.array_equal(s.features, [3.0, 4.0])
+        assert (ds.labels[1], ds.domain) == (2, Domain.SOURCE)
+        assert np.array_equal(ds.features[1], [3.0, 4.0])
 
     def test_immutable(self):
         ds = _dataset([[1.0]], [0], m=2)
@@ -148,31 +147,26 @@ class TestWarpImage:
 
 
 class TestAugment:
-    def _img_sample(self):
-        rng = np.random.default_rng(6)
-        feats = rng.normal(size=(1, 8, 8))
-        feats.flags.writeable = False
-        from graphda.datasets import Sample
+    """training._augment_batch: the one augmentation path."""
 
-        return Sample(id=0, features=feats, domain=Domain.TARGET, label=-1)
+    def _images(self):
+        return np.random.default_rng(6).normal(size=(3, 1, 8, 8))
 
     def test_flat_sample_passthrough(self):
-        ds = _dataset([[1.0, 2.0]], [0])
-        s = ds.sample(0)
-        assert augment(s, np.random.default_rng(0)) is s
+        flat = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert _augment_batch(flat, np.random.default_rng(0)) is flat
 
-    def test_image_sample_transformed_metadata_kept(self):
-        s = self._img_sample()
-        out = augment(s, np.random.default_rng(7))
-        assert out.features.shape == s.features.shape
-        assert not np.array_equal(out.features, s.features)
-        assert (out.id, out.domain, out.label) == (s.id, s.domain, s.label)
+    def test_image_batch_transformed_shape_kept(self):
+        imgs = self._images()
+        out = _augment_batch(imgs, np.random.default_rng(7))
+        assert out.shape == imgs.shape
+        assert not np.array_equal(out, imgs)
 
     def test_seeded_reproducibility(self):
-        s = self._img_sample()
-        a = augment(s, np.random.default_rng(42))
-        b = augment(s, np.random.default_rng(42))
-        assert np.array_equal(a.features, b.features)
+        imgs = self._images()
+        a = _augment_batch(imgs, np.random.default_rng(42))
+        b = _augment_batch(imgs, np.random.default_rng(42))
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestGenSyntheticShift:
@@ -342,8 +336,8 @@ class TestTwoDomainSampler:
         b = s.sample_batch()
         assert len(b) == 4 and b.source_count == 2 and b.target_count == 2
         assert np.all(b.labels[:2] >= 0) and np.all(b.labels[2:] == -1)
-        assert b.sample_view(0).domain is Domain.SOURCE
-        assert b.sample_view(3).domain is Domain.TARGET
+        assert np.array_equal(b.features[:2], src.features[b.ids[:2]])
+        assert np.array_equal(b.features[2:], tgt.features[b.ids[2:]])
 
     def test_rows_match_origin_datasets(self):
         src, tgt = self._toy()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import graphda.training
-from graphda.autodiff import Tensor, get_default_dtype
+from graphda.autodiff import Tensor
 from graphda.datasets import Dataset, Domain, ShiftConfig, gen_synthetic_shift, normalize, warp_image
 from graphda.model import Model, ModelConfig, load_checkpoint, config_from_tensors
 from graphda.pseudo import assign_pseudo_labels
@@ -128,12 +128,12 @@ def test_adam_rejects_duplicate_names():
     dict(lr=0.0),
     dict(weight_decay=-1e-3),
     dict(epochs=0),
+    dict(checkpoint_every=0),
     dict(epsilon=1.0),
     dict(epsilon=0.0),
     dict(margin=0.0),
     dict(threshold=0.0),
     dict(threshold_percentile=101.0),
-    dict(precision="f16"),
     dict(pseudo_refresh="hourly"),
     dict(graph_features="post"),
     dict(lg_features="logits"),
@@ -379,7 +379,6 @@ def test_divergence_aborts_with_dump(tmp_path):
         train(cfg, src, tgt, eval_labels=ev, run_dir=tmp_path)
     dump = (tmp_path / "divergence.txt").read_text()
     assert "step" in dump and "target_ids" in dump
-    assert get_default_dtype() is np.float64  # restored despite the abort
 
 
 def test_no_gnn_flag_disables_graph(tmp_path):
@@ -444,13 +443,6 @@ def test_batchwise_pseudo_refresh_runs():
     src, tgt, ev = shift_data(seed=15)
     _, hist = train(tiny_cfg(pseudo_refresh="batch"), src, tgt, eval_labels=ev)
     assert len(hist) == 2
-
-
-def test_f32_mode_runs_and_restores_dtype():
-    src, tgt, ev = shift_data(seed=16)
-    _, hist = train(tiny_cfg(precision="f32"), src, tgt, eval_labels=ev)
-    assert np.isfinite(hist[-1].l_total)
-    assert get_default_dtype() is np.float64
 
 
 def test_loss_weights_zero_out_terms(tmp_path):
