@@ -9,10 +9,12 @@ so the next forward pass starts clean.
 
 Only the operations the models and losses in this package need are
 provided: elementwise arithmetic with broadcasting, matrix products,
-reductions, ReLU/exp, row and element gathers, pairwise squared
-distances, (log-)softmax, and an im2col expansion for small channels-last
-(B, h, w, c) convolutions (a window-view copy forward, a shift-add
-backward). ``reshape`` returns a view: no op writes ``data`` in place.
+reductions, ReLU, row and element gathers, pairwise squared distances,
+(log-)softmax, an im2col expansion for small channels-last (B, h, w, c)
+convolutions (a window-view copy forward, a shift-add backward), and two
+one-node loss ops, a Gaussian kernel mixture and a contrastive pull/push.
+``reshape`` returns a view: no op writes ``data`` in place. A gradient
+array that an op built itself is passed ``owned`` and lands without a copy.
 Everything runs at 64-bit precision by default.
 """
 
@@ -31,7 +33,8 @@ __all__ = [
     "backward",
     "matmul",
     "relu",
-    "exp",
+    "gaussian_mixture",
+    "pull_push",
     "softmax",
     "log_softmax",
     "pairwise_sqdist",
@@ -98,9 +101,11 @@ class Tensor:
 
     # -- gradient plumbing ---------------------------------------------------
 
-    def _accum(self, g: np.ndarray) -> None:
+    def _accum(self, g: np.ndarray, owned: bool = False) -> None:
         if self.grad is None:  # bits of zeros + g, -0.0 included, in one pass
-            self.grad = np.add(g, 0, out=np.empty_like(self.data))
+            d = self.data  # an owned g, built by the op and held by no one, lands in place
+            own = owned and isinstance(g, np.ndarray) and g.shape == d.shape and g.dtype == d.dtype
+            self.grad = np.add(g, 0, out=g if own else np.empty_like(d))
         else:
             self.grad += g
 
@@ -189,15 +194,15 @@ def mul(a: Tensor, b) -> Tensor:
         data = a.data * c
 
         def bw(g):
-            a._accum(_unbroadcast(g * c, a.shape))
+            a._accum(_unbroadcast(g * c, a.shape), owned=True)
 
         return _result(data, (a,), bw)
 
     data = a.data * b.data
 
     def bw(g):
-        a._accum(_unbroadcast(g * b.data, a.shape))
-        b._accum(_unbroadcast(g * a.data, b.shape))
+        a._accum(_unbroadcast(g * b.data, a.shape), owned=True)
+        b._accum(_unbroadcast(g * a.data, b.shape), owned=True)
 
     return _result(data, (a, b), bw)
 
@@ -208,8 +213,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def bw(g):
-        a._accum(g @ b.data.T)
-        b._accum(a.data.T @ g)
+        a._accum(g @ b.data.T, owned=True)
+        b._accum(a.data.T @ g, owned=True)
 
     return _result(data, (a, b), bw)
 
@@ -220,18 +225,39 @@ def relu(a: Tensor) -> Tensor:
     data = np.where(mask, a.data, a.data.dtype.type(0))
 
     def bw(g):
-        a._accum(np.where(mask, g, g.dtype.type(0)))
+        a._accum(np.where(mask, g, g.dtype.type(0)), owned=True)
 
     return _result(data, (a,), bw)
 
 
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
+def gaussian_mixture(sq: Tensor, coefs, weights) -> Tensor:
+    """``sum_m weights[m] * exp(sq * coefs[m])`` as one node, bit-equal to
+    ``mul -> exp -> mul`` chains summed by ``add``: terms are summed in order
+    and their gradients land in reverse order, as a reverse walk of them would.
+    """
+    exps = [np.exp(sq.data * c) for c in coefs]
+    data = sum(e * beta for e, beta in zip(exps, weights))  # 0 + x is x here: terms are >= 0
 
     def bw(g):
-        a._accum(g * data)
+        for e, c, beta in zip(exps[::-1], coefs[::-1], weights[::-1]):
+            sq._accum(((g * beta) * e) * c, owned=True)
 
-    return _result(data, (a,), bw)
+    return _result(data, (sq,), bw)
+
+
+def pull_push(d2: Tensor, same, diff, margin: float) -> Tensor:
+    """``(d2 * same).sum() + (relu(margin - d2) * diff).sum()`` as one node,
+    bit-equal to that op chain: the push gradient lands first, then the pull's.
+    """
+    gap = d2.data * -1.0 + margin
+    mask = gap > 0
+    data = (d2.data * same).sum() + (np.where(mask, gap, 0) * diff).sum()
+
+    def bw(g):
+        d2._accum(np.where(mask, g * diff, 0) * -1.0, owned=True)
+        d2._accum(g * same, owned=True)
+
+    return _result(data, (d2,), bw)
 
 
 # -- reductions and shape ops ---------------------------------------------------
@@ -257,7 +283,7 @@ def _reduce(a: Tensor, axis, mean: bool) -> Tensor:
         for ax in sorted(axes):
             g2 = np.expand_dims(g2, ax)
         g2 = np.broadcast_to(g2, a.shape)
-        a._accum(g2 * a.data.dtype.type(scale) if mean else g2)
+        a._accum(g2 * a.data.dtype.type(scale) if mean else g2, owned=mean)
 
     return _result(np.asarray(data, dtype=a.data.dtype), (a,), bw)
 
@@ -295,7 +321,7 @@ def take_rows(a: Tensor, idx) -> Tensor:
     def bw(g):
         acc = np.zeros_like(a.data)
         np.add.at(acc, idx, g)
-        a._accum(acc)
+        a._accum(acc, owned=True)
 
     return _result(data, (a,), bw)
 
@@ -313,7 +339,7 @@ def take_per_row(a: Tensor, cols) -> Tensor:
     def bw(g):
         acc = np.zeros_like(a.data)
         np.add.at(acc, (rows, cols), g)
-        a._accum(acc)
+        a._accum(acc, owned=True)
 
     return _result(data, (a,), bw)
 
@@ -329,7 +355,7 @@ def softmax(a: Tensor) -> Tensor:
 
     def bw(g):
         inner = (g * data).sum(axis=-1, keepdims=True)
-        a._accum(data * (g - inner))
+        a._accum(data * (g - inner), owned=True)
 
     return _result(data, (a,), bw)
 
@@ -341,7 +367,7 @@ def log_softmax(a: Tensor) -> Tensor:
     soft = np.exp(data)
 
     def bw(g):
-        a._accum(g - soft * g.sum(axis=-1, keepdims=True))
+        a._accum(g - soft * g.sum(axis=-1, keepdims=True), owned=True)
 
     return _result(data, (a,), bw)
 
@@ -366,8 +392,8 @@ def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         rs = g.sum(axis=1, keepdims=True)
         cs = g.sum(axis=0, keepdims=True)
-        a._accum(2.0 * (rs * A - g @ B))
-        b._accum(2.0 * (cs.T * B - g.T @ A))
+        a._accum(2.0 * (rs * A - g @ B), owned=True)
+        b._accum(2.0 * (cs.T * B - g.T @ A), owned=True)
 
     return _result(data, (a, b), bw)
 
@@ -401,7 +427,7 @@ def im2col(a: Tensor, kh: int, kw: int, padding: int = 0) -> Tensor:
         for i in reversed(range(kh)):
             for j in reversed(range(kw)):
                 gx[:, i:i + oh, j:j + ow] += gk[i, j]
-        a._accum(gx[:, p:p + h, p:p + w])
+        a._accum(gx[:, p:p + h, p:p + w], owned=True)
 
     return _result(data, (a,), bw)
 
@@ -429,7 +455,7 @@ def backward(loss: Tensor) -> None:
         nodes.append(t)
         stack.extend(t._parents)
     nodes.sort(key=lambda t: -t.node_id)
-    loss._accum(np.ones_like(loss.data))
+    loss._accum(np.ones_like(loss.data), owned=True)
     for t in nodes:
         if t._backward is not None and t.grad is not None:
             t._backward(t.grad)

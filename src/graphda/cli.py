@@ -113,8 +113,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _read_config_file(path) -> dict:
-    """Flat key=value text; blank lines and # comments are skipped."""
+def _read_config_file(path, lines=None) -> dict:
+    """Flat key=value text; blank lines and # comments are skipped. ``lines``,
+    if given, receives each key's line number."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -136,12 +137,14 @@ def _read_config_file(path) -> dict:
             out[key] = _VALUE_PARSERS[_CONFIG_FIELDS[key].type](val)
         except ValueError as exc:
             raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}")
+        if lines is not None:
+            lines[key] = lineno
     return out
 
 
 def _resolve_train_config(args) -> TrainConfig:
     """Defaults, then HDA_SEED, then the config file, then explicit flags."""
-    values = {}
+    values, lines = {}, {}
     env_seed = os.environ.get("HDA_SEED")
     if env_seed is not None:
         try:
@@ -149,13 +152,19 @@ def _resolve_train_config(args) -> TrainConfig:
         except ValueError:
             raise UsageError(f"HDA_SEED must be an integer, got {env_seed!r}")
     if args.config is not None:
-        values.update(_read_config_file(args.config))
+        values.update(_read_config_file(args.config, lines))
     for name in _CONFIG_FIELDS:
         if hasattr(args, name):  # flags use SUPPRESS: present only when given
             values[name] = getattr(args, name)
+            lines.pop(name, None)
     try:
         return TrainConfig(**values)
     except (TypeError, ValueError) as exc:
+        for name, lineno in lines.items():  # blame a file line whose value fails alone
+            try:
+                TrainConfig(**{name: values[name]})
+            except (TypeError, ValueError) as line_exc:
+                raise UsageError(f"{args.config}:{lineno}: {line_exc}")
         raise UsageError(str(exc))
 
 

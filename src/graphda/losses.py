@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, exp, log_softmax, pairwise_sqdist, relu, take_per_row, take_rows
+from .autodiff import (Tensor, gaussian_mixture, log_softmax, pairwise_sqdist, pull_push,
+                       take_per_row, take_rows)
 from .graphs import _as_matrix, pair_distances
 
 __all__ = [
@@ -65,12 +66,14 @@ class KernelSpec:
         return len(self.bandwidths)
 
     def kernel(self, sqdists: Tensor) -> Tensor:
-        """Apply the mixture to a matrix of squared distances."""
-        out = None
-        for sigma, beta in zip(self.bandwidths, self.weights):
-            term = exp(sqdists * (-0.5 / (sigma * sigma))) * beta
-            out = term if out is None else out + term
-        return out
+        """Apply the mixture to a matrix of squared distances.
+
+        One ``gaussian_mixture`` node. Its forward sums the terms in
+        bandwidth order and its backward lands them in reverse bandwidth
+        order, which fixes the bits of the loss and of every gradient.
+        """
+        coefs = tuple(-0.5 / (sigma * sigma) for sigma in self.bandwidths)
+        return gaussian_mixture(sqdists, coefs, self.weights)
 
     @classmethod
     def from_median_heuristic(cls, *feature_sets, scales=MEDIAN_SCALES, dists=None) -> "KernelSpec":
@@ -138,7 +141,9 @@ def feature_similarity_loss(features: Tensor, labels, margin: float = 2.0) -> Te
     For each pair i<j with both labels known (not -1): squared distance
     if the labels match, max(0, margin - squared distance) otherwise.
     Averaged over contributing pairs so the scale does not grow with the
-    batch; 0 when no pair contributes.
+    batch; 0 when no pair contributes. The pull and push sums are one
+    ``pull_push`` node, whose backward lands the push gradient first and
+    then adds the pull gradient; that order fixes the bits.
     """
     lab = np.asarray(labels, dtype=np.int64)
     b = features.shape[0]
@@ -152,10 +157,7 @@ def feature_similarity_loss(features: Tensor, labels, margin: float = 2.0) -> Te
     count = int(both.sum())
     if count == 0:
         return Tensor(0.0)
-    d2 = pairwise_sqdist(features, features)
-    pull = (d2 * same).sum()
-    push = (relu(margin - d2) * diff).sum()
-    return (pull + push) * (1.0 / count)
+    return pull_push(pairwise_sqdist(features, features), same, diff, margin) * (1.0 / count)
 
 
 def cross_entropy_loss(logits: Tensor, labels) -> Tensor:

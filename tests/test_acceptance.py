@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from graphda.autodiff import Tensor, grad_check
+from graphda.autodiff import Tensor, gaussian_mixture, grad_check, pull_push
 from graphda.cli import main
 from graphda.datasets import Domain, ShiftConfig, gen_synthetic_shift, read_dataset
 from graphda.graphs import BatchGraph, build_graph, percentile_threshold
@@ -97,6 +97,14 @@ def test_criterion_1_gradient_suite():
             return cross_entropy_loss(model.forward(x, graph).logits, y)
 
         ok(grad_check(through_graph, t(x0)))
+
+        # the one-node loss ops on their own; keep the hinge clear of its kink too
+        ok(grad_check(lambda x: gaussian_mixture(x, (-0.5, -2.0), (0.25, 0.75)).sum(),
+                      t(rng.normal(size=(3, 3)))))
+        d2 = rng.normal(size=(4, 4))
+        d2[np.abs(d2 - 0.5) < 1e-3] = 0.1
+        pairs = rng.integers(0, 3, size=(4, 4))
+        ok(grad_check(lambda x: pull_push(x, (pairs == 1) * 1.0, (pairs == 2) * 1.0, 0.5), t(d2)))
 
     elapsed = time.perf_counter() - started
     verdict("criterion 1 gradient suite", elapsed < 60.0,

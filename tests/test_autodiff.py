@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import graphda.losses
 import graphda.model
 from graphda.autodiff import (
     GradCheckReport,
@@ -8,18 +9,20 @@ from graphda.autodiff import (
     Tensor,
     add,
     backward,
-    exp,
+    gaussian_mixture,
     grad_check,
     im2col,
     log_softmax,
     matmul,
     pairwise_sqdist,
+    pull_push,
     relu,
     softmax,
     take_per_row,
     take_rows,
     _result,
 )
+from graphda.losses import MEDIAN_SCALES, KernelSpec, feature_similarity_loss, mmd_loss
 from graphda.model import Model, ModelConfig
 
 
@@ -105,6 +108,19 @@ class TestBackward:
         assert np.array_equal(x.grad.view(np.int64), (np.zeros(3) + g).view(np.int64))
         g[1] = 7.0
         assert x.grad[1] == -1.5  # the buffer is the tensor's own, not g
+
+    def test_owned_first_gradient_lands_in_place(self):
+        x = t([1.0, 2.0, 3.0])
+        g = np.array([-0.0, -1.5, 0.0])
+        x._accum(g, owned=True)
+        assert x.grad is g and not np.signbit(g[0])  # same bits as zeros + g
+        x._accum(np.ones(3), owned=True)  # a later gradient adds into it
+        assert np.array_equal(x.grad, [1.0, -0.5, 1.0])
+        y = t([[1.0, 2.0], [3.0, 4.0]])
+        for g in (np.ones((2, 2), dtype=np.float32), np.ones(2)):  # other dtype or shape: copied
+            y.zero_grad()
+            y._accum(g, owned=True)
+            assert y.grad is not g and y.grad.dtype == np.float64 and y.grad.shape == (2, 2)
 
     def test_three_layer_composition_vs_central_differences(self):
         rng = np.random.default_rng(7)
@@ -209,7 +225,10 @@ OP_CASES = {
     "matmul_left": ((2, 4), _weighted(lambda rng: _rand(rng, (4, 3)), lambda x, c: matmul(x, c).sum())),
     "matmul_right": ((2, 4), _weighted(lambda rng: _rand(rng, (3, 2)), lambda x, c: matmul(c, x).sum())),
     "relu": ((3, 4), lambda rng, shape: lambda x: relu(x).sum()),
-    "exp": ((3, 3), lambda rng, shape: lambda x: exp(x).sum()),
+    "gaussian_mixture": ((3, 3), _weighted(lambda rng: _rand(rng, (3, 3)), lambda x, c: (
+        gaussian_mixture(x, (-0.5, -2.0, 0.3), (0.5, 0.3, 0.2)) * c).sum())),
+    "pull_push": ((4, 4), _weighted(lambda rng: rng.integers(0, 3, size=(4, 4)), lambda x, c: pull_push(
+        x, (c == 1) * 1.0, (c == 2) * 1.0, 0.5))),
     "sum_all": ((3, 4), lambda rng, shape: lambda x: x.sum()),
     "sum_axis0": ((3, 4), _weighted(lambda rng: _rand(rng, (4,)), lambda x, c: (x.sum(axis=0) * c).sum())),
     "sum_axes": ((2, 3, 4), _weighted(lambda rng: _rand(rng, (2,)), lambda x, c: (x.sum(axis=(1, 2)) * c).sum())),
@@ -394,3 +413,66 @@ class TestIm2col:
         for a, b in zip(got, want):
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
+
+
+# -- one-node loss ops against the op chains they replace ---------------------------
+
+
+def _exp_chain(a):
+    data = np.exp(a.data)
+    return _result(data, (a,), lambda g: a._accum(g * data))
+
+
+def _mixture_chain(sq, coefs, weights):
+    """The kernel mixture as mul -> exp -> mul per bandwidth, summed by add."""
+    out = None
+    for c, beta in zip(coefs, weights):
+        term = _exp_chain(sq * c) * beta
+        out = term if out is None else out + term
+    return out
+
+
+def _pull_push_chain(d2, same, diff, margin):
+    return (d2 * same).sum() + (relu(margin - d2) * diff).sum()
+
+
+def _loss_and_grad_bits(loss_fn, arrays, upstream):
+    xs = [t(a) for a in arrays]
+    loss = loss_fn(*xs)
+    backward(loss * upstream)
+    out = [loss.data] + [np.full(1, np.nan) if x.grad is None else x.grad for x in xs]
+    return [np.asarray(a).view(np.int64) for a in out]
+
+
+class TestOneNodeLossOps:
+    """Loss and gradient bits equal the unfused chains, upstream 0 included."""
+
+    def _check(self, monkeypatch, name, chain, loss_fn, arrays):
+        for upstream in (1.0, 0.0, 0.37):  # 0.0: the source-only arm's weight
+            got = _loss_and_grad_bits(loss_fn, arrays, upstream)
+            with monkeypatch.context() as m:
+                m.setattr(graphda.losses, name, chain)
+                want = _loss_and_grad_bits(loss_fn, arrays, upstream)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("scales", [(1.0,), MEDIAN_SCALES])
+    def test_mixture_bit_equal_to_chain(self, monkeypatch, scales):
+        rng = np.random.default_rng(21)
+        s, u = rng.normal(size=(7, 4)), rng.normal(size=(6, 4)) + 0.5
+        spec = KernelSpec.from_median_heuristic(s, u, scales=scales)
+        self._check(monkeypatch, "gaussian_mixture", _mixture_chain,
+                    lambda a, b: mmd_loss(a, b, spec), [s, u])
+
+    @pytest.mark.parametrize("labels", [
+        [0, 1, 0, 1, -1, 1], [1, 1, 1, -1, 1, 1], [-1] * 6, [0, 0, 1, 1, 0, 1]])
+    def test_pull_push_bit_equal_to_chain(self, monkeypatch, labels):
+        # integer points: many squared distances equal the margin 2.0 exactly
+        feats = np.array([[0, 0], [1, 1], [2, 0], [0, 2], [1, -1], [3, 1]], dtype=np.float64)
+        d2 = pairwise_sqdist(t(feats), t(feats)).data
+        assert (d2 == 2.0).sum() >= 8
+        rng = np.random.default_rng(22)
+        for x in (feats, feats + rng.normal(scale=0.3, size=feats.shape)):
+            self._check(monkeypatch, "pull_push", _pull_push_chain,
+                        lambda f: feature_similarity_loss(f, labels, 2.0), [x])

@@ -281,6 +281,22 @@ def test_non_utf8_config_is_usage_error(data_dir, tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("line, field", [("graph_features=post", "graph_features"),
+                                         ("batch_size=7", "batch_size")])
+def test_config_value_failing_a_check_names_file_and_line(data_dir, tmp_path, capsys, line, field):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# tiny run\nepochs=1\n{line}\n")
+    train = ["train", "--source", str(data_dir / "source.hda"),
+             "--target", str(data_dir / "target.hda"), "--config", str(cfg)]
+    assert main(train + ["--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:3: " in err and field in err
+    assert not (tmp_path / "x").exists()
+    # an explicit flag overrides the file's value, which is then never checked
+    flag = ["--graph-features", "post_relu"] if field == "graph_features" else ["--batch", "8"]
+    assert main(train + TINY_TRAIN + flag + ["--out", str(tmp_path / "y")]) == 0
+
+
 def test_non_finite_flag_is_usage_error(data_dir, tmp_path, capsys):
     out = tmp_path / "x"
     code = main(["train", "--source", str(data_dir / "source.hda"),

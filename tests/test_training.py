@@ -569,3 +569,57 @@ def test_augment_batch_is_one_warp_equal_to_per_image_loop(monkeypatch):
         want.append(warp_image(img, theta, scale, shear))
     assert calls == [feats.shape]
     assert np.array_equal(got.view(np.int64), np.stack(want).view(np.int64))
+
+
+# -- one training step's autodiff trace ---------------------------------------------
+
+
+def _first_step(monkeypatch, config, source, target):
+    """Train with ``backward`` wrapped; returns the node count of the first step's
+    trace and the pairs of its arrays that share memory with a gradient."""
+    seen = []
+    real = graphda.training.backward
+
+    def wrapped(loss):
+        if not seen:
+            nodes, stack = {}, [loss]
+            while stack:
+                node = stack.pop()
+                if id(node) not in nodes:
+                    nodes[id(node)] = node
+                    stack.extend(node._parents)
+            real(loss)
+            nodes = list(nodes.values())
+            shared = [(i, j, what) for i, a in enumerate(nodes) if a.grad is not None
+                      for j, b in enumerate(nodes) for what in ("data", "grad")
+                      if (what == "data" or i != j) and getattr(b, what) is not None
+                      and np.shares_memory(a.grad, getattr(b, what))]
+            seen.append((len(nodes), shared))
+        else:
+            real(loss)
+
+    monkeypatch.setattr(graphda.training, "backward", wrapped)
+    train(config, source, target)
+    return seen[0]
+
+
+def _step_cfg(**kw):
+    # the benchmark's full arm, small
+    return tiny_cfg(epochs=1, batch_size=16, threshold_percentile=50.0, epsilon=0.95,
+                    lg_features="backbone", **kw)
+
+
+def test_flat_step_trace_size_and_gradient_ownership(monkeypatch):
+    src, tgt, _ = shift_data(seed=3, per_class=16)
+    count, shared = _first_step(monkeypatch, _step_cfg(), src, tgt)
+    assert shared == []  # no gradient is a view of a value or of another gradient
+    assert count == 54  # one node per kernel mixture and one for the pull/push sums
+
+
+def test_image_step_trace_size_and_gradient_ownership(monkeypatch):
+    rng = np.random.default_rng(4)
+    src = Dataset(rng.normal(size=(16, 1, 6, 6)), rng.integers(0, 2, 16), Domain.SOURCE, 2)
+    tgt = Dataset(rng.normal(size=(16, 1, 6, 6)), np.full(16, -1), Domain.TARGET, 2)
+    count, shared = _first_step(monkeypatch, _step_cfg(conv_channels=(2, 3)), src, tgt)
+    assert shared == []
+    assert count == 66
