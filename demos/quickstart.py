@@ -43,5 +43,5 @@ for h in history:
           f"{h.pseudo_coverage:>8.2f} {ratio:>8.3f}")
 
 target_n, _ = normalize(target)  # same per-domain transform train() applies
-pred = model.predict(target_n.features)
+pred = np.argmax(model.infer(target_n.features)[1], axis=1)
 print(f"\nfinal target accuracy: {(pred == truth).mean():.3f}")

@@ -45,7 +45,6 @@ from .model import (
 from .pseudo import (
     PseudoState,
     assign_pseudo_labels,
-    label_from_probs,
     pseudo_coverage,
 )
 from .training import (
@@ -96,7 +95,6 @@ __all__ = [
     "feature_similarity_loss",
     "gen_synthetic_shift",
     "grad_check",
-    "label_from_probs",
     "load_checkpoint",
     "mmd_loss",
     "normalize",

@@ -32,7 +32,6 @@ from .datasets import (
     ShiftConfig,
     _write_atomic,
     gen_synthetic_shift,
-    normalize,
     read_dataset,
     read_label_file,
     write_dataset,
@@ -40,7 +39,7 @@ from .datasets import (
 )
 from .graphs import EdgeStats, build_graph, edge_stats, pair_distances, percentile_threshold
 from .model import Model, config_from_tensors, load_checkpoint
-from .pseudo import assign_pseudo_labels
+from .pseudo import _check_epsilon, assign_pseudo_labels
 from .training import (
     DivergenceError,
     TrainConfig,
@@ -182,12 +181,6 @@ def _digest(path) -> str:
 def _write_manifest(path, entries: dict) -> None:
     text = "".join(f"{key}={entries[key]}\n" for key in sorted(entries))
     _write_atomic(path, text.encode("utf-8"))
-
-
-def _model_from_blob(blob: dict) -> Model:
-    model = Model.init(config_from_tensors(blob), np.random.default_rng(0))
-    model.load_state(blob)
-    return model
 
 
 class _RunMeta(NamedTuple):
@@ -333,13 +326,13 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     blob = load_checkpoint(args.checkpoint)
-    model = _model_from_blob(blob)
+    model = Model.from_state(config_from_tensors(blob), blob)
     meta = _run_meta(blob, model)
     target = read_dataset(args.target, Domain.TARGET)
     _check_input_dims(model, target, args.target)
     labels = _read_eval_labels(args.labels, target)
-    metrics = evaluate(model, meta.target_stats.apply(target.features), labels,
-                       positive_class=meta.positive_class)
+    _, probs = model.infer(meta.target_stats.apply(target.features))
+    metrics = evaluate(probs, labels, positive_class=meta.positive_class)
     epoch = meta.epoch
     if args.json:
         print(json.dumps({
@@ -362,26 +355,26 @@ def cmd_eval(args) -> int:
 
 def cmd_export(args) -> int:
     blob = load_checkpoint(args.checkpoint)
-    model = _model_from_blob(blob)
+    model = Model.from_state(config_from_tensors(blob), blob)
     meta = _run_meta(blob, model)
+    try:
+        _check_epsilon(args.epsilon, model.config.num_classes)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     source = read_dataset(args.source, Domain.SOURCE)
     target = read_dataset(args.target, Domain.TARGET)
     _check_input_dims(model, source, args.source)
     _check_input_dims(model, target, args.target)
     eval_labels = _read_eval_labels(args.labels, target) if args.labels else None
-    source_n, _ = normalize(source, meta.source_stats)
-    target_n, _ = normalize(target, meta.target_stats)
     epoch = meta.epoch
 
+    phi_s, _ = model.infer(meta.source_stats.apply(source.features))
+    phi_t, probs_t = model.infer(meta.target_stats.apply(target.features))
+    state = assign_pseudo_labels(probs_t, args.epsilon, epoch=epoch)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        state = assign_pseudo_labels(model, target_n, args.epsilon, epoch=epoch)
-    except ValueError as exc:
-        raise UsageError(str(exc))
     emb_path = out / f"embeddings_epoch{epoch:03d}.csv"
-    phi = export_embeddings(emb_path, model, source_n, target_n,
-                            epoch=epoch, pseudo_labels=state.labels)
+    phi = export_embeddings(emb_path, phi_s, phi_t, source.labels, state.labels, epoch=epoch)
 
     # Pooled graph at the stored threshold, audited against source truth
     # plus the eval sidecar when provided (-1 rows count as unknown).

@@ -111,8 +111,6 @@ class LossBreakdown:
     l_g: float
     l_ce: float
     l_total: float
-    pair_count: int  # pairs contributing to l_g
-    labeled_count: int  # rows contributing to l_ce
 
 
 def mmd_loss(phi_s: Tensor, phi_t: Tensor, kernels: KernelSpec) -> Tensor:
@@ -184,8 +182,6 @@ def total_loss(
     l_g: Tensor,
     l_ce: Tensor,
     *,
-    pair_count: int = 0,
-    labeled_count: int = 0,
     weights=None,
 ) -> tuple[Tensor, LossBreakdown]:
     """Plain sum of the three terms.
@@ -203,7 +199,5 @@ def total_loss(
         l_g=float(tg.data),
         l_ce=float(tc.data),
         l_total=float(total.data),
-        pair_count=pair_count,
-        labeled_count=labeled_count,
     )
     return total, breakdown

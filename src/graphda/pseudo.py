@@ -1,10 +1,11 @@
 """Confidence-gated pseudo-labels for the target domain.
 
-Each refresh runs the inference path over the full target set and keeps
-the argmax class only where its probability strictly exceeds epsilon;
-everything else stays -1 and is excluded from the losses by the same
--1 machinery as genuinely unlabeled data. Labels come from the model
-alone; this module never sees evaluation ground truth.
+Each refresh reads the inference probabilities of the full target set
+(``Model.infer``) and keeps the argmax class only where its probability
+strictly exceeds epsilon; everything else stays -1 and is excluded from
+the losses by the same -1 machinery as genuinely unlabeled data. Labels
+come from the model alone; this module never sees evaluation ground
+truth.
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import Dataset, _write_atomic
+from .datasets import _write_atomic
 
 __all__ = [
     "PseudoState",
-    "label_from_probs",
     "assign_pseudo_labels",
     "pseudo_coverage",
     "write_pseudo_csv",
@@ -67,12 +67,23 @@ def _check_epsilon(epsilon: float, num_classes: int) -> None:
         )
 
 
-def label_from_probs(probs: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Argmax where it strictly beats epsilon, else -1.
+def assign_pseudo_labels(
+    probs: np.ndarray,
+    epsilon: float,
+    *,
+    epoch: int = 0,
+    prior: PseudoState | None = None,
+    sticky: bool = False,
+) -> PseudoState:
+    """Pseudo-labels from the (N_t, m) inference probabilities of the whole
+    target set: the argmax class where it strictly beats epsilon, else -1.
 
-    Returns (labels, confidence); confidence is the argmax probability
-    for every row, assigned or not. Ties go to the lowest class index
-    (they can never pass a strict threshold above 1/m anyway).
+    ``confidence`` is the argmax probability of every row, assigned or
+    not; ties go to the lowest class index (they can never pass a strict
+    threshold above 1/m anyway). Default is full reassignment: a label
+    granted earlier disappears if the model is no longer confident. With
+    ``sticky=True`` labels are never revoked; a fresh confident
+    prediction still overwrites.
     """
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 2:
@@ -81,33 +92,6 @@ def label_from_probs(probs: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.
     best = np.argmax(p, axis=1)
     conf = p[np.arange(p.shape[0]), best]
     labels = np.where(conf > epsilon, best, -1).astype(np.int64)
-    return labels, conf
-
-
-def assign_pseudo_labels(
-    model,
-    target_set: Dataset,
-    epsilon: float,
-    *,
-    epoch: int = 0,
-    prior: PseudoState | None = None,
-    sticky: bool = False,
-    chunk: int | None = None,
-) -> PseudoState:
-    """Refresh pseudo-labels over the whole (already normalized) target set.
-
-    Default is full reassignment: a label granted earlier disappears if
-    the model is no longer confident. With ``sticky=True`` labels are
-    never revoked; a fresh confident prediction still overwrites.
-    Inference runs in ``model.chunks`` of rows purely to bound memory.
-    """
-    _check_epsilon(epsilon, target_set.num_classes)
-    n = len(target_set)
-    labels = np.empty(n, dtype=np.int64)
-    conf = np.empty(n, dtype=np.float64)
-    for rows in model.chunks(n, chunk):
-        probs = model.infer(target_set.features[rows]).probs.data
-        labels[rows], conf[rows] = label_from_probs(probs, epsilon)
     if sticky and prior is not None:
         fresh = labels != -1
         keep = ~fresh & (prior.labels != -1)

@@ -9,7 +9,9 @@ joint batch, apply the graph layer, and take an Adam step on
 where labels are source ground truth plus current pseudo-labels.
 Target ground truth enters only as a read-only observer for the
 precision/accuracy and edge-quality columns; deleting it changes no
-parameter update.
+parameter update. The refresh and the evaluation read the target
+probabilities of one ``Model.infer`` pass per weight state, so an
+epoch's evaluation and the next epoch's refresh share a pass.
 """
 
 from __future__ import annotations
@@ -214,26 +216,24 @@ class Adam:
 # -- evaluation ------------------------------------------------------------------
 
 
-def evaluate(model: Model, features: np.ndarray, labels, *, positive_class: int = 1,
-             chunk: int | None = None) -> EvalMetrics:
-    """Inference-path metrics against ground-truth labels.
+def evaluate(probs: np.ndarray, labels, *, positive_class: int = 1) -> EvalMetrics:
+    """Metrics of the (N, m) inference probabilities (``Model.infer``)
+    against ground-truth labels; the prediction is the argmax, ties to
+    the lowest class index.
 
-    Features must already carry the normalization used in training.
     Precision is TP/(TP+FP) for ``positive_class``; if the model never
     predicts it, precision is reported as 0 with the flag cleared.
     """
     lab = np.asarray(labels, dtype=np.int64)
     n = lab.shape[0]
-    if features.shape[0] != n:
-        raise ValueError(f"{features.shape[0]} feature rows but {n} labels")
-    m = model.config.num_classes
+    if probs.shape[0] != n:
+        raise ValueError(f"{probs.shape[0]} probability rows but {n} labels")
+    m = probs.shape[1]
     if lab.size and (lab.min() < 0 or lab.max() >= m):
         raise ValueError("evaluation labels must be known classes in [0, m)")
     if not 0 <= positive_class < m:
         raise ValueError(f"positive class {positive_class} outside [0, {m})")
-    pred = np.empty(n, dtype=np.int64)
-    for rows in model.chunks(n, chunk):
-        pred[rows] = model.predict(features[rows])
+    pred = np.argmax(probs, axis=1)
     confusion = np.zeros((m, m), dtype=np.int64)
     np.add.at(confusion, (lab, pred), 1)
     predicted_pos = int(confusion[:, positive_class].sum())
@@ -375,10 +375,17 @@ def train(
     pseudo = _empty_pseudo(len(target), config.epsilon)
     history = []
     step = 0
+    probs = None  # target probabilities under the current weights, None once stale
+
+    def target_probs():
+        nonlocal probs
+        if probs is None:
+            _, probs = model.infer(target.features)
+        return probs
 
     def refresh_pseudo(epoch):
         return assign_pseudo_labels(
-            model, target, config.epsilon, epoch=epoch,
+            target_probs(), config.epsilon, epoch=epoch,
             prior=pseudo, sticky=config.sticky_pseudo,
         )
 
@@ -432,13 +439,7 @@ def train(
                 lg_input = f if config.lg_features == "gnn" else phi
                 l_g = feature_similarity_loss(lg_input, labels, config.margin)
                 l_ce = cross_entropy_loss(logits, labels)
-                labeled = int((labels != -1).sum())
-                total, breakdown = total_loss(
-                    l_mmd, l_g, l_ce,
-                    pair_count=labeled * (labeled - 1) // 2,
-                    labeled_count=labeled,
-                    weights=config.loss_weights,
-                )
+                total, breakdown = total_loss(l_mmd, l_g, l_ce, weights=config.loss_weights)
 
                 if not np.isfinite(breakdown.l_total):
                     _dump_divergence(run_dir, epoch, step, breakdown, batch)
@@ -450,6 +451,7 @@ def train(
                 adam.zero_grad()
                 backward(total)
                 adam.step()
+                probs = None
                 n_steps += 1
                 pseudo_count = int((labels[half:] != -1).sum())
                 loss_sums += (breakdown.l_mmd, breakdown.l_g, breakdown.l_ce, breakdown.l_total)
@@ -463,8 +465,7 @@ def train(
             if run_dir is not None:
                 write_pseudo_csv(run_dir / "pseudo.csv", pseudo)
             if eval_labels is not None:
-                ev = evaluate(model, target.features, eval_labels,
-                              positive_class=config.positive_class)
+                ev = evaluate(target_probs(), eval_labels, positive_class=config.positive_class)
                 precision, accuracy, defined = ev.precision, ev.accuracy, ev.precision_defined
             else:
                 precision = accuracy = float("nan")
@@ -541,47 +542,39 @@ def pca_2d(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def export_embeddings(
     path,
-    model: Model,
-    source: Dataset,
-    target: Dataset,
+    phi_source: np.ndarray,
+    phi_target: np.ndarray,
+    source_labels,
+    target_labels,
     *,
     epoch: int,
-    pseudo_labels=None,
-    chunk: int | None = None,
 ) -> np.ndarray:
     """Per-sample backbone features plus a shared 2-D projection.
 
-    Rows: epoch, id, domain, label (source truth; target pseudo or -1),
-    the phi vector, then the two principal coordinates computed over the
-    pooled source+target matrix. Deterministic: same inputs, same bytes.
-    Returns that pooled (N_s + N_t, phi_dim) matrix, source rows first.
+    ``phi_source`` and ``phi_target`` are each domain's ``Model.infer``
+    features. Rows: epoch, id, domain, label (source truth; target pseudo
+    or -1), the phi vector, then the two principal coordinates computed
+    over the pooled source+target matrix. Deterministic: same inputs,
+    same bytes. Returns that pooled (N_s + N_t, phi_dim) matrix, source
+    rows first.
     """
-
-    def phi_of(ds):
-        out = [model.backbone_forward(ds.features[r]).data for r in model.chunks(len(ds), chunk)]
-        return np.concatenate(out) if out else np.zeros((0, model.config.phi_dim))
-
-    phi_s, phi_t = phi_of(source), phi_of(target)
-    pooled = np.concatenate([phi_s, phi_t])
+    for name, phi, labels in (("source", phi_source, source_labels),
+                              ("target", phi_target, target_labels)):
+        if len(labels) != len(phi):
+            raise ValueError(f"{len(labels)} {name} labels for {len(phi)} {name} rows")
+    pooled = np.concatenate([phi_source, phi_target])
     _, proj = pca_2d(pooled)
-    if pseudo_labels is None:
-        tgt_labels = target.labels
-    else:
-        tgt_labels = np.asarray(pseudo_labels, dtype=np.int64)
-        if tgt_labels.shape != (len(target),):
-            raise ValueError("pseudo labels do not match the target set")
 
     width = pooled.shape[1]
     header = "epoch,id,domain,label," + ",".join(
         f"phi_{k}" for k in range(width)) + ",pca_0,pca_1"
     lines = [header]
     row = 0
-    for ds, labels, dom in ((source, source.labels, "source"),
-                            (target, tgt_labels, "target")):
-        for i in range(len(ds)):
+    for labels, dom in ((source_labels, "source"), (target_labels, "target")):
+        for i, label in enumerate(labels):
             vec = pooled[row]
             lines.append(
-                f"{epoch},{i},{dom},{labels[i]},"
+                f"{epoch},{i},{dom},{label},"
                 + ",".join(_f(v) for v in vec)
                 + f",{_f(proj[row, 0])},{_f(proj[row, 1])}"
             )

@@ -24,7 +24,7 @@ from graphda.losses import (
     mmd_loss,
 )
 from graphda.model import Model, ModelConfig
-from graphda.pseudo import assign_pseudo_labels, label_from_probs, pseudo_coverage
+from graphda.pseudo import assign_pseudo_labels, pseudo_coverage
 from graphda.training import TrainConfig, train
 
 
@@ -94,7 +94,8 @@ def test_criterion_1_gradient_suite():
         y = rng.integers(0, 2, size=6)
 
         def through_graph(x, model=model, graph=graph, y=y):
-            return cross_entropy_loss(model.forward(x, graph).logits, y)
+            logits, _ = model.classify(model.gnn_forward(model.backbone_forward(x), graph))
+            return cross_entropy_loss(logits, y)
 
         ok(grad_check(through_graph, t(x0)))
 
@@ -181,8 +182,10 @@ def test_criterion_4_graph_layer_invariants():
     x = rng.normal(size=(7, 3))
 
     empty = BatchGraph(num_nodes=7, rows=(), cols=(), threshold=1.0)
-    bit_exact = np.array_equal(model.forward(x, empty).probs.data,
-                               model.infer(x).probs.data)
+    phi = model.backbone_forward(x)
+    _, probs = model.classify(model.gnn_forward(phi, empty))
+    phi_inf, probs_inf = model.infer(x)
+    bit_exact = np.array_equal(phi.data, phi_inf) and np.array_equal(probs.data, probs_inf)
 
     equi_err = 0.0
     local_exact = True
@@ -191,7 +194,7 @@ def test_criterion_4_graph_layer_invariants():
         pts = draw.normal(size=(8, 3))
         phi = model.backbone_forward(pts).data
         graph = build_graph(phi, percentile_threshold(phi, 40.0) or 1.0)
-        out = model.forward(pts, graph).f.data
+        out = model.gnn_forward(model.backbone_forward(pts), graph).data
 
         perm = draw.permutation(8)
         inv = np.argsort(perm)
@@ -199,13 +202,13 @@ def test_criterion_4_graph_layer_invariants():
         pedges = sorted(tuple(sorted((int(inv[i]), int(inv[j])))) for i, j in edges)
         pgraph = BatchGraph(num_nodes=8, rows=[i for i, _ in pedges],
                             cols=[j for _, j in pedges], threshold=graph.threshold)
-        pout = model.forward(pts[perm], pgraph).f.data
+        pout = model.gnn_forward(model.backbone_forward(pts[perm]), pgraph).data
         equi_err = max(equi_err, float(np.abs(pout - out[perm]).max()))
 
         # locality: nudging node 0 must leave every non-neighbor untouched
         moved = pts.copy()
         moved[0] += draw.normal(size=3)
-        out2 = model.forward(moved, graph).f.data
+        out2 = model.gnn_forward(model.backbone_forward(moved), graph).data
         neighbors0 = {j for i, j in edges if i == 0} | {i for i, j in edges if j == 0}
         untouched = [i for i in range(1, 8) if i not in neighbors0]
         if untouched and not np.array_equal(out2[untouched], out[untouched]):
@@ -221,14 +224,15 @@ def test_criterion_4_graph_layer_invariants():
 
 
 def test_criterion_5_pseudo_label_gate(tmp_path):
-    at_eps, _ = label_from_probs(np.array([[0.97, 0.03], [0.971, 0.029]]), 0.97)
+    at_eps = assign_pseudo_labels(np.array([[0.97, 0.03], [0.971, 0.029]]), 0.97).labels
     strict = at_eps[0] == -1 and at_eps[1] == 0
 
     model = small_model(seed=9, input_dim=2)
     rng = np.random.default_rng(10)
     _, target, _ = gen_synthetic_shift(ShiftConfig(per_class=50), rng)
     grid = (0.55, 0.7, 0.85, 0.97)
-    states = [assign_pseudo_labels(model, target, e) for e in grid]
+    _, probs = model.infer(target.features)
+    states = [assign_pseudo_labels(probs, e) for e in grid]
     coverages = [pseudo_coverage(s) for s in states]
     monotone = all(a >= b for a, b in zip(coverages, coverages[1:]))
     nested = all(

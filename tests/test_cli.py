@@ -16,7 +16,7 @@ import pytest
 
 from graphda.cli import _build_parser, _fmt, _read_config_file, _write_manifest, main
 from graphda.datasets import Dataset, Domain, read_dataset, write_dataset
-from graphda.model import load_checkpoint, save_checkpoint
+from graphda.model import Model, load_checkpoint, save_checkpoint
 from graphda.pseudo import PseudoState, write_pseudo_csv
 from graphda.training import TrainConfig
 
@@ -555,6 +555,30 @@ def test_export_without_sidecar_counts_unknown(run_dir, data_dir, tmp_path):
     assert code == 0
     row = (d / "edges_epoch002.csv").read_text().splitlines()[1]
     assert int(row.split(",")[3]) > 0
+
+
+def test_export_runs_each_sample_through_the_backbone_once(run_dir, data_dir, tmp_path,
+                                                          monkeypatch):
+    rows = []
+    backbone = Model.backbone_forward
+    monkeypatch.setattr(Model, "backbone_forward", lambda self, x: (
+        rows.append(len(x)), backbone(self, x))[1])
+    assert main(["export", "--checkpoint", str(run_dir / "checkpoint_final.hdap"),
+                 "--source", str(data_dir / "source.hda"),
+                 "--target", str(data_dir / "target.hda"), "--out", str(tmp_path / "e")]) == 0
+    assert sum(rows) == 60 + 60  # N_s + N_t
+
+
+@pytest.mark.parametrize("epsilon", ["0.3", "nan", "1.0"])
+def test_export_bad_epsilon_writes_nothing(run_dir, data_dir, tmp_path, capsys, epsilon):
+    out = tmp_path / "e"
+    code = main(["export", "--checkpoint", str(run_dir / "checkpoint_final.hdap"),
+                 "--source", str(data_dir / "source.hda"),
+                 "--target", str(data_dir / "target.hda"), "--out", str(out),
+                 "--epsilon", epsilon])
+    assert code == 2
+    assert "epsilon" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_export_shape_mismatch_is_format_error(run_dir, tmp_path, capsys):

@@ -247,12 +247,12 @@ class TestTotalLoss:
     def test_plain_sum(self):
         tot, bd = total_loss(t(0.5), t(0.25), t(0.25))
         assert tot.item() == 1.0
-        assert bd == LossBreakdown(0.5, 0.25, 0.25, 1.0, 0, 0)
+        assert bd == LossBreakdown(0.5, 0.25, 0.25, 1.0)
 
     def test_zero_term_drops_out(self):
-        tot, bd = total_loss(t(0.0), t(0.3), t(0.4), pair_count=7, labeled_count=2)
+        tot, bd = total_loss(t(0.0), t(0.3), t(0.4))
         assert tot.item() == pytest.approx(0.7, abs=1e-15)
-        assert bd.pair_count == 7 and bd.labeled_count == 2
+        assert bd.l_mmd == 0.0
 
     def test_breakdown_invariant(self):
         rng = np.random.default_rng(23)

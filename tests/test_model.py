@@ -13,6 +13,7 @@ from graphda.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from graphda.training import evaluate
 
 
 def t(x):
@@ -140,8 +141,7 @@ class TestClassify:
         model = _small_model(seed=13)
         rng = np.random.default_rng(14)
         for _ in range(100):
-            out = model.forward(rng.normal(size=(4, 3)), None)
-            p = out.probs.data
+            _, p = model.infer(rng.normal(size=(4, 3)))
             assert np.all(p >= 0.0) and np.all(p <= 1.0)
             assert np.allclose(p.sum(axis=1), 1.0, atol=1e-9)
 
@@ -151,24 +151,31 @@ class TestInfer:
         model = _small_model(seed=15)
         x = np.random.default_rng(16).normal(size=(6, 3))
         empty = _graph_from_edges(6, [])
-        a = model.forward(x, empty)
-        b = model.infer(x)
-        assert np.array_equal(a.probs.data, b.probs.data)
-        assert np.array_equal(a.f.data, b.f.data)
+        phi = model.backbone_forward(x)
+        f = model.gnn_forward(phi, empty)
+        _, probs = model.classify(f)
+        phi_inf, probs_inf = model.infer(x)
+        assert np.array_equal(f.data, model.gnn_forward(phi, None).data)
+        assert np.array_equal(phi.data, phi_inf)
+        assert np.array_equal(probs.data, probs_inf)
 
     def test_independent_of_batch_composition(self):
         model = _small_model(seed=17)
         x = np.random.default_rng(18).normal(size=(5, 3))
-        whole = model.infer(x).probs.data
-        rows = [model.infer(x[i:i + 1]).probs.data[0] for i in range(5)]
+        _, whole = model.infer(x)
+        rows = [model.infer(x[i:i + 1])[1][0] for i in range(5)]
         assert np.allclose(whole, np.stack(rows), atol=1e-12)
 
     def test_tie_breaks_to_lowest_class(self):
         model = _zero(_small_model(m=3, d=2, hidden=2, phi=2, backbone_hidden=0))
         x = np.ones((2, 2))
-        assert model.predict(x).tolist() == [0, 0]  # all-way tie
+
+        def predicted():  # predictions per class, as evaluate counts them
+            return evaluate(model.infer(x)[1], [0, 0]).confusion[0].tolist()
+
+        assert predicted() == [2, 0, 0]  # all-way tie
         model.params["fc2/b"].data = np.array([-1.0, 5.0, 5.0])
-        assert model.predict(x).tolist() == [1, 1]  # two-way tie
+        assert predicted() == [0, 2, 0]  # two-way tie
 
 
 class TestEndToEndGradient:
@@ -181,10 +188,12 @@ class TestEndToEndGradient:
         kernels = KernelSpec(bandwidths=(0.8, 1.6), weights=(0.5, 0.5))
 
         def loss_from(x):
-            out = model.forward(x, graph)
-            l_mmd = mmd_loss(out.phi, out.phi * 0.5 + 0.3, kernels)
-            l_g = feature_similarity_loss(out.f, labels)
-            l_ce = cross_entropy_loss(out.logits, labels)
+            phi = model.backbone_forward(x)
+            f = model.gnn_forward(phi, graph)
+            logits, _ = model.classify(f)
+            l_mmd = mmd_loss(phi, phi * 0.5 + 0.3, kernels)
+            l_g = feature_similarity_loss(f, labels)
+            l_ce = cross_entropy_loss(logits, labels)
             return total_loss(l_mmd, l_g, l_ce)[0]
 
         assert grad_check(loss_from, t(x0), tol=1e-5).passed
@@ -215,7 +224,8 @@ class TestCheckpoint:
             assert np.array_equal(np.asarray(blob[k], dtype=np.float64), back[k]), k
         clone = Model.from_state(config_from_tensors(back), back)
         x = np.random.default_rng(22).normal(size=(4, 3))
-        assert np.array_equal(clone.infer(x).probs.data, model.infer(x).probs.data)
+        for a, b in zip(clone.infer(x), model.infer(x)):
+            assert np.array_equal(a, b)
 
     def test_save_is_byte_deterministic(self, tmp_path):
         model = _small_model(seed=23)

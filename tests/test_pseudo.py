@@ -6,7 +6,6 @@ from graphda.model import Model, ModelConfig
 from graphda.pseudo import (
     PseudoState,
     assign_pseudo_labels,
-    label_from_probs,
     pseudo_coverage,
     write_pseudo_csv,
 )
@@ -23,23 +22,29 @@ def _model(dim=3, m=2, seed=0):
     return Model.init(cfg, np.random.default_rng(seed))
 
 
+def _gate(probs, epsilon):
+    """(labels, confidence) of the gate alone: no prior, not sticky."""
+    state = assign_pseudo_labels(probs, epsilon)
+    return state.labels, state.confidence
+
+
 class TestLabelFromProbs:
     def test_confident_row_assigned(self):
-        labels, conf = label_from_probs([[0.98, 0.02]], 0.97)
+        labels, conf = _gate([[0.98, 0.02]], 0.97)
         assert labels.tolist() == [0]
         assert conf[0] == 0.98
 
     def test_uniform_row_unassigned(self):
-        labels, _ = label_from_probs([[0.5, 0.5]], 0.97)
+        labels, _ = _gate([[0.5, 0.5]], 0.97)
         assert labels.tolist() == [-1]
 
     def test_threshold_is_strict(self):
-        labels, conf = label_from_probs([[0.97, 0.03]], 0.97)
+        labels, conf = _gate([[0.97, 0.03]], 0.97)
         assert labels.tolist() == [-1]
         assert conf[0] == 0.97  # confidence still recorded
 
     def test_argmax_class_chosen(self):
-        labels, conf = label_from_probs([[0.01, 0.99], [0.992, 0.008]], 0.97)
+        labels, conf = _gate([[0.01, 0.99], [0.992, 0.008]], 0.97)
         assert labels.tolist() == [1, 0]
         assert np.allclose(conf, [0.99, 0.992])
 
@@ -48,7 +53,7 @@ class TestLabelFromProbs:
         raw = rng.dirichlet(np.ones(3) * 0.3, size=200)
         prev = None
         for eps in (0.40, 0.60, 0.80, 0.95):
-            labels, _ = label_from_probs(raw, eps)
+            labels, _ = _gate(raw, eps)
             assigned = set(np.nonzero(labels != -1)[0].tolist())
             if prev is not None:
                 assert assigned <= prev
@@ -56,34 +61,27 @@ class TestLabelFromProbs:
 
     def test_epsilon_bounds(self):
         with pytest.raises(ValueError):
-            label_from_probs([[0.9, 0.1]], 0.5)  # not above 1/m
+            _gate([[0.9, 0.1]], 0.5)  # not above 1/m
         with pytest.raises(ValueError):
-            label_from_probs([[0.9, 0.1]], 1.0)
-        label_from_probs([[0.9, 0.1]], 0.5001)  # just inside is fine
+            _gate([[0.9, 0.1]], 1.0)
+        _gate([[0.9, 0.1]], 0.5001)  # just inside is fine
 
 
 class TestAssign:
     def test_labels_match_inference_argmax(self):
         model, tgt = _model(seed=2), _target(seed=3)
-        state = assign_pseudo_labels(model, tgt, 0.6, epoch=4)
-        probs = model.infer(tgt.features).probs.data
+        _, probs = model.infer(tgt.features)
+        state = assign_pseudo_labels(probs, 0.6, epoch=4)
         assigned = state.labels != -1
         assert np.array_equal(state.labels[assigned], np.argmax(probs, axis=1)[assigned])
         assert np.all(state.confidence[assigned] > 0.6)
         assert state.epoch == 4 and state.epsilon == 0.6
 
-    def test_chunking_does_not_change_result(self):
-        model, tgt = _model(seed=4), _target(n=37, seed=5)
-        a = assign_pseudo_labels(model, tgt, 0.55, chunk=3)
-        b = assign_pseudo_labels(model, tgt, 0.55, chunk=1000)
-        assert np.array_equal(a.labels, b.labels)
-        assert np.allclose(a.confidence, b.confidence, atol=1e-12)
-
     def test_full_reassignment_revokes(self):
         model, tgt = _model(seed=1), _target(n=10, seed=7)
         prior = PseudoState(labels=np.zeros(10, dtype=np.int64),
                             confidence=np.full(10, 0.999), epoch=0, epsilon=0.97)
-        state = assign_pseudo_labels(model, tgt, 0.97, epoch=1, prior=prior)
+        state = assign_pseudo_labels(model.infer(tgt.features)[1], 0.97, epoch=1, prior=prior)
         # fresh random-init model is nowhere near 0.97 confident
         assert np.all(state.labels == -1)
 
@@ -92,9 +90,8 @@ class TestAssign:
         prior = PseudoState(labels=np.array([1, -1, 0, 1, -1, 0]),
                             confidence=np.array([0.99, 0.3, 0.98, 0.995, 0.4, 0.99]),
                             epoch=0, epsilon=0.97)
-        state = assign_pseudo_labels(model, tgt, 0.97, epoch=1, prior=prior,
-                                     sticky=True)
-        probs = model.infer(tgt.features).probs.data
+        _, probs = model.infer(tgt.features)
+        state = assign_pseudo_labels(probs, 0.97, epoch=1, prior=prior, sticky=True)
         fresh = probs.max(axis=1) > 0.97
         for i in range(6):
             if fresh[i]:
@@ -107,9 +104,10 @@ class TestAssign:
 
     def test_epsilon_validated_against_class_count(self):
         model, tgt = _model(m=4, seed=10), _target(m=4, seed=11)
-        assign_pseudo_labels(model, tgt, 0.26)  # 1/m = 0.25
+        _, probs = model.infer(tgt.features)
+        assign_pseudo_labels(probs, 0.26)  # 1/m = 0.25
         with pytest.raises(ValueError):
-            assign_pseudo_labels(model, tgt, 0.25)
+            assign_pseudo_labels(probs, 0.25)
 
 
 class TestCoverage:
@@ -117,11 +115,11 @@ class TestCoverage:
         # an untrained model is rarely 0.97-confident; not guaranteed for
         # every init draw, so the seed is pinned to a typical one
         model, tgt = _model(seed=11), _target(n=50, seed=13)
-        state = assign_pseudo_labels(model, tgt, 0.97)
+        state = assign_pseudo_labels(model.infer(tgt.features)[1], 0.97)
         assert pseudo_coverage(state) == 0.0
 
     def test_threshold_just_above_uniform_gives_full_coverage(self):
-        labels, conf = label_from_probs([[0.6, 0.4], [0.3, 0.7], [0.51, 0.49]], 0.500001)
+        labels, conf = _gate([[0.6, 0.4], [0.3, 0.7], [0.51, 0.49]], 0.500001)
         state = PseudoState(labels=labels, confidence=conf, epoch=0, epsilon=0.500001)
         assert pseudo_coverage(state) == 1.0
 

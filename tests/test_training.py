@@ -1,5 +1,6 @@
 """Optimizer, training-loop, evaluation, and embedding-export tests."""
 
+import math
 import warnings
 
 import numpy as np
@@ -9,7 +10,6 @@ import graphda.training
 from graphda.autodiff import Tensor
 from graphda.datasets import Dataset, Domain, ShiftConfig, gen_synthetic_shift, normalize, warp_image
 from graphda.model import Model, ModelConfig, load_checkpoint, config_from_tensors
-from graphda.pseudo import assign_pseudo_labels
 from graphda.training import (
     METRICS_COLUMNS,
     STEPS_COLUMNS,
@@ -179,7 +179,7 @@ def test_evaluate_never_positive_flags_undefined_precision():
     # all-zero logits tie; argmax picks class 0, so class 1 is never predicted
     feats = np.random.default_rng(0).normal(size=(10, 3))
     labels = np.array([0] * 6 + [1] * 4)
-    ev = evaluate(model, feats, labels, positive_class=1)
+    ev = evaluate(model.infer(feats)[1], labels, positive_class=1)
     assert ev.precision == 0.0
     assert not ev.precision_defined
     assert ev.accuracy == 0.6
@@ -193,7 +193,7 @@ def test_evaluate_always_positive_on_balanced_gives_half():
     model.params["fc2/b"].data = np.array([-4.0, 4.0])
     feats = np.random.default_rng(1).normal(size=(12, 3))
     labels = np.array([0, 1] * 6)
-    ev = evaluate(model, feats, labels, positive_class=1)
+    ev = evaluate(model.infer(feats)[1], labels, positive_class=1)
     assert ev.precision == 0.5
     assert ev.precision_defined
     assert ev.accuracy == 0.5
@@ -204,10 +204,10 @@ def test_evaluate_matches_per_sample_oracle():
     rng = np.random.default_rng(6)
     feats = rng.normal(size=(25, 3))
     labels = rng.integers(0, 3, size=25)
-    ev = evaluate(model, feats, labels, positive_class=2, chunk=4)
+    ev = evaluate(model.infer(feats, chunk=4)[1], labels, positive_class=2)
     confusion = np.zeros((3, 3), dtype=np.int64)
     for i in range(25):
-        pred = int(model.predict(feats[i:i + 1])[0])
+        pred = int(np.argmax(model.infer(feats[i:i + 1])[1][0]))
         confusion[labels[i], pred] += 1
     assert np.array_equal(ev.confusion, confusion)
     assert ev.accuracy == np.trace(confusion) / 25
@@ -215,63 +215,33 @@ def test_evaluate_matches_per_sample_oracle():
     assert ev.precision == (confusion[2, 2] / col if col else 0.0)
 
 
-def test_evaluate_chunking_irrelevant():
-    model = small_model(seed=7)
-    rng = np.random.default_rng(8)
-    feats = rng.normal(size=(30, 3))
-    labels = rng.integers(0, 2, size=30)
-    a = evaluate(model, feats, labels, chunk=3)
-    b = evaluate(model, feats, labels, chunk=1000)
-    assert a.precision == b.precision
-    assert np.array_equal(a.confusion, b.confusion)
-
-
-def test_inference_chunk_size_changes_no_bit(tmp_path, monkeypatch):
+def test_inference_chunk_size_changes_no_bit():
     # the default widths; a one-row chunk is a BLAS gemv and a 7-row chunk ends in
     # edge kernels, which round some last bits differently, so those only match closely
     model = Model.init(ModelConfig(input_dims=(1, 16, 16), num_classes=2),
                        np.random.default_rng(40))
     n = 150
     assert len(model.chunks(n)) == 3  # 64 rows of 2**14 input values by default
-    rng = np.random.default_rng(41)
-    feats = rng.normal(size=(n, 1, 16, 16))
-    labels = rng.integers(0, 2, size=n)
-    src = Dataset(feats[:20], labels[:20], Domain.SOURCE, 2)
-    tgt = Dataset(feats, np.full(n, -1), Domain.TARGET, 2)
-    infer = model.infer
-    seen = []
-    monkeypatch.setattr(model, "infer", lambda f: seen.append(infer(f)) or seen[-1])
-
-    def outputs(chunk):
-        seen.clear()
-        preds = evaluate(model, feats, labels, chunk=chunk).confusion
-        eval_probs = np.concatenate([o.probs.data for o in seen])
-        seen.clear()
-        state = assign_pseudo_labels(model, tgt, 0.6, chunk=chunk)
-        pseudo_probs = np.concatenate([o.probs.data for o in seen])
-        phi = export_embeddings(tmp_path / "e.csv", model, src, tgt, epoch=0, chunk=chunk)
-        return eval_probs, pseudo_probs, phi, preds, state.labels
-
-    want = outputs(n)
+    feats = np.random.default_rng(41).normal(size=(n, 1, 16, 16))
+    want = model.infer(feats, chunk=n)
     for chunk in (None, 32, 512, 1, 7):
-        got = outputs(chunk)
+        got = model.infer(feats, chunk=chunk)
         for a, b in zip(got, want):
             if chunk in (1, 7):
                 assert np.allclose(a, b, rtol=1e-12, atol=0), chunk
             else:
                 assert np.array_equal(a.view(np.int64), b.view(np.int64)), chunk
-        assert np.array_equal(got[3], want[3]) and np.array_equal(got[4], want[4])
+        assert np.array_equal(np.argmax(got[1], axis=1), np.argmax(want[1], axis=1))
 
 
 def test_evaluate_validates_inputs():
-    model = small_model()
-    feats = np.zeros((4, 3))
+    _, probs = small_model().infer(np.zeros((4, 3)))
     with pytest.raises(ValueError, match="labels"):
-        evaluate(model, feats, np.array([0, 1]))
+        evaluate(probs, np.array([0, 1]))
     with pytest.raises(ValueError, match="known classes"):
-        evaluate(model, feats, np.array([0, 1, -1, 0]))
+        evaluate(probs, np.array([0, 1, -1, 0]))
     with pytest.raises(ValueError, match="positive class"):
-        evaluate(model, feats, np.array([0, 1, 0, 1]), positive_class=5)
+        evaluate(probs, np.array([0, 1, 0, 1]), positive_class=5)
 
 
 # -- train loop ------------------------------------------------------------------
@@ -445,6 +415,24 @@ def test_batchwise_pseudo_refresh_runs():
     assert len(hist) == 2
 
 
+@pytest.mark.parametrize("refresh", ["epoch", "batch"])
+def test_one_target_pass_per_weight_state(monkeypatch, refresh):
+    # an epoch's evaluation and the next refresh see the same weights and
+    # share one pass; every optimizer step makes the next refresh run a new one
+    src, tgt, ev = shift_data(seed=16)
+    rows = []
+    infer = Model.infer
+    monkeypatch.setattr(Model, "infer", lambda self, f, chunk=None: (
+        rows.append(len(f)), infer(self, f, chunk))[1])
+    cfg = tiny_cfg(epochs=3, warmup_epochs=0, pseudo_refresh=refresh)
+    refreshes = 3 if refresh == "epoch" else 3 * math.ceil(len(tgt) / (cfg.batch_size // 2))
+    train(cfg, src, tgt, eval_labels=ev)
+    assert rows == [len(tgt)] * (refreshes + 1)
+    rows.clear()
+    train(cfg, src, tgt)
+    assert rows == [len(tgt)] * refreshes
+
+
 def test_loss_weights_zero_out_terms(tmp_path):
     src, tgt, ev = shift_data(seed=17)
     cfg = tiny_cfg(loss_weights=(0.0, 0.0, 1.0), use_gnn=False, use_pseudo=False)
@@ -473,7 +461,8 @@ def test_checkpoint_reproduces_model(tmp_path):
     clone = Model.init(config_from_tensors(blob), np.random.default_rng(99))
     clone.load_state(blob)
     tgt_n, _ = normalize(tgt)
-    assert np.array_equal(model.predict(tgt_n.features), clone.predict(tgt_n.features))
+    for a, b in zip(model.infer(tgt_n.features), clone.infer(tgt_n.features)):
+        assert np.array_equal(a, b)
 
 
 # -- PCA and embedding export ------------------------------------------------------
@@ -519,7 +508,9 @@ def test_export_embeddings_layout(tmp_path):
     model = small_model(input_dim=2, phi=4)
     out = tmp_path / "emb.csv"
     pseudo = np.array([1, -1, 0, -1, 1, -1, 0, 1, -1, 0])
-    pooled = export_embeddings(out, model, src_n, tgt_n, epoch=7, pseudo_labels=pseudo)
+    phi_s, phi_t = model.infer(src_n.features)[0], model.infer(tgt_n.features)[0]
+    pooled = export_embeddings(out, phi_s, phi_t, src.labels, pseudo, epoch=7)
+    assert np.array_equal(pooled, np.concatenate([phi_s, phi_t]))
     lines = read_lines(out)
     width = model.config.phi_dim
     assert pooled.shape == (20, width)
@@ -541,18 +532,20 @@ def test_export_embeddings_layout(tmp_path):
 def test_export_embeddings_deterministic(tmp_path):
     src, tgt, _ = shift_data(seed=33, per_class=6)
     model = small_model(input_dim=2)
+    phi_s, phi_t = model.infer(src.features)[0], model.infer(tgt.features)[0]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    export_embeddings(a, model, src, tgt, epoch=1)
-    export_embeddings(b, model, src, tgt, epoch=1)
+    export_embeddings(a, phi_s, phi_t, src.labels, tgt.labels, epoch=1)
+    export_embeddings(b, phi_s, phi_t, src.labels, tgt.labels, epoch=1)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_export_embeddings_validates_pseudo_length(tmp_path):
     src, tgt, _ = shift_data(seed=34, per_class=4)
     model = small_model(input_dim=2)
-    with pytest.raises(ValueError, match="pseudo labels"):
-        export_embeddings(tmp_path / "x.csv", model, src, tgt, epoch=0,
-                          pseudo_labels=np.zeros(3, dtype=np.int64))
+    phi_s, phi_t = model.infer(src.features)[0], model.infer(tgt.features)[0]
+    with pytest.raises(ValueError, match="3 target labels for 8 target rows"):
+        export_embeddings(tmp_path / "x.csv", phi_s, phi_t, src.labels,
+                          np.zeros(3, dtype=np.int64), epoch=0)
 
 
 def test_augment_batch_is_one_warp_equal_to_per_image_loop(monkeypatch):
