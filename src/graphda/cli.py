@@ -295,6 +295,9 @@ def cmd_train(args) -> int:
     source = read_dataset(args.source, Domain.SOURCE)
     target = read_dataset(args.target, Domain.TARGET)
     eval_labels = _read_eval_labels(args.labels, target) if args.labels else None
+    for path, dataset in ((args.source, source), (args.target, target)):
+        if not len(dataset):
+            raise DataFormatError(f"{path}: no samples; training draws from both domains")
 
     run_dir = Path(args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -366,6 +369,11 @@ def cmd_export(args) -> int:
     _check_input_dims(model, source, args.source)
     _check_input_dims(model, target, args.target)
     eval_labels = _read_eval_labels(args.labels, target) if args.labels else None
+    if meta.percentile is not None and len(source) + len(target) < 2:
+        raise DataFormatError(
+            f"{args.source} and {args.target} hold {len(source) + len(target)} samples; "
+            "a percentile threshold needs at least 2"
+        )
     epoch = meta.epoch
 
     phi_s, _ = model.infer(meta.source_stats.apply(source.features))

@@ -388,9 +388,10 @@ def _write_atomic(path, data: bytes) -> None:
 def write_dataset(path, dataset: Dataset) -> None:
     """Serialize features (32-bit reals) and labels, little-endian."""
     dims = dataset.feature_dims
-    rec = np.dtype([("features", "<f4", (int(np.prod(dims)),)), ("label", "<i4")])
+    width = int(np.prod(dims))
+    rec = np.dtype([("features", "<f4", (width,)), ("label", "<i4")])
     payload = np.empty(len(dataset), dtype=rec)
-    payload["features"] = dataset.features.reshape(len(dataset), -1).astype("<f4")
+    payload["features"] = dataset.features.reshape(len(dataset), width).astype("<f4")
     payload["label"] = dataset.labels.astype("<i4")
     _write_atomic(path, _pack_header(MAGIC, len(dataset), dims, dataset.num_classes)
                   + payload.tobytes())

@@ -566,16 +566,16 @@ def export_embeddings(
     _, proj = pca_2d(pooled)
 
     width = pooled.shape[1]
+    values = pooled.astype(np.float64, copy=False)  # tolist() then yields what _f reprs
     header = "epoch,id,domain,label," + ",".join(
         f"phi_{k}" for k in range(width)) + ",pca_0,pca_1"
     lines = [header]
     row = 0
     for labels, dom in ((source_labels, "source"), (target_labels, "target")):
         for i, label in enumerate(labels):
-            vec = pooled[row]
             lines.append(
                 f"{epoch},{i},{dom},{label},"
-                + ",".join(_f(v) for v in vec)
+                + ",".join(map(repr, values[row].tolist()))
                 + f",{_f(proj[row, 0])},{_f(proj[row, 1])}"
             )
             row += 1

@@ -581,6 +581,42 @@ def test_export_bad_epsilon_writes_nothing(run_dir, data_dir, tmp_path, capsys, 
     assert not out.exists()
 
 
+def _write_head(path, dataset, n):
+    """The first n samples of ``dataset`` as a dataset file (n may be 0)."""
+    write_dataset(path, Dataset(dataset.features[:n], dataset.labels[:n],
+                                dataset.domain, dataset.num_classes))
+    return str(path)
+
+
+@pytest.mark.parametrize("n_source,n_target", [(1, 0), (0, 1), (0, 0)])
+def test_export_percentile_needs_two_samples(run_dir, data_dir, tmp_path, capsys,
+                                              n_source, n_target):
+    source = read_dataset(data_dir / "source.hda", Domain.SOURCE)
+    target = read_dataset(data_dir / "target.hda", Domain.TARGET)
+    out = tmp_path / "e"
+    code = main(["export", "--checkpoint", str(run_dir / "checkpoint_final.hdap"),
+                 "--source", _write_head(tmp_path / "s.hda", source, n_source),
+                 "--target", _write_head(tmp_path / "t.hda", target, n_target),
+                 "--out", str(out)])
+    assert code == 3
+    assert "at least 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("empty", ["source", "target"])
+def test_train_empty_domain_is_format_error(data_dir, tmp_path, capsys, empty):
+    files = {name: str(data_dir / f"{name}.hda") for name in ("source", "target")}
+    domain = Domain.SOURCE if empty == "source" else Domain.TARGET
+    files[empty] = _write_head(tmp_path / f"{empty}.hda",
+                               read_dataset(files[empty], domain), 0)
+    out = tmp_path / "run"
+    code = main(["train", "--source", files["source"], "--target", files["target"],
+                 "--out", str(out), *TINY_TRAIN])
+    assert code == 3
+    assert f"{empty}.hda: no samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_export_shape_mismatch_is_format_error(run_dir, tmp_path, capsys):
     wide = tmp_path / "wide"
     wide.mkdir()

@@ -241,6 +241,12 @@ class TestBinaryFormat:
         assert back.feature_dims == (2, 4, 4)
         assert np.array_equal(back.features, ds.features)
 
+    @pytest.mark.parametrize("dims", [(3,), (2, 4, 4)])
+    def test_empty_roundtrip(self, tmp_path, dims):
+        ds = Dataset(np.zeros((0,) + dims), np.zeros(0, dtype=np.int64), Domain.TARGET, 2)
+        back = self._roundtrip(tmp_path, ds, Domain.TARGET)
+        assert len(back) == 0 and back.feature_dims == dims and back.num_classes == 2
+
     def test_label_file_roundtrip(self, tmp_path):
         p = tmp_path / "labels.hda"
         write_label_file(p, [0, 1, 1, 0], dims=(2, 4, 4), num_classes=2)

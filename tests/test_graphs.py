@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from graphda import graphs
 from graphda.graphs import (
     BatchGraph,
     EdgeStats,
@@ -115,6 +116,14 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             build_graph(np.zeros(5), threshold=1.0)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_no_edges_and_all_pairs(self, n):
+        phi = np.array([[0.0], [1.0], [3.0]])[:n]
+        assert _edges(build_graph(phi, threshold=0.5)) == ()
+        g = build_graph(phi, threshold=10.0)
+        assert _edges(g) == tuple((i, j) for i in range(n) for j in range(i + 1, n))
+        assert g.rows.dtype == g.cols.dtype == np.int64
+
     def test_adjacency_matrix(self):
         rng = np.random.default_rng(5)
         phi = rng.normal(size=(15, 3))
@@ -128,11 +137,49 @@ class TestBuildGraph:
 
 class TestPairGeometry:
     def test_pair_distances_equal_row_loop_reference(self):
-        for seed, (n, d) in enumerate([(0, 3), (1, 3), (2, 1), (17, 4), (128, 64)]):
+        # at 600 and 1450 rows of 64 the scan buffer holds n - 1 rows, so its
+        # first fills take one row and its last fills many; 1450 x 64 and
+        # 2100 x 7 lie above the split size
+        shapes = [(0, 3), (1, 3), (2, 1), (17, 4), (128, 64), (600, 64), (1450, 64),
+                  (2100, 7), (129, 130), (3, 2)]
+        for seed, (n, d) in enumerate(shapes):
             phi = np.random.default_rng(300 + seed).normal(size=(n, d))
             got = pair_distances(phi)
             assert got.shape == (n * (n - 1) // 2,)
             assert np.array_equal(got, _row_loop_distances(phi))
+
+    def test_split_count_changes_no_bit(self, monkeypatch):
+        phi = np.random.default_rng(41).normal(size=(1000, 7))  # 499500 pairs: up to 3 ranges
+        scan = graphs._scan_rows
+        ranges = []
+        monkeypatch.setattr(graphs, "_scan_rows", lambda x, out, first, stop, buf: (
+            ranges.append((first, stop)), scan(x, out, first, stop, buf))[1])
+        want = _row_loop_distances(phi)
+        for cpus in (1, 2, 3):
+            ranges.clear()
+            monkeypatch.setattr(graphs, "_cpu_count", lambda: cpus)
+            assert np.array_equal(pair_distances(phi), want)
+            cuts = sorted(ranges)
+            assert len(cuts) == cpus and cuts[0][0] == 0 and cuts[-1][1] == 999
+            assert all(a[1] == b[0] for a, b in zip(cuts, cuts[1:]))
+        # a training batch's 8128 pairs stay on one thread whatever the CPU count
+        ranges.clear()
+        monkeypatch.setattr(graphs, "_cpu_count", lambda: 8)
+        pair_distances(phi[:128])
+        assert ranges == [(0, 127)]
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        scan = graphs._scan_rows
+
+        def fail_late_ranges(x, out, first, stop, buf):
+            if first > 0:  # every range but the first runs on a worker thread
+                raise MemoryError("worker range")
+            scan(x, out, first, stop, buf)
+
+        monkeypatch.setattr(graphs, "_scan_rows", fail_late_ranges)
+        monkeypatch.setattr(graphs, "_cpu_count", lambda: 3)
+        with pytest.raises(MemoryError, match="worker range"):
+            pair_distances(np.zeros((1000, 2)))
 
     def test_ties_exactly_at_threshold(self):
         # integer grid points with repeats: many pairs sit exactly at the median
