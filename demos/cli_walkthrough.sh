@@ -1,5 +1,6 @@
 #!/bin/sh
-# Tour of the graphda command line: generate data, train, evaluate, export.
+# Tour of the graphda command line: generate data, train, evaluate, export,
+# then replay the run from its manifest and check the bytes match.
 # Usage: sh demos/cli_walkthrough.sh [workdir]
 set -e
 
@@ -39,7 +40,18 @@ graphda export \
     --out "$out/run/export"
 
 echo
+echo "== replay: the manifest's config lines as a config file give the same bytes =="
+sed -n 's/^config\.//p' "$out/run/manifest.txt" > "$out/replay.cfg"
+graphda train \
+    --source "$out/data/source.hda" \
+    --target "$out/data/target.hda" \
+    --labels "$out/data/target_labels.hda" \
+    --out "$out/replay" \
+    --config "$out/replay.cfg"
+cmp "$out/run/metrics.csv" "$out/replay/metrics.csv"
+cmp "$out/run/checkpoint_final.hdap" "$out/replay/checkpoint_final.hdap"
+echo "metrics.csv and checkpoint_final.hdap replayed byte for byte"
+
+echo
 echo "== artifacts =="
 find "$out" -type f | sort
-echo
-echo "replay it bit-identically: every config value is in $out/run/manifest.txt"

@@ -99,6 +99,17 @@ _VALUE_PARSERS = {
 }
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
 
+# Keys of removed options that older manifests still carry, each with the
+# values that ran exactly as every run does now; the reader skips them, so
+# such manifests replay. Any other value asked for a mode that no longer exists.
+_RETIRED_KEYS = {
+    "precision": ("f32", "f64"),  # both widths ran in float64
+    "sticky_pseudo": ("false",),
+    "pseudo_refresh": ("epoch",),
+    "graph_features": ("pre_relu",),
+    "augment": ("true",),
+}
+
 
 def _fmt(value) -> str:
     if value is None:
@@ -113,8 +124,9 @@ def _fmt(value) -> str:
 
 
 def _read_config_file(path, lines=None) -> dict:
-    """Flat key=value text; blank lines and # comments are skipped. ``lines``,
-    if given, receives each key's line number."""
+    """Flat key=value text; blank lines, # comments and retired keys at a
+    kept value are skipped. ``lines``, if given, receives each key's line
+    number."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -128,8 +140,12 @@ def _read_config_file(path, lines=None) -> dict:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key == "precision" and val in ("f32", "f64"):
-            continue  # retired key of older manifests; both widths ran in float64
+        if key in _RETIRED_KEYS:
+            if val not in _RETIRED_KEYS[key]:
+                kept = " or ".join(f"{key}={v}" for v in _RETIRED_KEYS[key])
+                raise UsageError(f"{path}:{lineno}: option {key} was removed; "
+                                 f"only {kept} still replays, got {val!r}")
+            continue
         if key not in _CONFIG_FIELDS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
@@ -333,6 +349,8 @@ def cmd_eval(args) -> int:
     meta = _run_meta(blob, model)
     target = read_dataset(args.target, Domain.TARGET)
     _check_input_dims(model, target, args.target)
+    if not len(target):
+        raise DataFormatError(f"{args.target}: no samples; precision and accuracy need at least 1")
     labels = _read_eval_labels(args.labels, target)
     _, probs = model.infer(meta.target_stats.apply(target.features))
     metrics = evaluate(probs, labels, positive_class=meta.positive_class)
@@ -369,10 +387,12 @@ def cmd_export(args) -> int:
     _check_input_dims(model, source, args.source)
     _check_input_dims(model, target, args.target)
     eval_labels = _read_eval_labels(args.labels, target) if args.labels else None
-    if meta.percentile is not None and len(source) + len(target) < 2:
+    # the projection needs a row, a percentile threshold a pair
+    what, need = ("export", 1) if meta.percentile is None else ("a percentile threshold", 2)
+    if len(source) + len(target) < need:
         raise DataFormatError(
             f"{args.source} and {args.target} hold {len(source) + len(target)} samples; "
-            "a percentile threshold needs at least 2"
+            f"{what} needs at least {need}"
         )
     epoch = meta.epoch
 

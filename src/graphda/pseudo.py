@@ -28,9 +28,9 @@ __all__ = [
 class PseudoState:
     """Snapshot of target pseudo-labels after one refresh.
 
-    ``confidence`` records the probability that justified each assigned
-    label (for retained sticky labels, the one measured at assignment);
-    unassigned rows carry their latest argmax probability for auditing.
+    ``confidence`` is the argmax probability of every row: the one that
+    justified each assigned label, and for unassigned rows the one that
+    fell short, kept for auditing.
     """
 
     labels: np.ndarray  # (N_t,) int64, -1 = unassigned
@@ -72,18 +72,15 @@ def assign_pseudo_labels(
     epsilon: float,
     *,
     epoch: int = 0,
-    prior: PseudoState | None = None,
-    sticky: bool = False,
 ) -> PseudoState:
     """Pseudo-labels from the (N_t, m) inference probabilities of the whole
     target set: the argmax class where it strictly beats epsilon, else -1.
 
     ``confidence`` is the argmax probability of every row, assigned or
     not; ties go to the lowest class index (they can never pass a strict
-    threshold above 1/m anyway). Default is full reassignment: a label
-    granted earlier disappears if the model is no longer confident. With
-    ``sticky=True`` labels are never revoked; a fresh confident
-    prediction still overwrites.
+    threshold above 1/m anyway). Every call is a full reassignment that
+    reads no earlier state: a label granted earlier disappears if the
+    model is no longer confident.
     """
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 2:
@@ -92,11 +89,6 @@ def assign_pseudo_labels(
     best = np.argmax(p, axis=1)
     conf = p[np.arange(p.shape[0]), best]
     labels = np.where(conf > epsilon, best, -1).astype(np.int64)
-    if sticky and prior is not None:
-        fresh = labels != -1
-        keep = ~fresh & (prior.labels != -1)
-        labels = np.where(keep, prior.labels, labels)
-        conf = np.where(keep, prior.confidence, conf)
     return PseudoState(labels=labels, confidence=conf, epoch=epoch, epsilon=epsilon)
 
 

@@ -1,8 +1,9 @@
 """End-to-end adaptation training, evaluation, and embedding export.
 
-One epoch: refresh pseudo-labels over the target set, then for every
-128+128 batch run the backbone, build the threshold graph over the
-joint batch, apply the graph layer, and take an Adam step on
+One epoch: reassign the pseudo-labels of the whole target set, then
+for every 128+128 batch augment images, run the backbone, build the
+threshold graph over the joint batch's backbone features phi, apply
+the graph layer, and take an Adam step on
 
     L = L_mmd(phi_s, phi_t) + L_g(f, labels) + L_ce(logits, labels)
 
@@ -95,19 +96,12 @@ class TrainConfig:
     use_gnn: bool = _option(True, "classify from backbone features; no graph is built",
                             flag="--no-gnn")
     use_pseudo: bool = _option(True, "train on source labels only", flag="--no-pseudo")
-    sticky_pseudo: bool = _option(False, "pseudo-labels persist once assigned", flag="--sticky")
-    pseudo_refresh: str = _option("epoch", "when to reassign pseudo-labels",
-                                  choices=("epoch", "batch"))
     warmup_epochs: int = _option(0, "epochs before pseudo-labeling starts", flag="--warmup")
     loss_weights: tuple[float, ...] = _option(
         (1.0, 1.0, 1.0), "comma triple scaling alignment, separation, and classification "
         "terms; ablation only, the paper's objective is unweighted")
-    graph_features: str = _option("pre_relu", "backbone activations used for edge distances",
-                                  choices=("pre_relu", "post_relu"))
     lg_features: str = _option("gnn", "features the separation loss acts on",
                                choices=("gnn", "backbone"))
-    augment: bool = _option(True, "disable image augmentation; flat features always pass through",
-                            flag="--no-augment")
     checkpoint_every: int = _option(10, "epochs between checkpoints")
     positive_class: int = _option(1, "class whose precision is reported")
 
@@ -383,52 +377,35 @@ def train(
             _, probs = model.infer(target.features)
         return probs
 
-    def refresh_pseudo(epoch):
-        return assign_pseudo_labels(
-            target_probs(), config.epsilon, epoch=epoch,
-            prior=pseudo, sticky=config.sticky_pseudo,
-        )
-
     try:
         for epoch in range(1, config.epochs + 1):
             pseudo_on = config.use_pseudo and epoch > config.warmup_epochs
-            if pseudo_on and config.pseudo_refresh == "epoch":
-                pseudo = refresh_pseudo(epoch)
+            if pseudo_on:
+                pseudo = assign_pseudo_labels(target_probs(), config.epsilon, epoch=epoch)
             loss_sums = np.zeros(4)
             edge_sums = np.zeros(3, dtype=np.int64)
             n_steps = 0
 
             for batch in sampler.epoch():
-                if pseudo_on and config.pseudo_refresh == "batch":
-                    pseudo = refresh_pseudo(epoch)
                 step += 1
-                feats = batch.features
-                if config.augment:
-                    feats = _augment_batch(feats, augment_rng)
                 labels = batch.labels.copy()
                 if pseudo_on:
                     labels[half:] = pseudo.labels[batch.ids[half:]]
 
-                x = Tensor(feats)
-                phi = model.backbone_forward(x)
-                # one pair scan feeds the kernel median and, on pre_relu, the graph
+                phi = model.backbone_forward(Tensor(_augment_batch(batch.features, augment_rng)))
+                # one pair scan feeds the threshold, the graph and the kernel median
                 dists = pair_distances(phi.data)
                 graph = None
                 if config.use_gnn:
-                    if config.graph_features == "pre_relu":
-                        gf, gdists = phi.data, dists
-                    else:
-                        gf = np.maximum(phi.data, 0.0)
-                        gdists = pair_distances(gf)
                     if config.threshold_percentile is None:
                         t_used = config.threshold
                     else:
                         with warnings.catch_warnings():
                             warnings.simplefilter("ignore")  # degenerate batch still trains
-                            t_used = percentile_threshold(gf, config.threshold_percentile,
-                                                          dists=gdists)
-                    graph = build_graph(gf, t_used, dists=gdists) if t_used > 0 else BatchGraph(
-                        num_nodes=len(batch), rows=(), cols=(), threshold=0.0)
+                            t_used = percentile_threshold(phi.data, config.threshold_percentile,
+                                                          dists=dists)
+                    graph = (build_graph(phi.data, t_used, dists=dists) if t_used > 0 else
+                             BatchGraph(num_nodes=len(batch), rows=(), cols=(), threshold=0.0))
                 f = model.gnn_forward(phi, graph)
                 logits, _ = model.classify(f)
 

@@ -14,8 +14,22 @@ import warnings
 import numpy as np
 import pytest
 
-from graphda.cli import _build_parser, _fmt, _read_config_file, _write_manifest, main
-from graphda.datasets import Dataset, Domain, read_dataset, write_dataset
+from graphda.cli import (
+    _RETIRED_KEYS,
+    _build_parser,
+    _fmt,
+    _read_config_file,
+    _write_manifest,
+    main,
+)
+from graphda.datasets import (
+    Dataset,
+    Domain,
+    read_dataset,
+    read_label_file,
+    write_dataset,
+    write_label_file,
+)
 from graphda.model import Model, load_checkpoint, save_checkpoint
 from graphda.pseudo import PseudoState, write_pseudo_csv
 from graphda.training import TrainConfig
@@ -168,9 +182,13 @@ def test_train_defaults_match_protocol(data_dir, tmp_path):
     assert manifest["config.batch_size"] == "8"
 
 
-def test_unknown_flag_rejected(capsys):
-    assert main(["train", "--source", "a", "--target", "b", "--out", "c",
-                 "--frobnicate", "1"]) == 2
+# --frobnicate never existed; the others are removed options
+@pytest.mark.parametrize("flag", [["--frobnicate", "1"], ["--precision", "f64"], ["--sticky"],
+                                  ["--pseudo-refresh", "batch"],
+                                  ["--graph-features", "post_relu"], ["--no-augment"]],
+                         ids=lambda flag: flag[0])
+def test_unknown_flag_rejected(capsys, flag):
+    assert main(["train", "--source", "a", "--target", "b", "--out", "c", *flag]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
@@ -281,7 +299,7 @@ def test_non_utf8_config_is_usage_error(data_dir, tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("line, field", [("graph_features=post", "graph_features"),
+@pytest.mark.parametrize("line, field", [("lg_features=logits", "lg_features"),
                                          ("batch_size=7", "batch_size")])
 def test_config_value_failing_a_check_names_file_and_line(data_dir, tmp_path, capsys, line, field):
     cfg = tmp_path / "run.cfg"
@@ -293,7 +311,7 @@ def test_config_value_failing_a_check_names_file_and_line(data_dir, tmp_path, ca
     assert f"{cfg}:3: " in err and field in err
     assert not (tmp_path / "x").exists()
     # an explicit flag overrides the file's value, which is then never checked
-    flag = ["--graph-features", "post_relu"] if field == "graph_features" else ["--batch", "8"]
+    flag = ["--lg-features", "backbone"] if field == "lg_features" else ["--batch", "8"]
     assert main(train + TINY_TRAIN + flag + ["--out", str(tmp_path / "y")]) == 0
 
 
@@ -307,14 +325,21 @@ def test_non_finite_flag_is_usage_error(data_dir, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_run_reproducible_from_manifest_alone(data_dir, run_dir, tmp_path):
-    # feeding the manifest's config section back in must replay the run
+def _manifest_config(run_dir, path, first_line=""):
+    """Writes the run's manifest config section as a config file, after
+    ``first_line``; returns the manifest."""
     manifest = read_manifest(run_dir / "manifest.txt")
-    cfg = tmp_path / "replay.cfg"
-    cfg.write_text("".join(
+    path.write_text(f"{first_line}\n" + "".join(
         f"{k.removeprefix('config.')}={v}\n"
         for k, v in manifest.items() if k.startswith("config.")
     ))
+    return manifest
+
+
+def _replay(run_dir, tmp_path, first_line=""):
+    """Trains again from the run's manifest alone and checks the bytes match."""
+    cfg = tmp_path / "replay.cfg"
+    manifest = _manifest_config(run_dir, cfg, first_line)
     d = tmp_path / "replay"
     code = main(["train", "--source", manifest["source"],
                  "--target", manifest["target"],
@@ -323,37 +348,49 @@ def test_run_reproducible_from_manifest_alone(data_dir, run_dir, tmp_path):
     assert code == 0
     for name in ("metrics.csv", "checkpoint_final.hdap"):
         assert (d / name).read_bytes() == (run_dir / name).read_bytes(), name
+    return d
 
 
-def test_retired_precision_key_replays_unchanged(data_dir, run_dir, tmp_path, capsys):
-    # manifests written before the float-width option was removed carry
-    # precision=f32 or f64; both ran in float64, so the key is skipped
-    manifest = read_manifest(run_dir / "manifest.txt")
+def test_run_reproducible_from_manifest_alone(data_dir, run_dir, tmp_path):
+    # feeding the manifest's config section back in must replay the run
+    _replay(run_dir, tmp_path)
+
+
+# removed options, each at the only value that ran as every run does now
+RETIRED_KEPT = ["precision=f32", "precision=f64", "sticky_pseudo=false",
+                "pseudo_refresh=epoch", "graph_features=pre_relu", "augment=true"]
+RETIRED_REMOVED = ["precision=f16", "sticky_pseudo=true", "pseudo_refresh=batch",
+                   "graph_features=post_relu", "augment=false"]
+
+
+@pytest.mark.parametrize("retired", RETIRED_KEPT)
+def test_retired_key_replays_unchanged(data_dir, run_dir, tmp_path, retired):
+    # manifests written before an option was removed carry its key; at the
+    # value every run now takes, the reader skips it and the run replays
+    replayed = read_manifest(_replay(run_dir, tmp_path, retired) / "manifest.txt")
+    assert not any(k.removeprefix("config.") in _RETIRED_KEYS for k in replayed)
+
+
+@pytest.mark.parametrize("retired", RETIRED_REMOVED)
+def test_retired_key_at_a_removed_value_names_file_and_line(run_dir, data_dir, tmp_path,
+                                                             capsys, retired):
     cfg = tmp_path / "old.cfg"
-    cfg.write_text("precision=f32\n" + "".join(
-        f"{k.removeprefix('config.')}={v}\n"
-        for k, v in manifest.items() if k.startswith("config.")
-    ))
-    d = tmp_path / "old"
-    code = main(["train", "--source", manifest["source"],
-                 "--target", manifest["target"],
-                 "--labels", manifest["eval_labels"],
-                 "--out", str(d), "--config", str(cfg)])
-    assert code == 0
-    assert (d / "metrics.csv").read_bytes() == (run_dir / "metrics.csv").read_bytes()
-    assert "config.precision" not in read_manifest(d / "manifest.txt")
-    assert main(["train", "--source", "a", "--target", "b", "--out", "c",
-                 "--precision", "f64"]) == 2
-    capsys.readouterr()
+    _manifest_config(run_dir, cfg, retired)
+    out = tmp_path / "x"
+    assert main(["train", "--source", str(data_dir / "source.hda"),
+                 "--target", str(data_dir / "target.hda"),
+                 "--out", str(out), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:1: " in err and retired.partition("=")[0] in err
+    assert not out.exists()
 
 
-# every training flag, frozen: --precision is gone and no other spelling may change
+# every training flag, frozen: removed options stay gone and no spelling may change
 TRAIN_CONFIG_FLAGS = [
     "--lr", "--weight-decay", "--batch", "--epochs", "--threshold",
     "--threshold-percentile", "--epsilon", "--margin", "--kernel-scales",
     "--hidden", "--phi-dim", "--backbone-hidden", "--conv-channels", "--seed",
-    "--no-gnn", "--no-pseudo", "--sticky", "--pseudo-refresh", "--warmup",
-    "--loss-weights", "--graph-features", "--lg-features", "--no-augment",
+    "--no-gnn", "--no-pseudo", "--warmup", "--loss-weights", "--lg-features",
     "--checkpoint-every", "--positive-class",
 ]
 
@@ -378,7 +415,7 @@ def test_train_options_come_from_the_dataclass(data_dir, tmp_path, capsys):
 
     assert main(["train", "--source", str(data_dir / "source.hda"),
                  "--target", str(data_dir / "target.hda"), "--out", str(tmp_path / "x"),
-                 "--graph-features", "post"]) == 2
+                 "--lg-features", "logits"]) == 2
     assert "invalid choice" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
@@ -600,6 +637,42 @@ def test_export_percentile_needs_two_samples(run_dir, data_dir, tmp_path, capsys
                  "--out", str(out)])
     assert code == 3
     assert "at least 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_export_fixed_threshold_needs_one_sample(run_dir, data_dir, tmp_path, capsys):
+    blob = load_checkpoint(run_dir / "checkpoint_final.hdap")
+    blob["meta/threshold_percentile"] = np.asarray(float("nan"))  # NaN marks a fixed threshold
+    ckpt = tmp_path / "fixed.hdap"
+    save_checkpoint(ckpt, blob)
+    source = read_dataset(data_dir / "source.hda", Domain.SOURCE)
+    target = read_dataset(data_dir / "target.hda", Domain.TARGET)
+    args = ["export", "--checkpoint", str(ckpt)]
+    out = tmp_path / "e"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args + ["--source", _write_head(tmp_path / "s.hda", source, 0),
+                            "--target", _write_head(tmp_path / "t.hda", target, 0),
+                            "--out", str(out)]) == 3
+        assert "at least 1" in capsys.readouterr().err
+        assert not out.exists()
+        # one sample in all is enough without a percentile
+        assert main(args + ["--source", _write_head(tmp_path / "s1.hda", source, 1),
+                            "--target", str(tmp_path / "t.hda"), "--out", str(out)]) == 0
+    capsys.readouterr()
+
+
+def test_eval_empty_target_is_format_error(run_dir, data_dir, tmp_path, capsys):
+    target = read_dataset(data_dir / "target.hda", Domain.TARGET)
+    labels, dims, m = read_label_file(data_dir / "target_labels.hda")
+    write_label_file(tmp_path / "labels.hda", labels[:0], dims, m)
+    out = tmp_path / "eval.csv"
+    code = main(["eval", "--checkpoint", str(run_dir / "checkpoint_final.hdap"),
+                 "--target", _write_head(tmp_path / "t.hda", target, 0),
+                 "--labels", str(tmp_path / "labels.hda"), "--out", str(out), "--json"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "t.hda: no samples" in captured.err and captured.out == ""
     assert not out.exists()
 
 

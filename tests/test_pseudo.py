@@ -23,7 +23,7 @@ def _model(dim=3, m=2, seed=0):
 
 
 def _gate(probs, epsilon):
-    """(labels, confidence) of the gate alone: no prior, not sticky."""
+    """(labels, confidence) of the gate."""
     state = assign_pseudo_labels(probs, epsilon)
     return state.labels, state.confidence
 
@@ -78,29 +78,11 @@ class TestAssign:
         assert state.epoch == 4 and state.epsilon == 0.6
 
     def test_full_reassignment_revokes(self):
+        # a refresh takes no earlier labels, so nothing granted before survives it
         model, tgt = _model(seed=1), _target(n=10, seed=7)
-        prior = PseudoState(labels=np.zeros(10, dtype=np.int64),
-                            confidence=np.full(10, 0.999), epoch=0, epsilon=0.97)
-        state = assign_pseudo_labels(model.infer(tgt.features)[1], 0.97, epoch=1, prior=prior)
+        state = assign_pseudo_labels(model.infer(tgt.features)[1], 0.97, epoch=1)
         # fresh random-init model is nowhere near 0.97 confident
         assert np.all(state.labels == -1)
-
-    def test_sticky_keeps_but_updates_on_confidence(self):
-        model, tgt = _model(seed=8), _target(n=6, seed=9)
-        prior = PseudoState(labels=np.array([1, -1, 0, 1, -1, 0]),
-                            confidence=np.array([0.99, 0.3, 0.98, 0.995, 0.4, 0.99]),
-                            epoch=0, epsilon=0.97)
-        _, probs = model.infer(tgt.features)
-        state = assign_pseudo_labels(probs, 0.97, epoch=1, prior=prior, sticky=True)
-        fresh = probs.max(axis=1) > 0.97
-        for i in range(6):
-            if fresh[i]:
-                assert state.labels[i] == int(np.argmax(probs[i]))
-            elif prior.labels[i] != -1:
-                assert state.labels[i] == prior.labels[i]
-                assert state.confidence[i] == prior.confidence[i]
-            else:
-                assert state.labels[i] == -1
 
     def test_epsilon_validated_against_class_count(self):
         model, tgt = _model(m=4, seed=10), _target(m=4, seed=11)

@@ -1,6 +1,5 @@
 """Optimizer, training-loop, evaluation, and embedding-export tests."""
 
-import math
 import warnings
 
 import numpy as np
@@ -134,12 +133,12 @@ def test_adam_rejects_duplicate_names():
     dict(margin=0.0),
     dict(threshold=0.0),
     dict(threshold_percentile=101.0),
-    dict(pseudo_refresh="hourly"),
-    dict(graph_features="post"),
+    dict(threshold_percentile=-1.0),
     dict(lg_features="logits"),
     dict(loss_weights=(1.0, 1.0)),
     dict(loss_weights=(1.0, -1.0, 1.0)),
     dict(warmup_epochs=-1),
+    dict(seed=-1),
     # non-finite values, which plain comparisons let through
     dict(threshold=float("nan"), threshold_percentile=None),
     dict(threshold=float("inf")),
@@ -359,8 +358,7 @@ def test_no_gnn_flag_disables_graph(tmp_path):
     assert any(h.edges_right + h.edges_wrong > 0 for h in hist_g)
 
 
-@pytest.mark.parametrize("features,passes", [("pre_relu", 1), ("post_relu", 2)])
-def test_one_pair_scan_per_step_per_feature_matrix(monkeypatch, features, passes):
+def test_one_pair_scan_per_step(monkeypatch):
     import graphda.graphs
     import graphda.losses
     import graphda.training
@@ -375,8 +373,8 @@ def test_one_pair_scan_per_step_per_feature_matrix(monkeypatch, features, passes
     for mod in (graphda.graphs, graphda.losses, graphda.training):
         monkeypatch.setattr(mod, "pair_distances", counting)
     src, tgt, _ = shift_data(seed=10)  # 40 per domain: one 80-sample step per epoch
-    _, hist = train(tiny_cfg(epochs=1, batch_size=80, graph_features=features), src, tgt)
-    assert len(calls) == passes
+    _, hist = train(tiny_cfg(epochs=1, batch_size=80), src, tgt)
+    assert len(calls) == 1
     assert hist[0].edges_unknown > 0  # the graph was built
 
 
@@ -401,22 +399,7 @@ def test_no_pseudo_keeps_targets_unlabeled(tmp_path):
     assert all(r.split(",")[1] == "-1" for r in rows)
 
 
-def test_sticky_coverage_never_drops():
-    src, tgt, ev = shift_data(seed=14)
-    cfg = tiny_cfg(epochs=4, sticky_pseudo=True, epsilon=0.6)
-    _, hist = train(cfg, src, tgt, eval_labels=ev)
-    covs = [h.pseudo_coverage for h in hist]
-    assert all(b >= a for a, b in zip(covs, covs[1:]))
-
-
-def test_batchwise_pseudo_refresh_runs():
-    src, tgt, ev = shift_data(seed=15)
-    _, hist = train(tiny_cfg(pseudo_refresh="batch"), src, tgt, eval_labels=ev)
-    assert len(hist) == 2
-
-
-@pytest.mark.parametrize("refresh", ["epoch", "batch"])
-def test_one_target_pass_per_weight_state(monkeypatch, refresh):
+def test_one_target_pass_per_weight_state(monkeypatch):
     # an epoch's evaluation and the next refresh see the same weights and
     # share one pass; every optimizer step makes the next refresh run a new one
     src, tgt, ev = shift_data(seed=16)
@@ -424,13 +407,12 @@ def test_one_target_pass_per_weight_state(monkeypatch, refresh):
     infer = Model.infer
     monkeypatch.setattr(Model, "infer", lambda self, f, chunk=None: (
         rows.append(len(f)), infer(self, f, chunk))[1])
-    cfg = tiny_cfg(epochs=3, warmup_epochs=0, pseudo_refresh=refresh)
-    refreshes = 3 if refresh == "epoch" else 3 * math.ceil(len(tgt) / (cfg.batch_size // 2))
+    cfg = tiny_cfg(epochs=3, warmup_epochs=0)
     train(cfg, src, tgt, eval_labels=ev)
-    assert rows == [len(tgt)] * (refreshes + 1)
+    assert rows == [len(tgt)] * (3 + 1)  # one refresh per epoch, then the last evaluation
     rows.clear()
     train(cfg, src, tgt)
-    assert rows == [len(tgt)] * refreshes
+    assert rows == [len(tgt)] * 3
 
 
 def test_loss_weights_zero_out_terms(tmp_path):
