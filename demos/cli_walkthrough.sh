@@ -1,6 +1,7 @@
 #!/bin/sh
-# Tour of the graphda command line: generate data, train, evaluate, export,
-# then replay the run from its manifest and check the bytes match.
+# Tour of the graphda command line: generate data, train the method and the
+# source-only arm, evaluate, export, then replay both runs from their
+# manifests and check the bytes match.
 # Usage: sh demos/cli_walkthrough.sh [workdir]
 set -e
 
@@ -19,6 +20,16 @@ graphda train \
     --labels "$out/data/target_labels.hda" \
     --out "$out/run" \
     --epochs 20 --batch 64 --threshold-percentile 20 --warmup 2 \
+    --hidden 32 --phi-dim 32 --backbone-hidden 32
+
+echo
+echo "== train the source-only arm: no graph, no pseudo-labels, classification loss only =="
+graphda train \
+    --source "$out/data/source.hda" \
+    --target "$out/data/target.hda" \
+    --labels "$out/data/target_labels.hda" \
+    --out "$out/floor" \
+    --epochs 20 --batch 64 --no-gnn --no-pseudo --loss-weights 0,0,1 \
     --hidden 32 --phi-dim 32 --backbone-hidden 32
 
 echo
@@ -41,16 +52,18 @@ graphda export \
 
 echo
 echo "== replay: the manifest's config lines as a config file give the same bytes =="
-sed -n 's/^config\.//p' "$out/run/manifest.txt" > "$out/replay.cfg"
-graphda train \
-    --source "$out/data/source.hda" \
-    --target "$out/data/target.hda" \
-    --labels "$out/data/target_labels.hda" \
-    --out "$out/replay" \
-    --config "$out/replay.cfg"
-cmp "$out/run/metrics.csv" "$out/replay/metrics.csv"
-cmp "$out/run/checkpoint_final.hdap" "$out/replay/checkpoint_final.hdap"
-echo "metrics.csv and checkpoint_final.hdap replayed byte for byte"
+for run in run floor; do
+    sed -n 's/^config\.//p' "$out/$run/manifest.txt" > "$out/$run.cfg"
+    graphda train \
+        --source "$out/data/source.hda" \
+        --target "$out/data/target.hda" \
+        --labels "$out/data/target_labels.hda" \
+        --out "$out/replay_$run" \
+        --config "$out/$run.cfg"
+    cmp "$out/$run/metrics.csv" "$out/replay_$run/metrics.csv"
+    cmp "$out/$run/checkpoint_final.hdap" "$out/replay_$run/checkpoint_final.hdap"
+    echo "$run: metrics.csv and checkpoint_final.hdap replayed byte for byte"
+done
 
 echo
 echo "== artifacts =="

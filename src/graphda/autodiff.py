@@ -9,13 +9,14 @@ so the next forward pass starts clean.
 
 Only the operations the models and losses in this package need are
 provided: elementwise arithmetic with broadcasting, matrix products,
-reductions, ReLU, row and element gathers, pairwise squared distances,
-(log-)softmax, an im2col expansion for small channels-last (B, h, w, c)
-convolutions (a window-view copy forward, a shift-add backward), and two
-one-node loss ops, a Gaussian kernel mixture and a contrastive pull/push.
-``reshape`` returns a view: no op writes ``data`` in place. A gradient
-array that an op built itself is passed ``owned`` and lands without a copy.
-Everything runs at 64-bit precision by default.
+reductions, ReLU, row slices and gathers, element gathers, pairwise
+squared distances, (log-)softmax, an im2col expansion for small
+channels-last (B, h, w, c) convolutions (a window-view copy forward, a
+shift-add backward), and two one-node loss ops, a Gaussian kernel mixture
+and a contrastive pull/push. ``reshape`` and ``slice_rows`` return views:
+no op writes ``data`` in place. A gradient array that an op built itself
+is passed ``owned`` and lands without a copy. Everything runs at 64-bit
+precision by default.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "softmax",
     "log_softmax",
     "pairwise_sqdist",
+    "slice_rows",
     "take_rows",
     "take_per_row",
     "im2col",
@@ -310,7 +312,20 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     return _result(data, (a,), bw)
 
 
-# -- gathers ---------------------------------------------------------------------
+# -- slices and gathers -----------------------------------------------------------
+
+
+def slice_rows(a: Tensor, lo: int, hi: int) -> Tensor:
+    """Contiguous rows ``a[lo:hi]`` as a view; backward lands ``g`` in rows
+    ``lo:hi`` of a zero array with the bits of ``zeros + g``, -0.0 included."""
+    data = a.data[lo:hi]
+
+    def bw(g):
+        acc = np.zeros_like(a.data)
+        np.add(g, 0, out=acc[lo:hi])
+        a._accum(acc, owned=True)
+
+    return _result(data, (a,), bw)
 
 
 def take_rows(a: Tensor, idx) -> Tensor:

@@ -125,13 +125,13 @@ def _fmt(value) -> str:
 
 def _read_config_file(path, lines=None) -> dict:
     """Flat key=value text; blank lines, # comments and retired keys at a
-    kept value are skipped. ``lines``, if given, receives each key's line
-    number."""
+    kept value are skipped, and a repeated key is an error naming both
+    lines. ``lines``, if given, receives each key's line number."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}")
-    out = {}
+    out, where = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -140,6 +140,9 @@ def _read_config_file(path, lines=None) -> dict:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        if key in where:
+            raise UsageError(f"{path}:{lineno}: config key {key!r} repeats {path}:{where[key]}")
+        where[key] = lineno
         if key in _RETIRED_KEYS:
             if val not in _RETIRED_KEYS[key]:
                 kept = " or ".join(f"{key}={v}" for v in _RETIRED_KEYS[key])
@@ -152,8 +155,8 @@ def _read_config_file(path, lines=None) -> dict:
             out[key] = _VALUE_PARSERS[_CONFIG_FIELDS[key].type](val)
         except ValueError as exc:
             raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}")
-        if lines is not None:
-            lines[key] = lineno
+    if lines is not None:
+        lines.update((key, where[key]) for key in out)
     return out
 
 

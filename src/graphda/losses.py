@@ -178,26 +178,25 @@ def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
 
 
 def total_loss(
-    l_mmd: Tensor,
-    l_g: Tensor,
-    l_ce: Tensor,
+    l_mmd: Tensor | None,
+    l_g: Tensor | None,
+    l_ce: Tensor | None,
     *,
     weights=None,
 ) -> tuple[Tensor, LossBreakdown]:
-    """Plain sum of the three terms.
+    """Weighted sum of the three terms, added as ``(mmd + g) + ce``.
 
     ``weights`` (default all 1) exist for ablation runs only; the
-    objective itself carries no coefficients.
+    objective itself carries no coefficients. Training builds no term
+    whose weight is 0 and passes ``None`` for it: such a term adds
+    nothing, reads ``0.0`` in the breakdown and so cannot make the total
+    non-finite. With no term built the total is a constant 0.
     """
     if weights is None:
         weights = (1.0, 1.0, 1.0)
-    wm, wg, wc = (float(w) for w in weights)
-    tm, tg, tc = l_mmd * wm, l_g * wg, l_ce * wc
-    total = tm + tg + tc
-    breakdown = LossBreakdown(
-        l_mmd=float(tm.data),
-        l_g=float(tg.data),
-        l_ce=float(tc.data),
-        l_total=float(total.data),
-    )
+    terms = [None if t is None else t * float(w) for t, w in zip((l_mmd, l_g, l_ce), weights)]
+    tm, tg, tc = (0.0 if t is None else float(t.data) for t in terms)
+    built = [t for t in terms if t is not None]
+    total = sum(built[1:], built[0]) if built else Tensor(0.0)
+    breakdown = LossBreakdown(l_mmd=tm, l_g=tg, l_ce=tc, l_total=(tm + tg) + tc)
     return total, breakdown

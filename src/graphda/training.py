@@ -7,9 +7,11 @@ the graph layer, and take an Adam step on
 
     L = L_mmd(phi_s, phi_t) + L_g(f, labels) + L_ce(logits, labels)
 
-where labels are source ground truth plus current pseudo-labels.
-Target ground truth enters only as a read-only observer for the
-precision/accuracy and edge-quality columns; deleting it changes no
+where labels are source ground truth plus current pseudo-labels. An
+ablation that weights a term 0 never builds it, and the step scans the
+pair distances only if the graph or a weighted L_mmd's kernel median
+reads them. Target ground truth enters only as a read-only observer for
+the precision/accuracy and edge-quality columns; deleting it changes no
 parameter update. The refresh and the evaluation read the target
 probabilities of one ``Model.infer`` pass per weight state, so an
 epoch's evaluation and the next epoch's refresh share a pass.
@@ -24,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, backward, take_rows
+from .autodiff import Tensor, backward, slice_rows
 from .datasets import Dataset, TwoDomainSampler, _write_atomic, normalize, warp_image
 from .graphs import BatchGraph, build_graph, edge_stats, pair_distances, percentile_threshold
 from .losses import (
@@ -165,9 +167,12 @@ class EpochMetrics:
 class Adam:
     """Adam with coupled L2 decay: grad += wd * param before the moments.
 
-    beta1=0.9, beta2=0.999, eps=1e-8, bias correction on. One moment
-    slot pair per registered tensor; parameters with zero gradient and
-    zero decay stay bit-identical.
+    beta1=0.9, beta2=0.999, eps=1e-8, bias correction on. The moments
+    and a step's scratch are flat float64 arrays over all registered
+    tensors: a step is one run of in-place element-wise operations, in
+    the order of the per-parameter update, so its bits are that update's.
+    Each parameter's ``data`` then becomes its slice of a new flat array.
+    Parameters with zero gradient and zero decay stay bit-identical.
     """
 
     def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8,
@@ -182,8 +187,10 @@ class Adam:
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self._m = {n: np.zeros_like(p.data) for n, p in self.params}
-        self._v = {n: np.zeros_like(p.data) for n, p in self.params}
+        bounds = np.cumsum([0] + [p.data.size for _, p in self.params]).tolist()
+        self._spans = [(p, lo, hi) for (_, p), lo, hi in zip(self.params, bounds, bounds[1:])]
+        # moments, and scratch for the gathered parameters, gradients and temporaries
+        self._m, self._v, self._data, self._g, self._tmp = np.zeros((5, bounds[-1]))
 
     def zero_grad(self) -> None:
         for _, p in self.params:
@@ -194,17 +201,26 @@ class Adam:
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        for name, p in self.params:
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            m = self._m[name]
-            v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        data, g, tmp, m, v = self._data, self._g, self._tmp, self._m, self._v
+        for p, lo, hi in self._spans:
+            data[lo:hi] = p.data.ravel()
+            g[lo:hi] = 0.0 if p.grad is None else p.grad.ravel()
+        if self.weight_decay:
+            g += np.multiply(data, self.weight_decay, out=tmp)
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=tmp)
+        v *= self.beta2
+        tmp = np.multiply(g, 1.0 - self.beta2, out=tmp)
+        tmp *= g
+        v += tmp
+        update = np.divide(m, bc1, out=g)  # lr * m_hat / (sqrt(v_hat) + eps)
+        update *= self.lr
+        denom = np.sqrt(np.divide(v, bc2, out=tmp), out=tmp)
+        denom += self.eps
+        update /= denom
+        new = data - update
+        for p, lo, hi in self._spans:
+            p.data = new[lo:hi].reshape(p.data.shape)
 
 
 # -- evaluation ------------------------------------------------------------------
@@ -341,6 +357,7 @@ def train(
     adam = Adam(model.parameters(), lr=config.lr, weight_decay=config.weight_decay)
     sampler = TwoDomainSampler(source, target, config.batch_size, sampler_rng)
     half = config.batch_size // 2
+    w_mmd, w_g, w_ce = config.loss_weights
 
     run_dir = Path(run_dir) if run_dir is not None else None
     metrics_csv = steps_csv = None
@@ -393,8 +410,9 @@ def train(
                     labels[half:] = pseudo.labels[batch.ids[half:]]
 
                 phi = model.backbone_forward(Tensor(_augment_batch(batch.features, augment_rng)))
-                # one pair scan feeds the threshold, the graph and the kernel median
-                dists = pair_distances(phi.data)
+                # one pair scan feeds the threshold, the graph and the kernel median;
+                # it is made only when one of them is read
+                dists = pair_distances(phi.data) if config.use_gnn or w_mmd else None
                 graph = None
                 if config.use_gnn:
                     if config.threshold_percentile is None:
@@ -407,15 +425,20 @@ def train(
                     graph = (build_graph(phi.data, t_used, dists=dists) if t_used > 0 else
                              BatchGraph(num_nodes=len(batch), rows=(), cols=(), threshold=0.0))
                 f = model.gnn_forward(phi, graph)
-                logits, _ = model.classify(f)
-
-                kernels = KernelSpec.from_median_heuristic(
-                    phi.data, scales=config.kernel_scales, dists=dists)
-                l_mmd = mmd_loss(
-                    _take_block(phi, 0, half), _take_block(phi, half, len(batch)), kernels)
-                lg_input = f if config.lg_features == "gnn" else phi
-                l_g = feature_similarity_loss(lg_input, labels, config.margin)
-                l_ce = cross_entropy_loss(logits, labels)
+                # a zero-weight term is never built: total_loss reads None as 0.0.
+                # The logits come first, as the creation order fixes the order in
+                # which the CE and separation gradients land on f, and so its bits.
+                logits = model.classify(f)[0] if w_ce else None
+                l_mmd = l_g = None
+                if w_mmd:
+                    kernels = KernelSpec.from_median_heuristic(
+                        phi.data, scales=config.kernel_scales, dists=dists)
+                    l_mmd = mmd_loss(slice_rows(phi, 0, half), slice_rows(phi, half, len(batch)),
+                                     kernels)
+                if w_g:
+                    lg_input = f if config.lg_features == "gnn" else phi
+                    l_g = feature_similarity_loss(lg_input, labels, config.margin)
+                l_ce = cross_entropy_loss(logits, labels) if w_ce else None
                 total, breakdown = total_loss(l_mmd, l_g, l_ce, weights=config.loss_weights)
 
                 if not np.isfinite(breakdown.l_total):
@@ -474,10 +497,6 @@ def train(
             if csvf is not None:
                 csvf.close()
     return model, history
-
-
-def _take_block(phi: Tensor, lo: int, hi: int) -> Tensor:
-    return take_rows(phi, np.arange(lo, hi))
 
 
 def _dump_divergence(run_dir, epoch, step, breakdown, batch) -> None:

@@ -17,6 +17,7 @@ from graphda.autodiff import (
     pairwise_sqdist,
     pull_push,
     relu,
+    slice_rows,
     softmax,
     take_per_row,
     take_rows,
@@ -121,6 +122,22 @@ class TestBackward:
             y.zero_grad()
             y._accum(g, owned=True)
             assert y.grad is not g and y.grad.dtype == np.float64 and y.grad.shape == (2, 2)
+
+    def test_slice_rows_gradient_bits_equal_gather(self):
+        # the slice lands g as zeros + g, -0.0 included, as take_rows' scatter-add did
+        g = np.array([[-0.0, 1.5], [0.0, -0.0], [-2.25, 3.0]])
+        for first in (True, False):  # first gradient, and one added to an earlier one
+            grads = []
+            for op in (lambda x: slice_rows(x, 1, 4), lambda x: take_rows(x, np.arange(1, 4))):
+                x = t(np.arange(10.0).reshape(5, 2))
+                out = op(x)
+                assert np.array_equal(out.data, x.data[1:4])
+                if not first:
+                    x._accum(np.full((5, 2), -0.0))
+                out._accum(g.copy(), owned=True)
+                out._backward(out.grad)
+                grads.append(x.grad.view(np.int64))
+            assert np.array_equal(*grads)
 
     def test_three_layer_composition_vs_central_differences(self):
         rng = np.random.default_rng(7)
@@ -236,6 +253,7 @@ OP_CASES = {
     "mean_axis": ((2, 3, 2, 2), _weighted(lambda rng: _rand(rng, (2, 3)), lambda x, c: (x.mean(axis=(2, 3)) * c).sum())),
     "reshape": ((3, 4), _weighted(lambda rng: _rand(rng, (6, 2)), lambda x, c: (x.reshape((6, 2)) * c).sum())),
     "transpose": ((3, 4), _weighted(lambda rng: _rand(rng, (4, 3)), lambda x, c: (x.transpose((1, 0)) * c).sum())),
+    "slice_rows": ((5, 3), _weighted(lambda rng: _rand(rng, (3, 3)), lambda x, c: (slice_rows(x, 1, 4) * c).sum())),
     "take_rows": ((3, 4), _weighted(lambda rng: _rand(rng, (3, 4)), lambda x, c: (take_rows(x, [2, 0, 2]) * c).sum())),
     "take_per_row": ((3, 4), _weighted(lambda rng: _rand(rng, (3,)), lambda x, c: (take_per_row(x, [1, 0, 2]) * c).sum())),
     "softmax": ((3, 5), _weighted(lambda rng: _rand(rng, (3, 5)), lambda x, c: (softmax(x) * c).sum())),

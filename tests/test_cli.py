@@ -288,6 +288,19 @@ def test_bad_config_file_is_usage_error(data_dir, tmp_path, line, capsys):
     assert "bad.cfg:1" in capsys.readouterr().err
 
 
+def test_repeated_config_key_is_usage_error(data_dir, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epochs=1\n# the same key again, most likely an editing slip\nepochs=3\n")
+    out = tmp_path / "x"
+    code = main(["train", "--source", str(data_dir / "source.hda"),
+                 "--target", str(data_dir / "target.hda"),
+                 "--out", str(out), "--config", str(cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:3: " in err and f"repeats {cfg}:1" in err and "epochs" in err
+    assert not out.exists()
+
+
 def test_non_utf8_config_is_usage_error(data_dir, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_bytes(b"\xff\xfeepochs=1\n")

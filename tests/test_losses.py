@@ -266,6 +266,18 @@ class TestTotalLoss:
         assert tot.item() == 3.0
         assert (bd.l_mmd, bd.l_g, bd.l_ce) == (0.0, 2.0, 1.0)
 
+    def test_unbuilt_term_reads_zero_and_adds_nothing(self):
+        tot, bd = total_loss(None, None, t(0.5), weights=(0.0, 0.0, 2.0))
+        assert tot.item() == 1.0 and bd == LossBreakdown(0.0, 0.0, 1.0, 1.0)
+        assert repr(bd.l_mmd) == repr(bd.l_g) == "0.0"
+        _, bd = total_loss(t(-1e-17), None, t(0.5), weights=(0.0, 0.0, 1.0))
+        assert repr(bd.l_mmd) == "-0.0"  # a built term keeps its own bits, weight 0 or not
+        _, bd = total_loss(t(float("nan")), None, t(0.5), weights=(0.0, 0.0, 1.0))
+        assert math.isnan(bd.l_total)  # only a term that is not built cannot diverge
+        tot, bd = total_loss(None, None, None)
+        assert tot.item() == 0.0 and bd == LossBreakdown(0.0, 0.0, 0.0, 0.0)
+        backward(tot)  # a weight-decay-only step still has a total to differentiate
+
     def test_gradient_is_sum_of_term_gradients(self):
         rng = np.random.default_rng(29)
         x0 = rng.normal(size=(4, 2)) * 0.4

@@ -102,6 +102,44 @@ def test_adam_matches_reference_over_steps():
         assert np.allclose(p.data, ref, rtol=1e-12, atol=1e-14)
 
 
+def _adam_per_parameter_step(params, state, t, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
+    """The per-parameter Adam loop, frozen as the bit reference of the flat step."""
+    bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    for name, p in params:
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        if wd:
+            g = g + wd * p.data
+        m, v = state[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+@pytest.mark.parametrize("wd", [0.0, 1e-3])
+def test_adam_flat_step_bit_equal_to_per_parameter_loop(wd):
+    rng = np.random.default_rng(4)
+    shapes = {"w": (4, 3), "b": (3,), "s": (), "no_grad": (2, 2)}
+    init = {n: rng.normal(size=shape) for n, shape in shapes.items()}
+    init["w"][0, :2] = (0.0, -0.0)
+    flat = [(n, Tensor(x.copy())) for n, x in init.items()]
+    ref = [(n, Tensor(x.copy())) for n, x in init.items()]
+    state = {n: (np.zeros(shape), np.zeros(shape)) for n, shape in shapes.items()}
+    opt = Adam(flat, lr=0.01, weight_decay=wd)
+    for step in range(1, 10):
+        for (n, p), (_, q) in zip(flat, ref):
+            g = None if n == "no_grad" else rng.normal(size=shapes[n]) * (step % 3 != 0)
+            if g is not None and g.ndim:
+                g.flat[0] = -0.0
+            p.grad = q.grad = g
+        opt.step()
+        _adam_per_parameter_step(ref, state, step, 0.01, wd)
+        for (n, p), (_, q) in zip(flat, ref):
+            assert p.data.shape == q.data.shape, n
+            assert np.array_equal(p.data.view(np.int64), q.data.view(np.int64)), (n, step)
+
+
 def test_adam_state_is_per_parameter():
     a, b = Tensor(np.array(1.0)), Tensor(np.array(1.0))
     opt = Adam([("a", a), ("b", b)], lr=0.001)
@@ -358,10 +396,20 @@ def test_no_gnn_flag_disables_graph(tmp_path):
     assert any(h.edges_right + h.edges_wrong > 0 for h in hist_g)
 
 
-def test_one_pair_scan_per_step(monkeypatch):
+FLOOR = dict(use_gnn=False, use_pseudo=False, loss_weights=(0.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("arm, scans", [
+    # full: the threshold, the graph and the kernel median share one scan
+    pytest.param(dict(), 1, id="full"),
+    pytest.param(FLOOR, 0, id="floor"),
+    pytest.param(dict(use_gnn=False, loss_weights=(0.0, 1.0, 1.0)), 0, id="no-gnn-no-mmd"),
+    # the kernel median reads it
+    pytest.param(dict(use_gnn=False, loss_weights=(1.0, 0.0, 1.0)), 1, id="no-gnn-no-g"),
+])
+def test_one_pair_scan_per_step(monkeypatch, arm, scans):
     import graphda.graphs
     import graphda.losses
-    import graphda.training
 
     calls = []
     real = graphda.graphs.pair_distances
@@ -373,9 +421,35 @@ def test_one_pair_scan_per_step(monkeypatch):
     for mod in (graphda.graphs, graphda.losses, graphda.training):
         monkeypatch.setattr(mod, "pair_distances", counting)
     src, tgt, _ = shift_data(seed=10)  # 40 per domain: one 80-sample step per epoch
-    _, hist = train(tiny_cfg(epochs=1, batch_size=80), src, tgt)
-    assert len(calls) == 1
-    assert hist[0].edges_unknown > 0  # the graph was built
+    _, hist = train(tiny_cfg(epochs=1, batch_size=80, **arm), src, tgt)
+    assert len(calls) == scans
+    assert (hist[0].edges_unknown > 0) == arm.get("use_gnn", True)  # the graph was built
+
+
+def test_floor_arm_builds_no_zero_weight_term(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a zero-weight loss term was built")
+
+    monkeypatch.setattr(graphda.training, "mmd_loss", refuse)
+    monkeypatch.setattr(graphda.training, "feature_similarity_loss", refuse)
+    src, tgt, ev = shift_data(seed=17)
+    _, hist = train(tiny_cfg(**FLOOR), src, tgt, eval_labels=ev)
+    assert len(hist) == 2 and all(np.isfinite(h.l_ce) and h.l_ce > 0 for h in hist)
+
+
+@pytest.mark.parametrize("w_mmd", [1.0, 0.0])
+def test_nan_alignment_term_diverges_only_when_weighted(monkeypatch, tmp_path, w_mmd):
+    # weight 0 used to build the term and multiply it by 0, and NaN * 0 aborted the run
+    monkeypatch.setattr(graphda.training, "mmd_loss", lambda *args: Tensor(float("nan")))
+    src, tgt, ev = shift_data(seed=17)
+    cfg = tiny_cfg(loss_weights=(w_mmd, 1.0, 1.0))
+    if w_mmd:
+        with pytest.raises(DivergenceError, match="mmd=nan"):
+            train(cfg, src, tgt, eval_labels=ev, run_dir=tmp_path)
+        assert (tmp_path / "divergence.txt").exists()
+    else:
+        _, hist = train(cfg, src, tgt, eval_labels=ev, run_dir=tmp_path)
+        assert all(h.l_mmd == 0.0 and np.isfinite(h.l_total) for h in hist)
 
 
 def test_fixed_threshold_mode_runs():
@@ -417,11 +491,28 @@ def test_one_target_pass_per_weight_state(monkeypatch):
 
 def test_loss_weights_zero_out_terms(tmp_path):
     src, tgt, ev = shift_data(seed=17)
-    cfg = tiny_cfg(loss_weights=(0.0, 0.0, 1.0), use_gnn=False, use_pseudo=False)
-    _, hist = train(cfg, src, tgt, eval_labels=ev, run_dir=tmp_path)
+    _, hist = train(tiny_cfg(**FLOOR), src, tgt, eval_labels=ev, run_dir=tmp_path)
     for h in hist:
         assert h.l_mmd == 0.0 and h.l_g == 0.0
         assert h.l_total == h.l_ce
+    for name, first in (("steps.csv", 1), ("metrics.csv", 3)):
+        rows = [r.split(",") for r in read_lines(tmp_path / name)[1:]]
+        assert rows and all(r[first:first + 2] == ["0.0", "0.0"] for r in rows), name
+
+
+def test_all_zero_weights_leave_weight_decay_steps(tmp_path):
+    src, tgt, ev = shift_data(seed=17)
+    norms = []
+    for wd, run in ((0.1, tmp_path / "decay"), (0.0, tmp_path / "still")):
+        model, hist = train(tiny_cfg(loss_weights=(0.0, 0.0, 0.0), weight_decay=wd), src, tgt,
+                            eval_labels=ev, run_dir=run)
+        assert len(hist) == 2
+        steps = [r.split(",") for r in read_lines(run / "steps.csv")[1:]]
+        assert steps and all(r[1:5] == ["0.0"] * 4 for r in steps)
+        metrics = [r.split(",") for r in read_lines(run / "metrics.csv")[1:]]
+        assert all(np.isfinite(float(v)) for r in metrics for v in r)
+        norms.append(sum(float(np.sum(p.data ** 2)) for _, p in model.parameters()))
+    assert norms[0] < norms[1]  # only the decay moved the weights
 
 
 def test_train_rejects_mismatched_domains():
