@@ -111,9 +111,6 @@ class Tensor:
         else:
             self.grad += g
 
-    def backward(self) -> None:
-        backward(self)
-
     # -- operator sugar --------------------------------------------------------
 
     def __add__(self, other):

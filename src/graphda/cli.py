@@ -37,7 +37,8 @@ from .datasets import (
     write_dataset,
     write_label_file,
 )
-from .graphs import EdgeStats, build_graph, edge_stats, pair_distances, percentile_threshold
+from .graphs import (EdgeStats, build_graph, edge_stats, pair_distances, percentile_threshold,
+                     row_cuts)
 from .model import Model, config_from_tensors, load_checkpoint
 from .pseudo import _check_epsilon, assign_pseudo_labels
 from .training import (
@@ -377,6 +378,27 @@ def cmd_eval(args) -> int:
     return 0
 
 
+_AUDIT_PAIRS = 2 ** 15  # pairs per row range of the pooled audit: about 1 MB of edge arrays
+
+
+def _audit_pooled(phi: np.ndarray, audit: np.ndarray, threshold, percentile) -> EdgeStats:
+    """Edge counts of the pooled graph at the fixed ``threshold``, or at the
+    ``percentile`` of its distances when that is not None. Beyond the
+    condensed distance vector, memory stays bounded: the percentile is a
+    selection, and the graph is built and audited one row range of about
+    _AUDIT_PAIRS pairs at a time."""
+    dists = pair_distances(phi)
+    if percentile is not None:
+        threshold = percentile_threshold(phi, percentile, dists=dists)
+    stats = EdgeStats(right=0, wrong=0, unknown=0)
+    if threshold > 0:
+        cuts = row_cuts(len(phi), -(-dists.size // _AUDIT_PAIRS))
+        for first, stop in zip(cuts, cuts[1:]):
+            stats += edge_stats(build_graph(phi, threshold, dists=dists, first=first, stop=stop),
+                                audit)
+    return stats
+
+
 def cmd_export(args) -> int:
     blob = load_checkpoint(args.checkpoint)
     model = Model.from_state(config_from_tensors(blob), blob)
@@ -409,19 +431,11 @@ def cmd_export(args) -> int:
 
     # Pooled graph at the stored threshold, audited against source truth
     # plus the eval sidecar when provided (-1 rows count as unknown).
-    dists = pair_distances(phi)
-    if meta.percentile is None:
-        threshold = meta.threshold
-    else:
-        threshold = percentile_threshold(phi, meta.percentile, dists=dists)
     audit = np.concatenate([
         source.labels,
         eval_labels if eval_labels is not None else np.full(len(target), -1, dtype=np.int64),
     ])
-    if threshold > 0:
-        stats = edge_stats(build_graph(phi, threshold, dists=dists), audit)
-    else:
-        stats = EdgeStats(right=0, wrong=0, unknown=0)
+    stats = _audit_pooled(phi, audit, meta.threshold, meta.percentile)
     edges_path = out / f"edges_epoch{epoch:03d}.csv"
     _write_atomic(edges_path, "epoch,right,wrong,unknown,total\n"
                   f"{epoch},{stats.right},{stats.wrong},{stats.unknown},{stats.total}\n".encode())

@@ -9,11 +9,13 @@ import dataclasses
 import json
 import pathlib
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from graphda import cli
 from graphda.cli import (
     _RETIRED_KEYS,
     _build_parser,
@@ -30,6 +32,7 @@ from graphda.datasets import (
     write_dataset,
     write_label_file,
 )
+from graphda.graphs import build_graph, edge_stats, percentile_threshold
 from graphda.model import Model, load_checkpoint, save_checkpoint
 from graphda.pseudo import PseudoState, write_pseudo_csv
 from graphda.training import TrainConfig
@@ -595,6 +598,43 @@ def test_export_layout_and_determinism(run_dir, data_dir, tmp_path):
 
     for name in (emb.name, edges.name):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+
+
+def test_export_audit_ranges_change_no_count(run_dir, data_dir, tmp_path, monkeypatch):
+    args = ["export", "--checkpoint", str(run_dir / "checkpoint_final.hdap"),
+            "--source", str(data_dir / "source.hda"), "--target", str(data_dir / "target.hda")]
+    assert main(args + ["--out", str(tmp_path / "whole")]) == 0
+    ranges = []
+    build = cli.build_graph
+    monkeypatch.setattr(cli, "build_graph", lambda *a, **kw: (
+        ranges.append((kw["first"], kw["stop"])), build(*a, **kw))[1])
+    monkeypatch.setattr(cli, "_AUDIT_PAIRS", 50)  # 7140 pairs of 120 rows: 143 ranges
+    assert main(args + ["--out", str(tmp_path / "ranged")]) == 0
+    assert len(ranges) == 143 and ranges[0][0] == 0 and ranges[-1][1] == 119
+    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+    for name in ("edges_epoch002.csv", "embeddings_epoch002.csv"):
+        assert ((tmp_path / "whole" / name).read_bytes()
+                == (tmp_path / "ranged" / name).read_bytes()), name
+
+
+@pytest.mark.parametrize("percentile", [50.0, 90.0])
+def test_pooled_audit_memory_is_bounded(percentile):
+    # beyond the condensed vector of 1500 rows, the stage needs a small fraction
+    # of it; a copy for np.percentile, or the whole graph's index arrays, is 1x to 2x
+    rng = np.random.default_rng(71)
+    phi = rng.normal(size=(1500, 16))
+    audit = rng.integers(-1, 2, size=1500)
+    vector = 8 * 1500 * 1499 // 2
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        stats = cli._audit_pooled(phi, audit, None, percentile)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    graph = build_graph(phi, percentile_threshold(phi, percentile))
+    assert stats == edge_stats(graph, audit)
+    assert peak - vector < 0.2 * vector
 
 
 def test_export_without_sidecar_counts_unknown(run_dir, data_dir, tmp_path):

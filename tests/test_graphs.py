@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,13 @@ def _oracle_edges(x, threshold):
             if d < threshold:
                 out.add((i, j))
     return out
+
+
+def _pct(d, p):
+    """percentile_threshold of a given condensed vector ``d``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a zero percentile warns
+        return percentile_threshold(np.zeros((2, 1)), p, dists=d)
 
 
 class TestBuildGraph:
@@ -123,6 +131,45 @@ class TestBuildGraph:
         g = build_graph(phi, threshold=10.0)
         assert _edges(g) == tuple((i, j) for i in range(n) for j in range(i + 1, n))
         assert g.rows.dtype == g.cols.dtype == np.int64
+
+    def test_row_ranges_hold_every_edge_once(self):
+        # integer grid points: many distances tie, and the thresholds sit on them
+        for seed, (n, parts) in enumerate([(40, 1), (40, 3), (40, 7), (61, 5), (9, 40), (2, 2)]):
+            rng = np.random.default_rng(600 + seed)
+            phi = rng.integers(0, 4, size=(n, 2)).astype(float)
+            dists = pair_distances(phi)
+            labels = rng.integers(-1, 3, size=n)
+            cuts = graphs.row_cuts(n, parts)
+            assert cuts[0] == 0 and cuts[-1] == n - 1 and cuts == sorted(cuts)
+            for t in (percentile_threshold(phi, 50), 2.0, 1e9):
+                whole = build_graph(phi, t)
+                assert n < 9 or t == 1e9 or np.count_nonzero(dists == t) > 1
+                assert set(_edges(whole)) == _oracle_edges(phi.tolist(), t)
+                assert _edges(build_graph(phi, t, dists=dists, first=0, stop=n - 1)) == _edges(whole)
+                ranged = [build_graph(phi, t, dists=dists, first=a, stop=b)
+                          for a, b in zip(cuts, cuts[1:])]
+                assert sum((_edges(g) for g in ranged), ()) == _edges(whole)
+                for (a, b), g in zip(zip(cuts, cuts[1:]), ranged):
+                    assert g.num_nodes == n and all(a <= i < b for i in g.rows.tolist())
+                assert (sum((edge_stats(g, labels) for g in ranged), EdgeStats(0, 0, 0))
+                        == edge_stats(whole, labels))
+
+    def test_row_cuts_split_pairs_evenly(self):
+        for n in range(0, 30):
+            pairs = n * (n - 1) // 2
+            for parts in range(0, 6):
+                cuts = graphs.row_cuts(n, parts)
+                assert len(cuts) == parts + 1 and cuts[0] == 0
+                assert cuts[-1] == (max(n - 1, 0) if parts else 0)
+                for k, (a, b) in enumerate(zip(cuts, cuts[1:])):
+                    got = graphs._row_offset(n, b) - graphs._row_offset(n, a)
+                    assert got <= pairs * (k + 1) // parts - pairs * k // parts + max(n - 1, 0)
+
+    def test_rejects_a_range_outside_the_rows(self):
+        phi = np.zeros((5, 2))
+        for first, stop in [(-1, 2), (3, 2), (0, 5)]:
+            with pytest.raises(ValueError, match="row range"):
+                build_graph(phi, 1.0, first=first, stop=stop)
 
     def test_adjacency_matrix(self):
         rng = np.random.default_rng(5)
@@ -303,13 +350,55 @@ class TestPercentileThreshold:
     def test_matches_numpy_percentile_of_oracle_distances(self):
         rng = np.random.default_rng(21)
         phi = rng.normal(size=(12, 3))
+        x = phi.tolist()
         ds = [
-            np.linalg.norm(phi[i] - phi[j])
+            math.sqrt(sum((a - b) ** 2 for a, b in zip(x[i], x[j])))
             for i in range(12)
             for j in range(i + 1, 12)
         ]
         got = percentile_threshold(phi, 37.5)
-        assert got == pytest.approx(float(np.percentile(ds, 37.5)), rel=1e-12)
+        assert got == float(np.percentile(ds, 37.5))
+
+    @pytest.mark.parametrize("copy_values", [None, 0])
+    def test_bits_equal_numpy_percentile(self, monkeypatch, copy_values):
+        # copy_values=0 sends even the smallest vectors through the sampled selection
+        if copy_values is not None:
+            monkeypatch.setattr(graphs, "_COPY_VALUES", copy_values)
+        rng = np.random.default_rng(61)
+        big = graphs._COPY_VALUES + 1 if copy_values is None else 5000
+        for n in (1, 2, 3, 17, 1000, big, 3 * big + 7):
+            for d in (rng.random(n), rng.integers(0, 6, size=n).astype(float),
+                      np.sort(rng.exponential(size=n))):
+                for p in (0, 100, 50, 37.5, float(rng.uniform(0, 100))):
+                    assert _pct(d, p) == float(np.percentile(d, p)), (n, p)
+        # a weight t >= 0.5 measures back from the upper value: a + (b - a) * t
+        # would land one ulp off numpy here
+        for (a, b), p in (((1.0, 10.0), 80.0), ((0.1, 3.7), 60.0)):
+            assert a + (b - a) * (p / 100) != np.percentile([b, a], p)
+            assert _pct(np.array([b, a]), p) == float(np.percentile([b, a], p))
+        d = rng.random(big)
+        d[big // 3] = np.nan
+        for d in (d, np.array([1.0, np.nan, 2.0])):
+            for p in (0, 50, 100):
+                assert math.isnan(_pct(d, p)) and math.isnan(np.percentile(d, p))
+
+    def test_bracket_miss_widens_to_the_exact_value(self, monkeypatch):
+        # with no margin the sampled bracket is about one sample rank wide and
+        # misses most ranks; the widened passes must still land on numpy's bits
+        passes = []
+        scan = graphs._bracket_pass
+        monkeypatch.setattr(graphs, "_bracket_pass", lambda *a: (passes.append(a[1:]), scan(*a))[1])
+        monkeypatch.setattr(graphs, "_MARGIN", 0.0)
+        rng = np.random.default_rng(62)
+        d = rng.random(graphs._COPY_VALUES * 2)
+        ps = (0, 1, 37.5, 50, 63.2, 99, 100)
+        for p in ps:
+            assert _pct(d, p) == float(np.percentile(d, p)), p
+        assert len(passes) > len(ps)
+        assert (-math.inf, math.inf) not in passes  # no rank needed the whole vector
+        d = rng.integers(0, 3, size=graphs._COPY_VALUES * 2).astype(float)  # ties at both ends
+        for p in ps:
+            assert _pct(d, p) == float(np.percentile(d, p)), p
 
 
 def test_graph_types_are_immutable():
