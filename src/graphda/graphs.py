@@ -99,7 +99,6 @@ class EdgeStats:
 
 _SCAN_VALUES = 2 ** 15  # values per scan buffer (256 KB), before the n - 1 row floor
 _SPLIT_PAIRS = 2 ** 17  # pairs per range; a scan splits from two ranges' worth
-_COPY_VALUES = 2 ** 16  # a percentile of at most this many values partitions a copy
 _MARGIN = 0.5  # the sample bracket's half-width, in units of sqrt(m ln n) sample ranks
 
 
@@ -208,10 +207,10 @@ def build_graph(phi, threshold: float, dists=None, first: int = 0, stop=None) ->
     lo = _row_offset(n, first)
     d = (pair_distances(x) if dists is None else dists)[lo:_row_offset(n, stop)]
     k = np.flatnonzero(d < threshold)
-    i = np.arange(stop, dtype=np.int64)
+    i = np.arange(first, stop, dtype=np.int64)
     starts = _row_offset(n, i) - lo  # where row i's pairs start, counted from the range's start
-    rows = np.repeat(i[first:], np.diff(np.searchsorted(k, starts[first:]), append=k.size))
-    cols = k - starts[rows] + rows + 1
+    rows = np.repeat(i, np.diff(np.searchsorted(k, starts), append=k.size))
+    cols = k - starts[rows - first] + rows + 1
     return BatchGraph(num_nodes=n, rows=rows, cols=cols, threshold=float(threshold))
 
 
@@ -271,10 +270,9 @@ def _select(d: np.ndarray, ranks: list):
     or None when ``d`` holds a NaN (numpy sorts NaN last, so a NaN makes
     any percentile NaN).
 
-    Up to _COPY_VALUES values this partitions a copy. Beyond that it
-    never copies ``d`` (Floyd & Rivest, CACM 18(3), 1975): a sorted sample
-    of every s-th value, s about n^(1/3), brackets the ranks between two
-    sample values lo <= hi, _MARGIN * sqrt(m ln n) sample ranks beyond
+    It never copies ``d`` (Floyd & Rivest, CACM 18(3), 1975): a sorted
+    sample of every s-th value, s about n^(1/3), brackets the ranks between
+    two sample values lo <= hi, _MARGIN * sqrt(m ln n) sample ranks beyond
     them for m sampled values; one ``_bracket_pass`` counts the values
     below, at and above both ends and gathers the few strictly between
     them, and only those are partitioned. When the bracket misses a rank,
@@ -282,9 +280,6 @@ def _select(d: np.ndarray, ranks: list):
     way to -inf and inf, so the answer is always exact.
     """
     n = d.size
-    if n <= _COPY_VALUES:
-        part = np.partition(d, sorted({*ranks, n - 1}))
-        return None if np.isnan(part[-1]) else [part[r] for r in ranks]
     sample = np.sort(d[::math.ceil(n ** (1 / 3))])
     if np.isnan(sample[-1]):
         return None

@@ -359,13 +359,9 @@ class TestPercentileThreshold:
         got = percentile_threshold(phi, 37.5)
         assert got == float(np.percentile(ds, 37.5))
 
-    @pytest.mark.parametrize("copy_values", [None, 0])
-    def test_bits_equal_numpy_percentile(self, monkeypatch, copy_values):
-        # copy_values=0 sends even the smallest vectors through the sampled selection
-        if copy_values is not None:
-            monkeypatch.setattr(graphs, "_COPY_VALUES", copy_values)
+    def test_bits_equal_numpy_percentile(self):
         rng = np.random.default_rng(61)
-        big = graphs._COPY_VALUES + 1 if copy_values is None else 5000
+        big = graphs._SCAN_VALUES + 1  # the counting pass reads two chunks
         for n in (1, 2, 3, 17, 1000, big, 3 * big + 7):
             for d in (rng.random(n), rng.integers(0, 6, size=n).astype(float),
                       np.sort(rng.exponential(size=n))):
@@ -390,13 +386,13 @@ class TestPercentileThreshold:
         monkeypatch.setattr(graphs, "_bracket_pass", lambda *a: (passes.append(a[1:]), scan(*a))[1])
         monkeypatch.setattr(graphs, "_MARGIN", 0.0)
         rng = np.random.default_rng(62)
-        d = rng.random(graphs._COPY_VALUES * 2)
+        d = rng.random(4 * graphs._SCAN_VALUES)
         ps = (0, 1, 37.5, 50, 63.2, 99, 100)
         for p in ps:
             assert _pct(d, p) == float(np.percentile(d, p)), p
         assert len(passes) > len(ps)
         assert (-math.inf, math.inf) not in passes  # no rank needed the whole vector
-        d = rng.integers(0, 3, size=graphs._COPY_VALUES * 2).astype(float)  # ties at both ends
+        d = rng.integers(0, 3, size=4 * graphs._SCAN_VALUES).astype(float)  # ties at both ends
         for p in ps:
             assert _pct(d, p) == float(np.percentile(d, p)), p
 
