@@ -3,9 +3,12 @@
 The :class:`Tensor` wraps an ndarray together with a lazily allocated
 gradient buffer and links into a dynamically built computation trace.
 Every operation records a backward closure on its output; calling
-:func:`backward` on a scalar walks the trace in reverse creation order,
-accumulates gradients additively across fan-out, and then frees the trace
-so the next forward pass starts clean.
+:func:`backward` on a scalar walks the trace in reverse creation order and
+accumulates gradients additively across fan-out. Each node is freed as soon
+as its closure has run: its links and closure are dropped and, unless it is
+a leaf, so is its gradient, so an activation or gradient lives only until
+the last closure that reads it finishes. Leaves keep their gradients. Under
+:func:`no_trace` the same ops record no trace at all.
 
 Only the operations the models and losses in this package need are
 provided: elementwise arithmetic with broadcasting, matrix products,
@@ -21,6 +24,7 @@ precision by default.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -52,6 +56,20 @@ class ShapeError(ValueError):
 
 
 _node_ids = itertools.count()
+_tracing = True
+
+
+@contextlib.contextmanager
+def no_trace():
+    """Run ops without recording a trace, for passes nothing differentiates:
+    results get no parents and no closure, so each intermediate array is
+    freed as soon as the forward pass drops it."""
+    global _tracing
+    before, _tracing = _tracing, False
+    try:
+        yield
+    finally:
+        _tracing = before
 
 
 class Tensor:
@@ -150,8 +168,9 @@ class Tensor:
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], bw: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(data, dtype=data.dtype)
-    out._parents = parents
-    out._backward = bw
+    if _tracing:
+        out._parents = parents
+        out._backward = bw
     return out
 
 
@@ -433,12 +452,11 @@ def im2col(a: Tensor, kh: int, kw: int, padding: int = 0) -> Tensor:
     data = win.reshape(bsz * oh * ow, c * kh * kw)
 
     def bw(g):
-        # (kh, kw, B, oh, ow, c): each shifted add reads one contiguous block
-        gk = g.reshape(bsz, oh, ow, c, kh, kw).transpose(4, 5, 0, 1, 2, 3).copy()
+        gk = g.reshape(bsz, oh, ow, c, kh, kw)
         gx = np.zeros_like(xp)
         for i in reversed(range(kh)):
             for j in reversed(range(kw)):
-                gx[:, i:i + oh, j:j + ow] += gk[i, j]
+                gx[:, i:i + oh, j:j + ow] += gk[..., i, j]
         a._accum(gx[:, p:p + h, p:p + w], owned=True)
 
     return _result(data, (a,), bw)
@@ -451,8 +469,11 @@ def backward(loss: Tensor) -> None:
     """Populate gradients of ``loss`` w.r.t. every tensor it was computed from.
 
     ``loss`` must be a scalar.  The reachable trace is visited once in
-    reverse creation order and freed afterwards, so tensors can be reused
-    as leaves in later forward passes.
+    reverse creation order. Each node is freed as it finishes: once its
+    closure has run, its parents and closure are dropped and, unless it is a
+    leaf (a tensor with no parents), its gradient too, so non-leaf gradients
+    are not kept. Leaves keep their gradients and can be reused in later
+    forward passes.
     """
     if loss.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -466,11 +487,14 @@ def backward(loss: Tensor) -> None:
         seen.add(id(t))
         nodes.append(t)
         stack.extend(t._parents)
-    nodes.sort(key=lambda t: -t.node_id)
+    nodes.sort(key=lambda t: t.node_id)
     loss._accum(np.ones_like(loss.data), owned=True)
-    for t in nodes:
+    while nodes:  # popped newest first: the walk holds no node it has finished
+        t = nodes.pop()
         if t._backward is not None and t.grad is not None:
             t._backward(t.grad)
+        if t._parents:
+            t.grad = None
         t._parents = ()
         t._backward = None
 

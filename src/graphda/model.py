@@ -25,6 +25,7 @@ from .autodiff import (
     add,
     im2col,
     matmul,
+    no_trace,
     relu,
     softmax,
 )
@@ -154,7 +155,7 @@ class Model:
 
     def chunks(self, n: int, chunk: int | None = None) -> list:
         """Row slices for inference over ``n`` rows; by default each holds at
-        most 2**14 input values, which bounds the memory of a chunk's trace."""
+        most 2**14 input values, which bounds the memory of a chunk's activations."""
         step = chunk or max(1, 2 ** 14 // math.prod(self.config.input_dims))
         return [slice(lo, lo + step) for lo in range(0, n, step)]
 
@@ -200,17 +201,16 @@ class Model:
         """Graph-free inference over any number of rows: the (N, phi_dim)
         backbone features and the (N, m) class probabilities as float64
         arrays. Rows run in ``chunks`` only to bound memory; the
-        graph-free path never mixes one row into another."""
+        graph-free path never mixes one row into another. The same forward
+        passes as training run under ``no_trace``, so no chunk builds a trace."""
         x = np.asarray(features, dtype=np.float64)
         phi = [np.empty((0, self.config.phi_dim))]
         probs = [np.empty((0, self.config.num_classes))]
-        for rows in self.chunks(x.shape[0], chunk):
-            p = self.backbone_forward(x[rows])
-            phi.append(p.data)
-            probs.append(self.classify(self.gnn_forward(p, None))[1].data)
-            # one chunk's trace alive at a time: keeping the previous one made
-            # a 512-image pass about a third slower on a 2-vCPU OpenBLAS host
-            del p
+        with no_trace():
+            for rows in self.chunks(x.shape[0], chunk):
+                p = self.backbone_forward(x[rows])
+                phi.append(p.data)
+                probs.append(self.classify(self.gnn_forward(p, None))[1].data)
         return np.concatenate(phi), np.concatenate(probs)
 
     # -- parameter state -------------------------------------------------------
@@ -235,7 +235,9 @@ class Model:
 
     @classmethod
     def from_state(cls, config: ModelConfig, tensors: dict) -> "Model":
-        model = cls.init(config, np.random.default_rng(0))
+        """A model holding ``tensors``; zero buffers stand in until they load."""
+        model = cls(config, {name: Tensor(np.zeros(shape))
+                             for name, shape, _ in _param_shapes(config)})
         model.load_state(tensors)
         return model
 

@@ -159,6 +159,22 @@ class TestInfer:
         assert np.array_equal(phi.data, phi_inf)
         assert np.array_equal(probs.data, probs_inf)
 
+    @pytest.mark.parametrize("dims", [(3,), (2, 6, 6)])
+    def test_bit_equal_to_traced_pass(self, dims):
+        cfg = ModelConfig(input_dims=dims, num_classes=3, hidden=5, phi_dim=4,
+                          backbone_hidden=4, conv_channels=(3, 4))
+        model = Model.init(cfg, np.random.default_rng(19))
+        x = np.random.default_rng(20).normal(size=(20, *dims))
+        phi, probs = [], []
+        for rows in model.chunks(20, 7):
+            p = model.backbone_forward(x[rows])
+            f = model.gnn_forward(p, None)
+            phi.append(p.data)
+            probs.append(model.classify(f)[1].data)
+            assert p._parents and f._parents  # the reference pass is traced
+        for got, want in zip(model.infer(x, 7), (np.concatenate(phi), np.concatenate(probs))):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_independent_of_batch_composition(self):
         model = _small_model(seed=17)
         x = np.random.default_rng(18).normal(size=(5, 3))

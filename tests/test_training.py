@@ -642,27 +642,37 @@ def test_augment_batch_is_one_warp_equal_to_per_image_loop(monkeypatch):
 
 def _first_step(monkeypatch, config, source, target):
     """Train with ``backward`` wrapped; returns the node count of the first step's
-    trace and the pairs of its arrays that share memory with a gradient."""
+    trace and the pairs of its arrays that share memory with a gradient. Each
+    gradient is recorded as it lands, because ``backward`` frees the non-leaf
+    ones, and the records keep every checked array alive."""
     seen = []
-    real = graphda.training.backward
+    real, accum = graphda.training.backward, Tensor._accum
 
     def wrapped(loss):
-        if not seen:
-            nodes, stack = {}, [loss]
-            while stack:
-                node = stack.pop()
-                if id(node) not in nodes:
-                    nodes[id(node)] = node
-                    stack.extend(node._parents)
+        if seen:
+            return real(loss)
+        nodes, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node._parents)
+        grads = {}
+
+        def landing(self, g, owned=False):
+            accum(self, g, owned)
+            grads[id(self)] = self.grad
+
+        with monkeypatch.context() as m:
+            m.setattr(Tensor, "_accum", landing)
             real(loss)
-            nodes = list(nodes.values())
-            shared = [(i, j, what) for i, a in enumerate(nodes) if a.grad is not None
-                      for j, b in enumerate(nodes) for what in ("data", "grad")
-                      if (what == "data" or i != j) and getattr(b, what) is not None
-                      and np.shares_memory(a.grad, getattr(b, what))]
-            seen.append((len(nodes), shared))
-        else:
-            real(loss)
+        assert grads.keys() == nodes.keys()  # every node's gradient landed and is checked
+        arrays = [(n.data, grads[k]) for k, n in nodes.items()]
+        shared = [(i, j, what) for i, (_, ga) in enumerate(arrays)
+                  for j, (data, grad) in enumerate(arrays)
+                  for what, b in (("data", data), ("grad", grad))
+                  if (what == "data" or i != j) and np.shares_memory(ga, b)]
+        seen.append((len(nodes), shared))
 
     monkeypatch.setattr(graphda.training, "backward", wrapped)
     train(config, source, target)
