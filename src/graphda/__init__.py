@@ -9,7 +9,7 @@ autodiff; the ``graphda`` command exposes dataset generation, training,
 evaluation, and embedding export.
 """
 
-from .autodiff import GradCheckReport, ShapeError, Tensor, grad_check
+from .autodiff import ShapeError, Tensor
 from .datasets import (
     Batch,
     DataFormatError,
@@ -72,7 +72,6 @@ __all__ = [
     "EdgeStats",
     "EpochMetrics",
     "EvalMetrics",
-    "GradCheckReport",
     "KernelSpec",
     "LossBreakdown",
     "MEDIAN_SCALES",
@@ -94,7 +93,6 @@ __all__ = [
     "export_embeddings",
     "feature_similarity_loss",
     "gen_synthetic_shift",
-    "grad_check",
     "load_checkpoint",
     "mmd_loss",
     "normalize",

@@ -10,44 +10,37 @@ a leaf, so is its gradient, so an activation or gradient lives only until
 the last closure that reads it finishes. Leaves keep their gradients. Under
 :func:`no_trace` the same ops record no trace at all.
 
-Only the operations the models and losses in this package need are
-provided: elementwise arithmetic with broadcasting, matrix products,
-reductions, ReLU, row slices and gathers, element gathers, pairwise
-squared distances, (log-)softmax, an im2col expansion for small
-channels-last (B, h, w, c) convolutions (a window-view copy forward, a
-shift-add backward), and two one-node loss ops, a Gaussian kernel mixture
-and a contrastive pull/push. ``reshape`` and ``slice_rows`` return views:
-no op writes ``data`` in place. A gradient array that an op built itself
-is passed ``owned`` and lands without a copy. Everything runs at 64-bit
-precision by default.
+Only the operations the models and losses in this package differentiate
+are provided: elementwise arithmetic with broadcasting, matrix products,
+reductions, ReLU, row slices, pairwise squared distances, an im2col
+expansion for small channels-last (B, h, w, c) convolutions (a window-view
+copy forward, a shift-add backward), and three one-node loss ops, a
+Gaussian kernel mixture, a contrastive pull/push and a mean log-softmax
+likelihood. ``reshape`` and ``slice_rows`` return views: no op writes
+``data`` in place. A gradient array that an op built itself is passed
+``owned`` and lands without a copy. Every tensor is float64.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "Tensor",
     "ShapeError",
-    "GradCheckReport",
     "backward",
     "matmul",
     "relu",
     "gaussian_mixture",
     "pull_push",
-    "softmax",
-    "log_softmax",
+    "nll",
     "pairwise_sqdist",
     "slice_rows",
-    "take_rows",
-    "take_per_row",
     "im2col",
-    "grad_check",
 ]
 
 
@@ -82,11 +75,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "node_id", "_parents", "_backward")
 
-    def __init__(self, data, dtype=None):
-        if dtype is None:
-            dtype = data.dtype if isinstance(data, np.ndarray) and data.dtype in (
-                np.dtype(np.float32), np.dtype(np.float64)) else np.float64
-        self.data = np.asarray(data, dtype=dtype)
+    def __init__(self, data):
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.node_id = next(_node_ids)
         self._parents: tuple[Tensor, ...] = ()
@@ -106,18 +96,11 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, node_id={self.node_id})"
+        return f"Tensor(shape={self.shape}, node_id={self.node_id})"
 
     # -- gradient plumbing ---------------------------------------------------
 
@@ -147,9 +130,6 @@ class Tensor:
     def __sub__(self, other):
         return add(self, -other if isinstance(other, Tensor) else -np.asarray(other))
 
-    def __rsub__(self, other):
-        return add(-self, other)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -167,7 +147,7 @@ class Tensor:
 
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], bw: Callable[[np.ndarray], None]) -> Tensor:
-    out = Tensor(data, dtype=data.dtype)
+    out = Tensor(data)
     if _tracing:
         out._parents = parents
         out._backward = bw
@@ -189,7 +169,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
-        c = np.asarray(b, dtype=a.data.dtype)
+        c = np.asarray(b, dtype=np.float64)
         data = a.data + c
 
         def bw(g):
@@ -208,7 +188,7 @@ def add(a: Tensor, b) -> Tensor:
 
 def mul(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
-        c = np.asarray(b, dtype=a.data.dtype)
+        c = np.asarray(b, dtype=np.float64)
         data = a.data * c
 
         def bw(g):
@@ -240,10 +220,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     # subgradient 0 at exactly 0
     mask = a.data > 0
-    data = np.where(mask, a.data, a.data.dtype.type(0))
+    data = np.where(mask, a.data, 0.0)
 
     def bw(g):
-        a._accum(np.where(mask, g, g.dtype.type(0)), owned=True)
+        a._accum(np.where(mask, g, 0.0), owned=True)
 
     return _result(data, (a,), bw)
 
@@ -278,6 +258,29 @@ def pull_push(d2: Tensor, same, diff, margin: float) -> Tensor:
     return _result(data, (d2,), bw)
 
 
+def nll(logits: Tensor, labels) -> Tensor:
+    """Mean negative log-softmax likelihood of the rows of ``logits`` whose
+    label is not -1, as one node; at least one row must be labeled. Bit-equal
+    to the chain log-softmax -> row gather -> element gather -> mean -> * -1.0:
+    the backward lands ``((g * -1.0) + 0) * scale`` at each labeled (row,
+    label) as that chain did, and gives the logits log-softmax's gradient of it.
+    """
+    lab = np.asarray(labels, dtype=np.intp)
+    idx = np.nonzero(lab != -1)[0]
+    cols = lab[idx]
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    ls = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    scale = 1.0 / idx.size
+    data = (ls[idx, cols].sum() * scale) * -1.0
+
+    def bw(g):
+        picked = np.zeros_like(ls)
+        picked[idx, cols] = ((g * -1.0) + 0) * scale
+        logits._accum(picked - np.exp(ls) * picked.sum(axis=-1, keepdims=True), owned=True)
+
+    return _result(data, (logits,), bw)
+
+
 # -- reductions and shape ops ---------------------------------------------------
 
 
@@ -294,16 +297,16 @@ def _reduce(a: Tensor, axis, mean: bool) -> Tensor:
     data = a.data.sum(axis=axes if axis is not None else None)
     scale = 1.0 / count if mean else None
     if mean:
-        data = data * a.data.dtype.type(scale)
+        data = data * scale
 
     def bw(g):
         g2 = np.asarray(g)
         for ax in sorted(axes):
             g2 = np.expand_dims(g2, ax)
         g2 = np.broadcast_to(g2, a.shape)
-        a._accum(g2 * a.data.dtype.type(scale) if mean else g2, owned=mean)
+        a._accum(g2 * scale if mean else g2, owned=mean)
 
-    return _result(np.asarray(data, dtype=a.data.dtype), (a,), bw)
+    return _result(data, (a,), bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -328,7 +331,7 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     return _result(data, (a,), bw)
 
 
-# -- slices and gathers -----------------------------------------------------------
+# -- row slices -------------------------------------------------------------------
 
 
 def slice_rows(a: Tensor, lo: int, hi: int) -> Tensor:
@@ -340,65 +343,6 @@ def slice_rows(a: Tensor, lo: int, hi: int) -> Tensor:
         acc = np.zeros_like(a.data)
         np.add(g, 0, out=acc[lo:hi])
         a._accum(acc, owned=True)
-
-    return _result(data, (a,), bw)
-
-
-def take_rows(a: Tensor, idx) -> Tensor:
-    """Select rows ``a[idx]``; backward scatter-adds into the sources."""
-    idx = np.asarray(idx, dtype=np.intp)
-    data = a.data[idx].copy()
-
-    def bw(g):
-        acc = np.zeros_like(a.data)
-        np.add.at(acc, idx, g)
-        a._accum(acc, owned=True)
-
-    return _result(data, (a,), bw)
-
-
-def take_per_row(a: Tensor, cols) -> Tensor:
-    """Pick one element per row of a 2-d tensor: ``out[i] = a[i, cols[i]]``."""
-    if a.ndim != 2:
-        raise ShapeError(f"take_per_row expects a 2-d tensor, got shape {a.shape}")
-    cols = np.asarray(cols, dtype=np.intp)
-    if cols.shape != (a.shape[0],):
-        raise ShapeError(f"take_per_row needs one column index per row: {a.shape} vs {cols.shape}")
-    rows = np.arange(a.shape[0])
-    data = a.data[rows, cols].copy()
-
-    def bw(g):
-        acc = np.zeros_like(a.data)
-        np.add.at(acc, (rows, cols), g)
-        a._accum(acc, owned=True)
-
-    return _result(data, (a,), bw)
-
-
-# -- softmax family ---------------------------------------------------------------
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Row-wise softmax over the last axis, stabilised by subtracting the row max."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=-1, keepdims=True)
-
-    def bw(g):
-        inner = (g * data).sum(axis=-1, keepdims=True)
-        a._accum(data * (g - inner), owned=True)
-
-    return _result(data, (a,), bw)
-
-
-def log_softmax(a: Tensor) -> Tensor:
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    data = shifted - lse
-    soft = np.exp(data)
-
-    def bw(g):
-        a._accum(g - soft * g.sum(axis=-1, keepdims=True), owned=True)
 
     return _result(data, (a,), bw)
 
@@ -497,52 +441,3 @@ def backward(loss: Tensor) -> None:
             t.grad = None
         t._parents = ()
         t._backward = None
-
-
-# -- finite-difference checking --------------------------------------------------
-
-
-@dataclass
-class GradCheckReport:
-    """Per-coordinate comparison of backward gradients to central differences."""
-
-    errors: np.ndarray
-    max_error: float
-    tol: float
-    passed: bool
-    analytic: np.ndarray
-    numeric: np.ndarray
-
-
-def grad_check(f: Callable[[Tensor], Tensor], point: Tensor, tol: float = 1e-5,
-               step: float = 1e-6) -> GradCheckReport:
-    """Compare the backward gradient of scalar-valued ``f`` at ``point``
-    against central finite differences.
-
-    The relative error guard is ``max(1, |analytic|, |numeric|)`` per
-    coordinate; the check passes iff the max error is below ``tol``.
-    """
-    x = Tensor(np.array(point.data, copy=True), dtype=point.data.dtype)
-    out = f(x)
-    if out.size != 1:
-        raise ShapeError(f"grad_check requires a scalar-valued function, got shape {out.shape}")
-    backward(out)
-    analytic = np.zeros(x.shape, dtype=np.float64) if x.grad is None else np.asarray(x.grad, dtype=np.float64).copy()
-
-    numeric = np.zeros(x.shape, dtype=np.float64)
-    flat = x.data.reshape(-1)
-    nflat = numeric.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        fp = float(f(x).data)
-        flat[i] = orig - step
-        fm = float(f(x).data)
-        flat[i] = orig
-        nflat[i] = (fp - fm) / (2.0 * step)
-
-    guard = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
-    errors = np.abs(analytic - numeric) / guard
-    max_error = float(errors.max()) if errors.size else 0.0
-    return GradCheckReport(errors=errors, max_error=max_error, tol=tol,
-                           passed=max_error < tol, analytic=analytic, numeric=numeric)

@@ -318,6 +318,13 @@ def cmd_train(args) -> int:
     for path, dataset in ((args.source, source), (args.target, target)):
         if not len(dataset):
             raise DataFormatError(f"{path}: no samples; training draws from both domains")
+    if (target.num_classes, target.feature_dims) != (source.num_classes, source.feature_dims):
+        raise DataFormatError(
+            f"{args.target}: {target.num_classes} classes of shape {target.feature_dims} do not "
+            f"match the source's {source.num_classes} classes of shape {source.feature_dims}")
+    if config.positive_class >= source.num_classes:
+        raise UsageError(f"positive_class {config.positive_class} is not one of the data's "
+                         f"{source.num_classes} classes")
 
     run_dir = Path(args.out)
     run_dir.mkdir(parents=True, exist_ok=True)

@@ -107,10 +107,6 @@ class Batch:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def target_count(self) -> int:
-        return len(self) - self.source_count
-
 
 # -- normalization -------------------------------------------------------------
 

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, gaussian_mixture, log_softmax, pairwise_sqdist, pull_push,
-                       take_per_row, take_rows)
+from .autodiff import Tensor, gaussian_mixture, nll, pairwise_sqdist, pull_push
 from .graphs import _as_matrix, pair_distances
 
 __all__ = [
@@ -60,10 +59,6 @@ class KernelSpec:
             raise ValueError(f"mixture weights must be nonnegative, got {w}")
         if abs(sum(w) - 1.0) > 1e-9:
             raise ValueError(f"mixture weights must sum to 1, got {sum(w)}")
-
-    @property
-    def kappa(self) -> int:
-        return len(self.bandwidths)
 
     def kernel(self, sqdists: Tensor) -> Tensor:
         """Apply the mixture to a matrix of squared distances.
@@ -159,7 +154,7 @@ def feature_similarity_loss(features: Tensor, labels, margin: float = 2.0) -> Te
 
 
 def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
-    """Mean negative log-likelihood over labeled rows.
+    """Mean negative log-likelihood over labeled rows, one ``nll`` node.
 
     Takes raw logits and goes through log-softmax directly; taking the
     log of softmax output would lose precision for confident rows.
@@ -169,12 +164,10 @@ def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
     lab = np.asarray(labels, dtype=np.int64)
     if lab.shape != (logits.shape[0],):
         raise ValueError(f"labels shape {lab.shape} does not match batch size {logits.shape[0]}")
-    idx = np.nonzero(lab != -1)[0]
-    if idx.size == 0:
+    if (lab == -1).all():
         warnings.warn("no labeled rows in batch; cross-entropy is 0", stacklevel=2)
         return Tensor(0.0)
-    picked = take_per_row(take_rows(log_softmax(logits), idx), lab[idx])
-    return picked.mean() * (-1.0)
+    return nll(logits, lab)
 
 
 def total_loss(

@@ -19,16 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    ShapeError,
-    Tensor,
-    add,
-    im2col,
-    matmul,
-    no_trace,
-    relu,
-    softmax,
-)
+from .autodiff import ShapeError, Tensor, add, im2col, matmul, no_trace, relu
 from .datasets import DataFormatError, _Reader, _write_atomic
 from .graphs import BatchGraph
 
@@ -145,7 +136,7 @@ class Model:
     # -- forward passes --------------------------------------------------------
 
     def _as_input(self, features) -> Tensor:
-        x = features if isinstance(features, Tensor) else Tensor(np.asarray(features, dtype=np.float64))
+        x = features if isinstance(features, Tensor) else Tensor(features)
         if x.shape[1:] != self.config.input_dims:
             raise ShapeError(
                 f"batch features {x.shape} do not match configured input dims "
@@ -193,16 +184,18 @@ class Model:
             out = out + matmul(neighbor, self.params["theta2"])
         return out
 
-    def classify(self, f: Tensor) -> tuple:
-        logits = add(matmul(f, self.params["fc2/w"]), self.params["fc2/b"])
-        return logits, softmax(logits)
+    def classify(self, f: Tensor) -> Tensor:
+        """Class logits of the (B, hidden) graph-layer output; ``infer``
+        turns them into probabilities and training's loss reads them raw."""
+        return add(matmul(f, self.params["fc2/w"]), self.params["fc2/b"])
 
     def infer(self, features, chunk: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Graph-free inference over any number of rows: the (N, phi_dim)
         backbone features and the (N, m) class probabilities as float64
         arrays. Rows run in ``chunks`` only to bound memory; the
         graph-free path never mixes one row into another. The same forward
-        passes as training run under ``no_trace``, so no chunk builds a trace."""
+        passes as training run under ``no_trace``, so no chunk builds a trace;
+        the probabilities are the row-max-shifted softmax of the logits."""
         x = np.asarray(features, dtype=np.float64)
         phi = [np.empty((0, self.config.phi_dim))]
         probs = [np.empty((0, self.config.num_classes))]
@@ -210,7 +203,9 @@ class Model:
             for rows in self.chunks(x.shape[0], chunk):
                 p = self.backbone_forward(x[rows])
                 phi.append(p.data)
-                probs.append(self.classify(self.gnn_forward(p, None))[1].data)
+                logits = self.classify(self.gnn_forward(p, None)).data
+                e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+                probs.append(e / e.sum(axis=-1, keepdims=True))
         return np.concatenate(phi), np.concatenate(probs)
 
     # -- parameter state -------------------------------------------------------

@@ -134,8 +134,11 @@ class TrainConfig:
                                  f"got {getattr(self, f.name)!r}")
         if len(self.loss_weights) != 3 or not all(0 <= w < math.inf for w in self.loss_weights):
             raise ValueError(f"loss_weights must be 3 nonnegative finite values, got {self.loss_weights}")
-        if self.warmup_epochs < 0 or self.seed < 0:
-            raise ValueError("warmup_epochs and seed must be nonnegative")
+        if self.warmup_epochs < 0 or self.seed < 0 or self.positive_class < 0:
+            raise ValueError("warmup_epochs, seed and positive_class must be nonnegative")
+        # the model's own width checks, so a bad width fails before any output
+        ModelConfig(input_dims=(1,), num_classes=2, hidden=self.hidden, phi_dim=self.phi_dim,
+                    backbone_hidden=self.backbone_hidden, conv_channels=self.conv_channels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +164,6 @@ class EpochMetrics:
     edges_right: int
     edges_wrong: int
     edges_unknown: int
-    precision_defined: bool = True
 
 
 class Adam:
@@ -428,7 +430,7 @@ def train(
                 # a zero-weight term is never built: total_loss reads None as 0.0.
                 # The logits come first, as the creation order fixes the order in
                 # which the CE and separation gradients land on f, and so its bits.
-                logits = model.classify(f)[0] if w_ce else None
+                logits = model.classify(f) if w_ce else None
                 l_mmd = l_g = None
                 if w_mmd:
                     kernels = KernelSpec.from_median_heuristic(
@@ -466,17 +468,16 @@ def train(
                 write_pseudo_csv(run_dir / "pseudo.csv", pseudo)
             if eval_labels is not None:
                 ev = evaluate(target_probs(), eval_labels, positive_class=config.positive_class)
-                precision, accuracy, defined = ev.precision, ev.accuracy, ev.precision_defined
+                precision, accuracy = ev.precision, ev.accuracy
             else:
                 precision = accuracy = float("nan")
-                defined = True
             means = loss_sums / max(n_steps, 1)
             em = EpochMetrics(
                 epoch=epoch, precision=precision, accuracy=accuracy,
                 l_mmd=means[0], l_g=means[1], l_ce=means[2], l_total=means[3],
                 pseudo_coverage=pseudo_coverage(pseudo),
                 edges_right=int(edge_sums[0]), edges_wrong=int(edge_sums[1]),
-                edges_unknown=int(edge_sums[2]), precision_defined=defined,
+                edges_unknown=int(edge_sums[2]),
             )
             history.append(em)
             if metrics_csv is not None:

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from graphda.autodiff import Tensor, gaussian_mixture, grad_check, pull_push
+from graphda.autodiff import Tensor, gaussian_mixture, pull_push
 from graphda.cli import main
 from graphda.datasets import Domain, ShiftConfig, gen_synthetic_shift, read_dataset
 from graphda.graphs import BatchGraph, build_graph, percentile_threshold
@@ -26,6 +26,7 @@ from graphda.losses import (
 from graphda.model import Model, ModelConfig
 from graphda.pseudo import assign_pseudo_labels, pseudo_coverage
 from graphda.training import TrainConfig, train
+from gradcheck import grad_check
 
 
 def t(x):
@@ -94,7 +95,7 @@ def test_criterion_1_gradient_suite():
         y = rng.integers(0, 2, size=6)
 
         def through_graph(x, model=model, graph=graph, y=y):
-            logits, _ = model.classify(model.gnn_forward(model.backbone_forward(x), graph))
+            logits = model.classify(model.gnn_forward(model.backbone_forward(x), graph))
             return cross_entropy_loss(logits, y)
 
         ok(grad_check(through_graph, t(x0)))
@@ -120,9 +121,9 @@ def test_criterion_2_mmd_oracles():
 
     rng = np.random.default_rng(0)
     x = rng.normal(size=(8, 3))
-    same = mmd_loss(t(x), t(x[rng.permutation(8)]), gauss1).item()
+    same = float(mmd_loss(t(x), t(x[rng.permutation(8)]), gauss1).data)
 
-    singleton = mmd_loss(t([[0.0, 0.0]]), t([[1.0, 1.0]]), gauss1).item()
+    singleton = float(mmd_loss(t([[0.0, 0.0]]), t([[1.0, 1.0]]), gauss1).data)
     singleton_err = abs(singleton - (2.0 - 2.0 * math.exp(-1.0)))
 
     violations = 0
@@ -131,8 +132,8 @@ def test_criterion_2_mmd_oracles():
         a = draw.normal(size=(draw.integers(1, 7), 2))
         b = draw.normal(size=(draw.integers(1, 7), 2))
         spec = KernelSpec.from_median_heuristic(a, b)
-        ab = mmd_loss(t(a), t(b), spec).item()
-        ba = mmd_loss(t(b), t(a), spec).item()
+        ab = float(mmd_loss(t(a), t(b), spec).data)
+        ba = float(mmd_loss(t(b), t(a), spec).data)
         if abs(ab - ba) > 1e-12 or ab < 0.0:
             violations += 1
 
@@ -149,9 +150,9 @@ def test_criterion_3_separation_oracles():
     # squared distances 0 / 3 / 0.5 at margin 2 -> 0, 0, 1.5; coordinates
     # are chosen so the squared distances are exact in binary
     got = (
-        feature_similarity_loss(t([[1.0, 1.0], [1.0, 1.0]]), [0, 0]).item(),
-        feature_similarity_loss(t([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), [0, 1]).item(),
-        feature_similarity_loss(t([[0.0, 0.0], [0.5, 0.5]]), [0, 1]).item(),
+        float(feature_similarity_loss(t([[1.0, 1.0], [1.0, 1.0]]), [0, 0]).data),
+        float(feature_similarity_loss(t([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), [0, 1]).data),
+        float(feature_similarity_loss(t([[0.0, 0.0], [0.5, 0.5]]), [0, 1]).data),
     )
     exact = got == (0.0, 0.0, 1.5)
 
@@ -161,10 +162,10 @@ def test_criterion_3_separation_oracles():
         n = int(rng.integers(3, 9))
         feats = rng.normal(size=(n, 3))
         labels = rng.integers(0, 3, size=n)
-        base = feature_similarity_loss(t(feats), labels).item()
-        relabeled = feature_similarity_loss(t(feats), (labels + 1) % 3).item()
+        base = float(feature_similarity_loss(t(feats), labels).data)
+        relabeled = float(feature_similarity_loss(t(feats), (labels + 1) % 3).data)
         perm = rng.permutation(n)
-        shuffled = feature_similarity_loss(t(feats[perm]), labels[perm]).item()
+        shuffled = float(feature_similarity_loss(t(feats[perm]), labels[perm]).data)
         drift = max(drift, abs(base - relabeled), abs(base - shuffled))
 
     ok = exact and drift <= 1e-12
@@ -183,9 +184,11 @@ def test_criterion_4_graph_layer_invariants():
 
     empty = BatchGraph(num_nodes=7, rows=(), cols=(), threshold=1.0)
     phi = model.backbone_forward(x)
-    _, probs = model.classify(model.gnn_forward(phi, empty))
+    logits = model.classify(model.gnn_forward(phi, empty)).data
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))  # infer's softmax
+    probs = e / e.sum(axis=-1, keepdims=True)
     phi_inf, probs_inf = model.infer(x)
-    bit_exact = np.array_equal(phi.data, phi_inf) and np.array_equal(probs.data, probs_inf)
+    bit_exact = np.array_equal(phi.data, phi_inf) and np.array_equal(probs, probs_inf)
 
     equi_err = 0.0
     local_exact = True

@@ -746,6 +746,33 @@ def test_train_empty_domain_is_format_error(data_dir, tmp_path, capsys, empty):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("gen", [["--dim", "3"], ["--classes", "3"], ["--dim", "3", "--classes", "3"]])
+def test_train_mismatched_domains_is_format_error(data_dir, tmp_path, capsys, gen):
+    other = tmp_path / "other"
+    other.mkdir()
+    assert main(["gen", "--out", str(other), "--per-class", "10", *gen]) == 0
+    out = tmp_path / "run"
+    code = main(["train", "--source", str(data_dir / "source.hda"),
+                 "--target", str(other / "target.hda"), "--out", str(out), *TINY_TRAIN])
+    assert code == 3
+    assert "target.hda: " in capsys.readouterr().err
+    assert not out.exists()  # nor, inside it, a manifest
+
+
+@pytest.mark.parametrize("flags", [
+    ["--hidden", "0"], ["--phi-dim", "-1"], ["--backbone-hidden", "-2"], ["--conv-channels", "8"],
+    ["--positive-class", "-1"], ["--positive-class", "5"]])
+def test_train_bad_width_or_positive_class_is_usage_error(data_dir, tmp_path, capsys, flags):
+    out = tmp_path / "run"
+    code = main(["train", "--source", str(data_dir / "source.hda"),
+                 "--target", str(data_dir / "target.hda"),
+                 "--labels", str(data_dir / "target_labels.hda"),
+                 "--out", str(out), *TINY_TRAIN, *flags])
+    assert code == 2
+    assert flags[0][2:].replace("-", "_") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_export_shape_mismatch_is_format_error(run_dir, tmp_path, capsys):
     wide = tmp_path / "wide"
     wide.mkdir()

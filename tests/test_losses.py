@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from graphda.autodiff import Tensor, backward, grad_check
+from graphda.autodiff import Tensor, backward
 from graphda.losses import (
     MEDIAN_SCALES,
     KernelSpec,
@@ -13,6 +13,7 @@ from graphda.losses import (
     mmd_loss,
     total_loss,
 )
+from gradcheck import grad_check
 
 
 def t(x):
@@ -37,7 +38,7 @@ class TestKernelSpec:
 
     def test_kappa_and_defaults(self):
         spec = KernelSpec.from_median_heuristic(np.eye(3))
-        assert spec.kappa == len(MEDIAN_SCALES) == 5
+        assert len(spec.bandwidths) == len(MEDIAN_SCALES) == 5
         assert spec.weights == (0.2,) * 5
 
     def test_median_heuristic_known_value(self):
@@ -71,19 +72,19 @@ class TestMMD:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(7, 3))
         spec = KernelSpec.from_median_heuristic(x)
-        assert abs(mmd_loss(t(x), t(x), spec).item()) <= 1e-12
+        assert abs(float(mmd_loss(t(x), t(x), spec).data)) <= 1e-12
 
     def test_permuted_multiset_near_zero(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(9, 4))
         spec = KernelSpec.from_median_heuristic(x)
-        v = mmd_loss(t(x), t(x[::-1].copy()), spec).item()
+        v = float(mmd_loss(t(x), t(x[::-1].copy()), spec).data)
         assert abs(v) <= 1e-12
 
     def test_singleton_closed_form(self):
         # ||x-y||^2 = 2, one kernel, sigma=1: 2 - 2 e^{-1}
         x, y = t([[0.0, 0.0]]), t([[1.0, 1.0]])
-        got = mmd_loss(x, y, GAUSS1).item()
+        got = float(mmd_loss(x, y, GAUSS1).data)
         assert got == pytest.approx(2.0 - 2.0 * math.exp(-1.0), abs=1e-9)
 
     def test_symmetric_and_nonnegative(self):
@@ -92,8 +93,8 @@ class TestMMD:
             a = rng.normal(size=(rng.integers(1, 8), 3))
             b = rng.normal(size=(rng.integers(1, 8), 3))
             spec = KernelSpec.from_median_heuristic(a, b)
-            ab = mmd_loss(t(a), t(b), spec).item()
-            ba = mmd_loss(t(b), t(a), spec).item()
+            ab = float(mmd_loss(t(a), t(b), spec).data)
+            ba = float(mmd_loss(t(b), t(a), spec).data)
             assert abs(ab - ba) <= 1e-12
             assert ab >= 0.0
 
@@ -102,9 +103,9 @@ class TestMMD:
         a, b = rng.normal(size=(6, 2)), rng.normal(size=(5, 2))
         sigmas = (0.5, 1.0, 2.0)
         multi = KernelSpec(bandwidths=sigmas, weights=(1 / 3,) * 3)
-        got = mmd_loss(t(a), t(b), multi).item()
+        got = float(mmd_loss(t(a), t(b), multi).data)
         parts = [
-            mmd_loss(t(a), t(b), KernelSpec(bandwidths=(s,), weights=(1.0,))).item()
+            float(mmd_loss(t(a), t(b), KernelSpec(bandwidths=(s,), weights=(1.0,))).data)
             for s in sigmas
         ]
         assert got == pytest.approx(sum(parts) / 3, abs=1e-12)
@@ -126,54 +127,54 @@ class TestMMD:
         a = rng.normal(size=(20, 2))
         b = rng.normal(size=(20, 2))
         spec = KernelSpec.from_median_heuristic(a, b)
-        far = mmd_loss(t(a), t(b + 5.0), spec).item()
-        near = mmd_loss(t(a), t(b), spec).item()
+        far = float(mmd_loss(t(a), t(b + 5.0), spec).data)
+        near = float(mmd_loss(t(a), t(b), spec).data)
         assert near < far
 
 
 class TestFeatureSimilarity:
     def test_identical_same_label_zero(self):
         f = t([[1.0, 2.0], [1.0, 2.0]])
-        assert feature_similarity_loss(f, [3, 3]).item() == 0.0
+        assert float(feature_similarity_loss(f, [3, 3]).data) == 0.0
 
     def test_saturated_hinge_zero(self):
         # squared distance 3 >= margin 2
         f = t([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-        assert feature_similarity_loss(f, [0, 1]).item() == 0.0
+        assert float(feature_similarity_loss(f, [0, 1]).data) == 0.0
 
     def test_hinge_value_exact(self):
         # squared distance 0.5, different labels: 2 - 0.5 = 1.5
         f = t([[0.0, 0.0], [0.5, 0.5]])
-        assert feature_similarity_loss(f, [0, 1]).item() == 1.5
+        assert float(feature_similarity_loss(f, [0, 1]).data) == 1.5
 
     def test_squared_distance_exactly_margin(self):
         f = t([[0.0, 0.0], [1.0, 1.0]])  # squared distance 2
-        assert feature_similarity_loss(f, [0, 1]).item() == 0.0
+        assert float(feature_similarity_loss(f, [0, 1]).data) == 0.0
 
     def test_mean_over_contributing_pairs(self):
         # pairs: (0,1) same at 0, (0,2) and (1,2) different at 0.5 each
         f = t([[0.0, 0.0], [0.0, 0.0], [0.5, 0.5]])
-        got = feature_similarity_loss(f, [0, 0, 1]).item()
+        got = float(feature_similarity_loss(f, [0, 0, 1]).data)
         assert got == pytest.approx((0.0 + 1.5 + 1.5) / 3, abs=0)
 
     def test_unlabeled_pairs_excluded(self):
         f = t([[0.0, 0.0], [9.0, 9.0], [0.5, 0.5]])
         # only (0,2) contributes; row 1 is unlabeled
-        assert feature_similarity_loss(f, [0, -1, 1]).item() == 1.5
+        assert float(feature_similarity_loss(f, [0, -1, 1]).data) == 1.5
 
     def test_no_contributing_pairs(self):
         f = t([[1.0], [2.0], [3.0]])
-        assert feature_similarity_loss(f, [-1, -1, -1]).item() == 0.0
-        assert feature_similarity_loss(f, [0, -1, -1]).item() == 0.0
+        assert float(feature_similarity_loss(f, [-1, -1, -1]).data) == 0.0
+        assert float(feature_similarity_loss(f, [0, -1, -1]).data) == 0.0
 
     def test_invariant_to_order_and_relabeling(self):
         rng = np.random.default_rng(11)
         f = rng.normal(size=(10, 3))
         lab = rng.integers(0, 3, size=10)
-        base = feature_similarity_loss(t(f), lab).item()
+        base = float(feature_similarity_loss(t(f), lab).data)
         perm = rng.permutation(10)
-        shuffled = feature_similarity_loss(t(f[perm]), lab[perm]).item()
-        relabeled = feature_similarity_loss(t(f), (lab + 1) % 3).item()
+        shuffled = float(feature_similarity_loss(t(f[perm]), lab[perm]).data)
+        relabeled = float(feature_similarity_loss(t(f), (lab + 1) % 3).data)
         assert shuffled == pytest.approx(base, abs=1e-12)
         assert relabeled == pytest.approx(base, abs=1e-12)
 
@@ -201,23 +202,62 @@ class TestFeatureSimilarity:
             feature_similarity_loss(t(np.zeros((3, 2))), [0, 1])
 
 
+def _chain_bits(z, labels, upstream):
+    """Loss and logits gradient bits of the op chain the ``nll`` node replaced,
+    log-softmax -> row gather -> element gather -> mean -> * -1.0, op by op in
+    numpy: each node's first gradient lands as zeros + g, and the loss node
+    receives ``upstream``."""
+    lab = np.asarray(labels)
+    idx = np.nonzero(lab != -1)[0]
+    n, cols = idx.size, lab[idx]
+    shifted = z - z.max(axis=-1, keepdims=True)
+    ls = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    picked = ls[idx][np.arange(n), cols]
+    loss = (picked.sum() * (1.0 / n)) * -1.0
+    g_mean = np.float64(upstream) * -1.0 + 0
+    g_picked = np.broadcast_to(g_mean, (n,)) * (1.0 / n) + 0
+    g_rows = np.zeros((n, z.shape[1]))
+    np.add.at(g_rows, (np.arange(n), cols), g_picked)
+    g_ls = np.zeros_like(z)
+    np.add.at(g_ls, idx, g_rows + 0)
+    g_ls = g_ls + 0
+    grad = (g_ls - np.exp(ls) * g_ls.sum(axis=-1, keepdims=True)) + 0
+    return np.asarray(loss).view(np.int64), grad.view(np.int64)
+
+
 class TestCrossEntropy:
+    @pytest.mark.parametrize("labels", [
+        [2, -1, 0, 3, -1, 1], [-1, -1, 3, -1, -1, -1], [0, 1, 2, 3, -1, 0]])
+    @pytest.mark.parametrize("upstream", [1.0, 0.0, 2.5])
+    def test_bit_equal_to_replaced_chain(self, labels, upstream):
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            # signed logits spread over 1e-3..1e3, so any change of operation order shows
+            z0 = rng.standard_normal((6, 4)) * 10.0 ** rng.uniform(-3, 3, (6, 4))
+            z = t(z0)
+            loss = cross_entropy_loss(z, labels)
+            assert loss._parents == (z,)  # one node on the logits
+            backward(loss * upstream)
+            want_loss, want_grad = _chain_bits(z0, labels, upstream)
+            assert np.array_equal(np.asarray(loss.data).view(np.int64), want_loss)
+            assert np.array_equal(z.grad.view(np.int64), want_grad)
+
     def test_confident_correct_is_zero(self):
         logits = t([[1000.0, 0.0]])
-        assert cross_entropy_loss(logits, [0]).item() == 0.0
+        assert float(cross_entropy_loss(logits, [0]).data) == 0.0
 
     def test_uniform_two_classes(self):
         logits = t([[0.0, 0.0]])
-        assert cross_entropy_loss(logits, [1]).item() == pytest.approx(math.log(2), rel=1e-15)
+        assert float(cross_entropy_loss(logits, [1]).data) == pytest.approx(math.log(2), rel=1e-15)
 
     def test_all_unlabeled_warns_and_zero(self):
         with pytest.warns(UserWarning):
             v = cross_entropy_loss(t([[1.0, 2.0]]), [-1])
-        assert v.item() == 0.0
+        assert float(v.data) == 0.0
 
     def test_unlabeled_rows_excluded_from_mean(self):
         logits = t([[0.0, 0.0], [50.0, 0.0]])
-        got = cross_entropy_loss(logits, [0, -1]).item()
+        got = float(cross_entropy_loss(logits, [0, -1]).data)
         assert got == pytest.approx(math.log(2), rel=1e-15)
 
     def test_matches_reference_nll(self):
@@ -227,7 +267,7 @@ class TestCrossEntropy:
         p = np.exp(z - z.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
         want = -np.log(p[np.arange(8), lab]).mean()
-        assert cross_entropy_loss(t(z), lab).item() == pytest.approx(want, rel=1e-12)
+        assert float(cross_entropy_loss(t(z), lab).data) == pytest.approx(want, rel=1e-12)
 
     def test_gradient(self):
         rng = np.random.default_rng(19)
@@ -246,12 +286,12 @@ class TestCrossEntropy:
 class TestTotalLoss:
     def test_plain_sum(self):
         tot, bd = total_loss(t(0.5), t(0.25), t(0.25))
-        assert tot.item() == 1.0
+        assert float(tot.data) == 1.0
         assert bd == LossBreakdown(0.5, 0.25, 0.25, 1.0)
 
     def test_zero_term_drops_out(self):
         tot, bd = total_loss(t(0.0), t(0.3), t(0.4))
-        assert tot.item() == pytest.approx(0.7, abs=1e-15)
+        assert float(tot.data) == pytest.approx(0.7, abs=1e-15)
         assert bd.l_mmd == 0.0
 
     def test_breakdown_invariant(self):
@@ -263,19 +303,19 @@ class TestTotalLoss:
 
     def test_ablation_weights(self):
         tot, bd = total_loss(t(1.0), t(1.0), t(1.0), weights=(0.0, 2.0, 1.0))
-        assert tot.item() == 3.0
+        assert float(tot.data) == 3.0
         assert (bd.l_mmd, bd.l_g, bd.l_ce) == (0.0, 2.0, 1.0)
 
     def test_unbuilt_term_reads_zero_and_adds_nothing(self):
         tot, bd = total_loss(None, None, t(0.5), weights=(0.0, 0.0, 2.0))
-        assert tot.item() == 1.0 and bd == LossBreakdown(0.0, 0.0, 1.0, 1.0)
+        assert float(tot.data) == 1.0 and bd == LossBreakdown(0.0, 0.0, 1.0, 1.0)
         assert repr(bd.l_mmd) == repr(bd.l_g) == "0.0"
         _, bd = total_loss(t(-1e-17), None, t(0.5), weights=(0.0, 0.0, 1.0))
         assert repr(bd.l_mmd) == "-0.0"  # a built term keeps its own bits, weight 0 or not
         _, bd = total_loss(t(float("nan")), None, t(0.5), weights=(0.0, 0.0, 1.0))
         assert math.isnan(bd.l_total)  # only a term that is not built cannot diverge
         tot, bd = total_loss(None, None, None)
-        assert tot.item() == 0.0 and bd == LossBreakdown(0.0, 0.0, 0.0, 0.0)
+        assert float(tot.data) == 0.0 and bd == LossBreakdown(0.0, 0.0, 0.0, 0.0)
         backward(tot)  # a weight-decay-only step still has a total to differentiate
 
     def test_gradient_is_sum_of_term_gradients(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphda.autodiff import ShapeError, Tensor, grad_check
+from graphda.autodiff import ShapeError, Tensor
 from graphda.datasets import DataFormatError
 from graphda.graphs import BatchGraph, build_graph
 from graphda.losses import KernelSpec, cross_entropy_loss, feature_similarity_loss, mmd_loss, total_loss
@@ -14,6 +14,7 @@ from graphda.model import (
     save_checkpoint,
 )
 from graphda.training import evaluate
+from gradcheck import grad_check
 
 
 def t(x):
@@ -30,6 +31,12 @@ def _small_model(d=3, m=2, hidden=4, phi=4, backbone_hidden=4, seed=0):
     cfg = ModelConfig(input_dims=(d,), num_classes=m, hidden=hidden,
                       phi_dim=phi, backbone_hidden=backbone_hidden)
     return Model.init(cfg, np.random.default_rng(seed))
+
+
+def _softmax(logits):
+    """The row-max-shifted softmax, as the reference for ``Model.infer``'s probabilities."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _zero(model):
@@ -124,18 +131,23 @@ class TestGnnForward:
 
 
 class TestClassify:
+    def test_returns_logits(self):
+        model = _small_model(seed=12)
+        f = np.random.default_rng(12).normal(size=(3, 4))
+        w, b = model.params["fc2/w"].data, model.params["fc2/b"].data
+        assert np.array_equal(model.classify(t(f)).data, f @ w + b)
+
     def test_zero_logits_uniform(self):
         model = _zero(_small_model(m=2))
-        _, probs = model.classify(t(np.zeros((3, 4))))
-        assert np.array_equal(probs.data, np.full((3, 2), 0.5))
+        _, probs = model.infer(np.zeros((3, 3)))
+        assert np.array_equal(probs, np.full((3, 2), 0.5))
 
     def test_extreme_logits_no_overflow(self):
-        model = _small_model(d=2, m=2, hidden=2, phi=2, backbone_hidden=0)
-        model.params["fc2/w"].data = np.eye(2)
-        model.params["fc2/b"].data = np.zeros(2)
-        logits, probs = model.classify(t([[1000.0, 0.0]]))
-        assert np.isfinite(probs.data).all()
-        assert probs.data[0, 0] == 1.0 and probs.data[0, 1] == 0.0
+        model = _zero(_small_model(m=2))
+        model.params["fc2/b"].data = np.array([1000.0, 0.0])
+        _, probs = model.infer(np.ones((1, 3)))
+        assert np.isfinite(probs).all()
+        assert probs[0, 0] == 1.0 and probs[0, 1] == 0.0
 
     def test_prob_rows_sum_to_one(self):
         model = _small_model(seed=13)
@@ -153,11 +165,11 @@ class TestInfer:
         empty = _graph_from_edges(6, [])
         phi = model.backbone_forward(x)
         f = model.gnn_forward(phi, empty)
-        _, probs = model.classify(f)
+        probs = _softmax(model.classify(f).data)
         phi_inf, probs_inf = model.infer(x)
         assert np.array_equal(f.data, model.gnn_forward(phi, None).data)
         assert np.array_equal(phi.data, phi_inf)
-        assert np.array_equal(probs.data, probs_inf)
+        assert np.array_equal(probs, probs_inf)
 
     @pytest.mark.parametrize("dims", [(3,), (2, 6, 6)])
     def test_bit_equal_to_traced_pass(self, dims):
@@ -170,7 +182,7 @@ class TestInfer:
             p = model.backbone_forward(x[rows])
             f = model.gnn_forward(p, None)
             phi.append(p.data)
-            probs.append(model.classify(f)[1].data)
+            probs.append(_softmax(model.classify(f).data))
             assert p._parents and f._parents  # the reference pass is traced
         for got, want in zip(model.infer(x, 7), (np.concatenate(phi), np.concatenate(probs))):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -206,7 +218,7 @@ class TestEndToEndGradient:
         def loss_from(x):
             phi = model.backbone_forward(x)
             f = model.gnn_forward(phi, graph)
-            logits, _ = model.classify(f)
+            logits = model.classify(f)
             l_mmd = mmd_loss(phi, phi * 0.5 + 0.3, kernels)
             l_g = feature_similarity_loss(f, labels)
             l_ce = cross_entropy_loss(logits, labels)

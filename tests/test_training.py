@@ -689,7 +689,7 @@ def test_flat_step_trace_size_and_gradient_ownership(monkeypatch):
     src, tgt, _ = shift_data(seed=3, per_class=16)
     count, shared = _first_step(monkeypatch, _step_cfg(), src, tgt)
     assert shared == []  # no gradient is a view of a value or of another gradient
-    assert count == 54  # one node per kernel mixture and one for the pull/push sums
+    assert count == 50  # one node per kernel mixture, one for the pull/push sums, one for the CE
 
 
 def test_image_step_trace_size_and_gradient_ownership(monkeypatch):
@@ -698,4 +698,4 @@ def test_image_step_trace_size_and_gradient_ownership(monkeypatch):
     tgt = Dataset(rng.normal(size=(16, 1, 6, 6)), np.full(16, -1), Domain.TARGET, 2)
     count, shared = _first_step(monkeypatch, _step_cfg(conv_channels=(2, 3)), src, tgt)
     assert shared == []
-    assert count == 66
+    assert count == 62
