@@ -260,14 +260,17 @@ def pull_push(d2: Tensor, same, diff, margin: float) -> Tensor:
 
 def nll(logits: Tensor, labels) -> Tensor:
     """Mean negative log-softmax likelihood of the rows of ``logits`` whose
-    label is not -1, as one node; at least one row must be labeled. Bit-equal
-    to the chain log-softmax -> row gather -> element gather -> mean -> * -1.0:
-    the backward lands ``((g * -1.0) + 0) * scale`` at each labeled (row,
-    label) as that chain did, and gives the logits log-softmax's gradient of it.
+    label is not -1, as one node; at least one row must be labeled, and each
+    other label must be a column. Bit-equal to the chain log-softmax -> row
+    gather -> element gather -> mean -> * -1.0: the backward lands
+    ``((g * -1.0) + 0) * scale`` at each labeled (row, label) as that chain
+    did, and gives the logits log-softmax's gradient of it.
     """
     lab = np.asarray(labels, dtype=np.intp)
     idx = np.nonzero(lab != -1)[0]
     cols = lab[idx]
+    if not np.all((cols >= 0) & (cols < logits.shape[-1])):
+        raise ValueError(f"labels must be -1 or lie in [0, {logits.shape[-1]})")
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     ls = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     scale = 1.0 / idx.size

@@ -322,9 +322,10 @@ def cmd_train(args) -> int:
         raise DataFormatError(
             f"{args.target}: {target.num_classes} classes of shape {target.feature_dims} do not "
             f"match the source's {source.num_classes} classes of shape {source.feature_dims}")
-    if config.positive_class >= source.num_classes:
-        raise UsageError(f"positive_class {config.positive_class} is not one of the data's "
-                         f"{source.num_classes} classes")
+    try:
+        config.check_classes(source.num_classes)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
     run_dir = Path(args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -391,7 +392,7 @@ _AUDIT_PAIRS = 2 ** 15  # pairs per row range of the pooled audit: about 1 MB of
 def _audit_pooled(phi: np.ndarray, audit: np.ndarray, threshold, percentile) -> EdgeStats:
     """Edge counts of the pooled graph at the fixed ``threshold``, or at the
     ``percentile`` of its distances when that is not None. Beyond the
-    condensed distance vector, memory stays bounded: the percentile is a
+    condensed estimate vector, memory stays bounded: the percentile is a
     selection, and the graph is built and audited one row range of about
     _AUDIT_PAIRS pairs at a time."""
     dists = pair_distances(phi)
@@ -399,7 +400,7 @@ def _audit_pooled(phi: np.ndarray, audit: np.ndarray, threshold, percentile) -> 
         threshold = percentile_threshold(phi, percentile, dists=dists)
     stats = EdgeStats(right=0, wrong=0, unknown=0)
     if threshold > 0:
-        cuts = row_cuts(len(phi), -(-dists.size // _AUDIT_PAIRS))
+        cuts = row_cuts(len(phi), -(-dists.est.size // _AUDIT_PAIRS))
         for first, stop in zip(cuts, cuts[1:]):
             stats += edge_stats(build_graph(phi, threshold, dists=dists, first=first, stop=stop),
                                 audit)

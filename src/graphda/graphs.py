@@ -4,34 +4,27 @@ An undirected edge connects samples i and j exactly when the Euclidean
 distance between their feature rows is strictly below a threshold T.
 Edges ignore domain membership, so labeled source nodes can sit next to
 unlabeled target nodes; that adjacency is what lets label information
-travel across domains in the propagation layer. ``pair_distances`` is
-the one O(N^2 D) scan; the threshold, edges and kernel median read it.
-It fills one reused, cache-sized buffer with the direct differences of
-consecutive rows and reduces the whole buffer at once; a scan of at
-least 2 * 2**17 pairs is cut into row ranges that run on separate CPUs.
-Every pair's bits are the same for any buffer fill and any split.
-
-The export's threshold and audit add bounded memory to that vector:
-``percentile_threshold`` selects its one or two order statistics from a
-sorted strided sample and one chunked counting pass, without a copy,
-and ``build_graph`` takes a row range, so the pooled graph is built and
-audited one range at a time. ``row_cuts`` makes both the scan's and the
-audit's ranges from the same row offsets.
+travel across domains in the propagation layer. A distance is always the
+direct one, ``x[j] - x[i]`` squared, summed and rooted, but it is computed
+for few pairs: ``pair_distances`` estimates every pair's square from BLAS
+Gram products with a certified error bound, and the threshold, kernel
+median and edges compute directly only the pairs the bound cannot decide,
+with memory bounded beyond the estimate vector (see ``_select`` and the
+row ranges of ``build_graph``).
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "BatchGraph",
     "EdgeStats",
+    "PairGeometry",
     "build_graph",
     "edge_stats",
     "pair_distances",
@@ -97,15 +90,10 @@ class EdgeStats:
                          self.unknown + other.unknown)
 
 
-_SCAN_VALUES = 2 ** 15  # values per scan buffer (256 KB), before the n - 1 row floor
-_SPLIT_PAIRS = 2 ** 17  # pairs per range; a scan splits from two ranges' worth
+_SCAN_VALUES = 2 ** 15  # values per chunk of a counting pass (256 KB)
+_GRAM_PAIRS = 2 ** 15  # pairs per Gram block, which holds at most about twice that many values
 _MARGIN = 0.5  # the sample bracket's half-width, in units of sqrt(m ln n) sample ranks
-
-
-def _cpu_count() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+_U = 2.0 ** -53  # unit roundoff of float64
 
 
 def _row_offset(n, i):
@@ -122,80 +110,97 @@ def row_cuts(n: int, parts: int) -> list:
     return np.searchsorted(_row_offset(n, np.arange(n, dtype=np.int64)), share).tolist()
 
 
-def _scan_rows(x: np.ndarray, out: np.ndarray, first: int, stop: int, buf: np.ndarray) -> None:
-    """Distances of the pairs (i, j > i) for rows first <= i < stop into
-    ``out``: as many rows' differences as fit in ``buf``, then one square,
-    sum and root over the filled part. ``buf`` holds at least n - 1 rows."""
-    n = x.shape[0]
-    lo = _row_offset(n, first)
-    i = first
-    while i < stop:
-        used = 0
-        while i < stop and used + n - 1 - i <= buf.shape[0]:
-            np.subtract(x[i + 1:], x[i], out=buf[used:used + n - 1 - i])
-            used += n - 1 - i
-            i += 1
-        block, dest = buf[:used], out[lo:lo + used]
-        np.multiply(block, block, out=block)
-        np.add.reduce(block, axis=1, out=dest)
-        np.sqrt(dest, out=dest)
-        lo += used
+def _direct_sq(x: np.ndarray, k) -> np.ndarray:
+    """Squared direct distances S of the pairs at condensed indices ``k``, each
+    summed as one contiguous row: its bits do not depend on the other pairs."""
+    n, d = x.shape
+    starts, out, step = _row_offset(n, np.arange(n)), np.empty(len(k)), _SCAN_VALUES // max(d, 1)
+    for at in range(0, len(k), step):
+        i = np.searchsorted(starts, k[at:at + step], side="right") - 1
+        diff = x[k[at:at + step] - starts[i] + i + 1] - x[i]
+        np.add.reduce(np.multiply(diff, diff, out=diff), axis=1, out=out[at:at + step])
+    return out
 
 
-def pair_distances(phi) -> np.ndarray:
-    """Distance of every pair i < j, condensed row-major: pair (i, j) of
-    n rows sits at i*n - i*(i+1)/2 + j - i - 1.
+@dataclass(frozen=True, eq=False)
+class PairGeometry:
+    """Estimates ``est`` of the squared direct distance S of every pair i < j
+    of the rows ``x``, condensed row-major (pair (i, j) of n rows at
+    i*n - i*(i+1)/2 + j - i - 1), with |est - S| <= ``slack``. ``_found``
+    keeps what ``ranks`` found, so consumers of the same ranks select once."""
 
-    Direct differences per row, not a Gram expansion, which moves the
-    last ulp and can flip edges that sit exactly at a threshold. Each
-    pair's squared differences are summed as one contiguous row, so the
-    bits do not depend on how many rows share the scan buffer. From
-    2 * 2**17 pairs, the rows are cut into min(CPUs, pairs // 2**17)
-    ranges of about equal pair counts, each scanned on its own thread
-    into its own slice of the output; the bits are the same for every
-    split. Small inputs, such as training batches, stay on one thread.
+    x: np.ndarray
+    est: np.ndarray
+    slack: float
+    _found: dict = field(default_factory=dict, repr=False)
+
+    def ranks(self, ranks) -> list:
+        """The direct distances of the given ranks (0 is the smallest), all NaN
+        when one distance is NaN. With a <= b the estimates ``_select`` finds at the
+        lowest and highest rank, only the pairs whose estimates lie within
+        (a - 3E, b + 3E) can hold a rank: they are computed and partitioned."""
+        want = sorted(set(ranks) - self._found.keys())
+        if want:
+            found = _select(self.est, want)
+            if found is None:
+                return [math.nan] * len(ranks)
+            # rounded outwards, as a directly computed estimate can dwarf the slack
+            lo = np.nextafter(found[0] - 3 * self.slack, -math.inf)
+            hi = np.nextafter(found[-1] + 3 * self.slack, math.inf)
+            (_, below, _, _), inside = _bracket_pass(self.est, lo, hi)
+            # a rank past the bracket has an infinite estimate, and so S = inf
+            d = np.append(np.sqrt(_direct_sq(self.x, inside)), math.inf)
+            kth = [min(r - below, d.size - 1) for r in want]
+            d.partition(kth)
+            self._found.update(zip(want, d[kth].tolist()))
+        return [self._found[r] for r in ranks]
+
+
+def pair_distances(phi) -> PairGeometry:
+    """The ``PairGeometry`` of the rows of ``phi``: c is the rows less the
+    coordinate-wise median of the finite rows (a far row does not move it),
+    s_i = c_i.c_i and est = s_i + s_j - 2 c_i.c_j, one Gram product per
+    ``row_cuts`` range of about 2**15 pairs. With u = 2**-53, gamma_m =
+    m u / (1 - m u) and R^2 = max s_i (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, sec. 3.1), |est - S| < 16 gamma_{d+2} R^2:
+    4 gamma_d R^2 for the norm and Gram sums in any order (any BLAS blocking
+    or thread count), 8u R^2 for the three-term sum, 8u R^2 for the rounding
+    of c, and gamma_{d+2} S <= 4 gamma_{d+2} R^2 for the direct sum. The
+    slack E = 64 gamma_{d+2} (R^2 + 2**-1022) is 4x that; 2**-1022 covers
+    underflow, <= 2**-1075 per product. The pairs of a row with s_i not
+    below 2**1020 hold their S.
     """
     x = _as_matrix(phi)
     n, d = x.shape
-    out = np.empty(n * (n - 1) // 2)
-    parts = out.size // _SPLIT_PAIRS
-    parts = min(parts, _cpu_count()) if parts >= 2 else 1
-    cuts = row_cuts(n, parts)
-    # every buffer is allocated on this thread: buffers that the workers
-    # allocated came from per-thread malloc arenas and raised peak RSS
-    jobs = [(x, out, lo, hi, np.empty((max(n - 1, _SCAN_VALUES // max(d, 1)), d)))
-            for lo, hi in zip(cuts, cuts[1:])]
-    errors = []
-
-    def scan(job):
-        try:
-            _scan_rows(*job)
-        except BaseException as exc:  # raised again on this thread below
-            errors.append(exc)
-
-    # plain threads, not a ThreadPoolExecutor, whose import alone (it pulls
-    # in logging) raised peak RSS by about 0.6 MB; numpy releases the GIL
-    # inside each ufunc, and this thread scans the first range itself
-    threads = [threading.Thread(target=scan, args=(job,)) for job in jobs[1:]]
-    for t in threads:
-        t.start()
-    scan(jobs[0])
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-    return out
+    ok = np.isfinite(x).all(axis=1)
+    c = x - np.median(x[ok], axis=0, overwrite_input=True) if ok.any() else np.zeros_like(x)
+    s = np.einsum("ij,ij->i", c, c)
+    direct = ~(s < 2.0 ** 1020)  # NaN, inf, or large enough to overflow an estimate
+    c[direct] = s[direct] = 0.0
+    slack = 64 * (d + 2) * _U / (1 - (d + 2) * _U) * (s.max(initial=0.0) + 2.0 ** -1022)
+    est = np.empty(n * (n - 1) // 2)
+    cuts = row_cuts(n, -(-est.size // _GRAM_PAIRS))
+    for a, b in zip(cuts, cuts[1:]):
+        g = (-2.0 * c[a:b]) @ c[a:].T
+        g += s[a:b, None]
+        g += s[a:]
+        est[_row_offset(n, a):_row_offset(n, b)] = g[np.arange(n - a) > np.arange(b - a)[:, None]]
+    for i in np.flatnonzero(direct):
+        k = np.r_[_row_offset(n, np.arange(i)) + i - np.arange(i) - 1,
+                  _row_offset(n, i):_row_offset(n, i + 1)]
+        est[k] = _direct_sq(x, k)
+    return PairGeometry(x, est, float(slack))
 
 
 def build_graph(phi, threshold: float, dists=None, first: int = 0, stop=None) -> BatchGraph:
     """Connect i and j iff ||phi_i - phi_j||_2 < threshold (strict).
 
-    Every pair is examined; a distance exactly equal to the threshold
-    does not produce an edge. No self-loops. Pass ``dists`` =
-    ``pair_distances(phi)`` if already computed. ``first`` and ``stop``
-    keep only the pairs (i, j > i) with first <= i < stop (by default
-    every row), so a caller can walk a large graph one row range at a
-    time; the ranges of ``row_cuts`` hold every pair exactly once.
+    A distance equal to the threshold gives no edge; no self-loops. Pass
+    ``dists`` = ``pair_distances(phi)`` if already computed. Estimates below
+    t^2 (1 - 8u) - E are edges, above t^2 (1 + 8u) + E not, and the band
+    between is computed directly. ``first`` and ``stop`` keep only the pairs
+    (i, j > i) with first <= i < stop (by default every row), so a caller can
+    walk a large graph one ``row_cuts`` range at a time.
     """
     x = _as_matrix(phi)
     if not threshold > 0:
@@ -204,9 +209,13 @@ def build_graph(phi, threshold: float, dists=None, first: int = 0, stop=None) ->
     stop = max(n - 1, 0) if stop is None else stop
     if not 0 <= first <= stop <= max(n - 1, 0):
         raise ValueError(f"row range [{first}, {stop}) does not lie in the {n} rows' pairs")
+    geom = pair_distances(x) if dists is None else dists
     lo = _row_offset(n, first)
-    d = (pair_distances(x) if dists is None else dists)[lo:_row_offset(n, stop)]
-    k = np.flatnonzero(d < threshold)
+    e = geom.est[lo:_row_offset(n, stop)]
+    keep = e < threshold * threshold * (1 - 8 * _U) - geom.slack
+    band = np.flatnonzero((e <= threshold * threshold * (1 + 8 * _U) + geom.slack) ^ keep)
+    keep[band] = np.sqrt(_direct_sq(x, band + lo)) < threshold
+    k = np.flatnonzero(keep)
     i = np.arange(first, stop, dtype=np.int64)
     starts = _row_offset(n, i) - lo  # where row i's pairs start, counted from the range's start
     rows = np.repeat(i, np.diff(np.searchsorted(k, starts), append=k.size))
@@ -247,8 +256,8 @@ def _lerp_ranks(n: int, p: float):
 
 def _bracket_pass(d: np.ndarray, lo: float, hi: float):
     """One pass over cache-sized chunks of ``d``: the counts of values
-    < lo, <= lo, < hi and <= hi, and a copy of the values strictly between
-    lo and hi; None as soon as a chunk holds a NaN."""
+    < lo, <= lo, < hi and <= hi, and the indices of the values strictly
+    between lo and hi; None as soon as a chunk holds a NaN."""
     below_lo = upto_lo = below_hi = upto_hi = 0
     inside = []
     masks = np.empty((3, _SCAN_VALUES), dtype=bool)
@@ -261,7 +270,7 @@ def _bracket_pass(d: np.ndarray, lo: float, hi: float):
         upto_lo += np.count_nonzero(np.less_equal(c, lo, out=le_lo))
         below_hi += np.count_nonzero(np.less(c, hi, out=lt_hi))
         upto_hi += np.count_nonzero(np.less_equal(c, hi, out=mask))
-        inside.append(c[np.logical_and(lt_hi, np.logical_not(le_lo, out=le_lo), out=lt_hi)])
+        inside.append(np.flatnonzero(lt_hi & ~le_lo) + start)
     return (below_lo, upto_lo, below_hi, upto_hi), np.concatenate(inside)
 
 
@@ -297,6 +306,7 @@ def _select(d: np.ndarray, ranks: list):
         if below_lo <= min(ranks) and max(ranks) < upto_hi:
             break
         margin = 4 * margin + 1
+    inside = d[inside]
     kth = sorted({r - upto_lo for r in ranks if upto_lo <= r < below_hi})
     if kth:
         inside.partition(kth)
@@ -311,11 +321,11 @@ def percentile_threshold(phi, p: float, dists=None) -> float:
     the minimum pairwise distance, p=100 the maximum. Pass ``dists`` =
     ``pair_distances(phi)`` if already computed.
 
-    The bits are those of ``np.percentile``: the same one or two ranks,
-    found by an exact selection that does not copy a large ``dists``
-    (see ``_select``), and the same interpolation rule, which for a
-    weight t >= 0.5 measures back from the upper value. A NaN distance
-    gives NaN.
+    The bits are those of ``np.percentile`` of the direct distances: the
+    same one or two ranks, found exactly by ``PairGeometry.ranks``
+    without a copy of the estimates, and the same interpolation rule,
+    which for a weight t >= 0.5 measures back from the upper value, so a
+    NaN distance gives NaN.
     """
     x = _as_matrix(phi)
     n = x.shape[0]
@@ -323,12 +333,9 @@ def percentile_threshold(phi, p: float, dists=None) -> float:
         raise ValueError(f"need at least 2 rows to take pairwise distances, got {n}")
     if not 0 <= p <= 100:
         raise ValueError(f"percentile must lie in [0, 100], got {p}")
-    d = np.asarray(pair_distances(x) if dists is None else dists, dtype=np.float64)
-    k, k1, t = _lerp_ranks(d.size, p)
-    values = _select(d, [k, k1])
-    if values is None:
-        return math.nan
-    a, b = map(float, values)
+    geom = pair_distances(x) if dists is None else dists
+    k, k1, t = _lerp_ranks(geom.est.size, p)
+    a, b = geom.ranks([k, k1])
     diff = b - a
     threshold = b - diff * (1 - t) if t >= 0.5 else a + diff * t
     if threshold == 0.0:

@@ -84,7 +84,9 @@ class KernelSpec:
         n = x.shape[0]
         if n < 2:
             raise ValueError("median heuristic needs at least 2 rows")
-        med = float(np.median(pair_distances(x) if dists is None else dists))
+        m = (geom := pair_distances(x) if dists is None else dists).est.size
+        a, b = geom.ranks([(m - 1) // 2, m // 2])  # the ranks np.median reads
+        med = a if m % 2 else (a + b) / 2
         if med == 0.0:
             warnings.warn(
                 "median pairwise distance is 0 (identical rows); using bandwidth 1",

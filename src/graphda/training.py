@@ -8,9 +8,9 @@ the graph layer, and take an Adam step on
     L = L_mmd(phi_s, phi_t) + L_g(f, labels) + L_ce(logits, labels)
 
 where labels are source ground truth plus current pseudo-labels. An
-ablation that weights a term 0 never builds it, and the step scans the
-pair distances only if the graph or a weighted L_mmd's kernel median
-reads them. Target ground truth enters only as a read-only observer for
+ablation that weights a term 0 never builds it, and the step computes
+the pair geometry only if the graph or a weighted L_mmd's kernel median
+reads it. Target ground truth enters only as a read-only observer for
 the precision/accuracy and edge-quality columns; deleting it changes no
 parameter update. The refresh and the evaluation read the target
 probabilities of one ``Model.infer`` pass per weight state, so an
@@ -139,6 +139,12 @@ class TrainConfig:
         # the model's own width checks, so a bad width fails before any output
         ModelConfig(input_dims=(1,), num_classes=2, hidden=self.hidden, phi_dim=self.phi_dim,
                     backbone_hidden=self.backbone_hidden, conv_channels=self.conv_channels)
+
+    def check_classes(self, num_classes: int) -> None:
+        """Raise ValueError unless ``positive_class`` is one of the data's classes."""
+        if self.positive_class >= num_classes:
+            raise ValueError(f"positive_class {self.positive_class} is not one of the data's "
+                             f"{num_classes} classes")
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,6 +340,7 @@ def train(
         raise ValueError("source and target class counts differ")
     if source.feature_dims != target.feature_dims:
         raise ValueError("source and target feature shapes differ")
+    config.check_classes(source.num_classes)
     if eval_labels is not None:
         eval_labels = np.asarray(eval_labels, dtype=np.int64)
         if eval_labels.shape != (len(target),):
@@ -412,7 +419,7 @@ def train(
                     labels[half:] = pseudo.labels[batch.ids[half:]]
 
                 phi = model.backbone_forward(Tensor(_augment_batch(batch.features, augment_rng)))
-                # one pair scan feeds the threshold, the graph and the kernel median;
+                # one pair geometry feeds the threshold, the graph and the kernel median;
                 # it is made only when one of them is read
                 dists = pair_distances(phi.data) if config.use_gnn or w_mmd else None
                 graph = None

@@ -618,12 +618,10 @@ def test_export_audit_ranges_change_no_count(run_dir, data_dir, tmp_path, monkey
 
 
 @pytest.mark.parametrize("percentile", [50.0, 90.0])
-def test_pooled_audit_memory_is_bounded(percentile, monkeypatch):
-    # beyond the condensed vector of 1500 rows, the stage needs a small fraction
-    # of it; a copy for np.percentile, or the whole graph's index arrays, is 1x to 2x.
-    # One scan range keeps the scan's buffers (256 KB each) out of the figure on
-    # any number of CPUs
-    monkeypatch.setattr(graphs, "_cpu_count", lambda: 1)
+def test_pooled_audit_memory_is_bounded(percentile):
+    # beyond the condensed estimate vector of 1500 rows, the stage needs a small
+    # fraction of it; a copy for np.percentile, or the whole graph's index arrays,
+    # is 1x to 2x
     rng = np.random.default_rng(71)
     phi = rng.normal(size=(1500, 16))
     audit = rng.integers(-1, 2, size=1500)

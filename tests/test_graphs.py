@@ -1,5 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +18,7 @@ from graphda.graphs import (
     pair_distances,
     percentile_threshold,
 )
-from graphda.losses import KernelSpec
+from graphda.losses import MEDIAN_SCALES, KernelSpec
 
 
 def _edges(g):
@@ -51,11 +56,21 @@ def _oracle_edges(x, threshold):
     return out
 
 
+class _Exact:
+    """A pair geometry whose estimates are a given vector of exact distances."""
+
+    def __init__(self, d):
+        self.est = d
+
+    def ranks(self, ranks):
+        return graphs._select(self.est, ranks) or [math.nan] * len(ranks)
+
+
 def _pct(d, p):
     """percentile_threshold of a given condensed vector ``d``."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a zero percentile warns
-        return percentile_threshold(np.zeros((2, 1)), p, dists=d)
+        return percentile_threshold(np.zeros((2, 1)), p, dists=_Exact(d))
 
 
 class TestBuildGraph:
@@ -143,7 +158,7 @@ class TestBuildGraph:
             assert cuts[0] == 0 and cuts[-1] == n - 1 and cuts == sorted(cuts)
             for t in (percentile_threshold(phi, 50), 2.0, 1e9):
                 whole = build_graph(phi, t)
-                assert n < 9 or t == 1e9 or np.count_nonzero(dists == t) > 1
+                assert n < 9 or t == 1e9 or np.count_nonzero(_row_loop_distances(phi) == t) > 1
                 assert set(_edges(whole)) == _oracle_edges(phi.tolist(), t)
                 assert _edges(build_graph(phi, t, dists=dists, first=0, stop=n - 1)) == _edges(whole)
                 ranged = [build_graph(phi, t, dists=dists, first=a, stop=b)
@@ -184,57 +199,26 @@ class TestBuildGraph:
 
 class TestPairGeometry:
     def test_pair_distances_equal_row_loop_reference(self):
-        # at 600 and 1450 rows of 64 the scan buffer holds n - 1 rows, so its
-        # first fills take one row and its last fills many; 1450 x 64 and
-        # 2100 x 7 lie above the split size
+        # the direct distances of every pair, and estimates within a quarter of
+        # the slack of the direct squared sums: the slack's promised headroom
         shapes = [(0, 3), (1, 3), (2, 1), (17, 4), (128, 64), (600, 64), (1450, 64),
                   (2100, 7), (129, 130), (3, 2)]
         for seed, (n, d) in enumerate(shapes):
             phi = np.random.default_rng(300 + seed).normal(size=(n, d))
-            got = pair_distances(phi)
-            assert got.shape == (n * (n - 1) // 2,)
-            assert np.array_equal(got, _row_loop_distances(phi))
-
-    def test_split_count_changes_no_bit(self, monkeypatch):
-        phi = np.random.default_rng(41).normal(size=(1000, 7))  # 499500 pairs: up to 3 ranges
-        scan = graphs._scan_rows
-        ranges = []
-        monkeypatch.setattr(graphs, "_scan_rows", lambda x, out, first, stop, buf: (
-            ranges.append((first, stop)), scan(x, out, first, stop, buf))[1])
-        want = _row_loop_distances(phi)
-        for cpus in (1, 2, 3):
-            ranges.clear()
-            monkeypatch.setattr(graphs, "_cpu_count", lambda: cpus)
-            assert np.array_equal(pair_distances(phi), want)
-            cuts = sorted(ranges)
-            assert len(cuts) == cpus and cuts[0][0] == 0 and cuts[-1][1] == 999
-            assert all(a[1] == b[0] for a, b in zip(cuts, cuts[1:]))
-        # a training batch's 8128 pairs stay on one thread whatever the CPU count
-        ranges.clear()
-        monkeypatch.setattr(graphs, "_cpu_count", lambda: 8)
-        pair_distances(phi[:128])
-        assert ranges == [(0, 127)]
-
-    def test_worker_error_reaches_the_caller(self, monkeypatch):
-        scan = graphs._scan_rows
-
-        def fail_late_ranges(x, out, first, stop, buf):
-            if first > 0:  # every range but the first runs on a worker thread
-                raise MemoryError("worker range")
-            scan(x, out, first, stop, buf)
-
-        monkeypatch.setattr(graphs, "_scan_rows", fail_late_ranges)
-        monkeypatch.setattr(graphs, "_cpu_count", lambda: 3)
-        with pytest.raises(MemoryError, match="worker range"):
-            pair_distances(np.zeros((1000, 2)))
+            geom = pair_distances(phi)
+            want = _row_loop_distances(phi)
+            assert geom.est.shape == (n * (n - 1) // 2,)
+            assert np.array_equal(np.sqrt(graphs._direct_sq(phi, np.arange(geom.est.size))), want)
+            sq = np.concatenate([((phi[i + 1:] - phi[i]) ** 2).sum(axis=1) for i in range(n - 1)]
+                                or [np.zeros(0)])
+            assert np.all(np.abs(geom.est - sq) <= geom.slack / 4)
 
     def test_ties_exactly_at_threshold(self):
         # integer grid points with repeats: many pairs sit exactly at the median
         phi = np.random.default_rng(31).integers(0, 4, size=(40, 2)).astype(float)
         dists = pair_distances(phi)
-        assert np.array_equal(dists, _row_loop_distances(phi))
         t = percentile_threshold(phi, 50)
-        assert np.count_nonzero(dists == t) > 1
+        assert np.count_nonzero(_row_loop_distances(phi) == t) > 1
         g = build_graph(phi, t)
         assert set(_edges(g)) == _oracle_edges(phi.tolist(), t)
         assert _edges(build_graph(phi, t, dists=dists)) == _edges(g)
@@ -257,6 +241,114 @@ class TestPairGeometry:
         g = build_graph(np.arange(4.0).reshape(4, 1), 1.5)
         with pytest.raises(ValueError):
             g.rows[0] = 3
+
+
+def _same(a, b):
+    """Equal bits, NaN matching NaN."""
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def _condensed(g):
+    """The graph's edges as condensed pair indices."""
+    return graphs._row_offset(g.num_nodes, g.rows) + g.cols - g.rows - 1
+
+
+def _check_against_oracle(phi, thresholds=()):
+    """Thresholds, kernel median and edge sets, whole and per row range,
+    against numpy on the direct row-loop distances."""
+    want = _row_loop_distances(phi)
+    geom = pair_distances(phi)
+    for p in (0, 37.5, 50, 90, 100):
+        got = percentile_threshold(phi, p, dists=geom)
+        assert _same(got, float(np.percentile(want, p))), p
+        thresholds += (got,)
+    med = KernelSpec.from_median_heuristic(phi, dists=geom).bandwidths
+    ref = float(np.median(want))
+    assert all(_same(b, (ref if ref != 0.0 else 1.0) * s) for b, s in zip(med, MEDIAN_SCALES))
+    cuts = graphs.row_cuts(len(phi), 7)
+    for t in thresholds:
+        if not t > 0:
+            continue
+        whole = build_graph(phi, t, dists=geom)
+        assert np.array_equal(_condensed(whole), np.flatnonzero(want < t)), t
+        ranged = [build_graph(phi, t, dists=geom, first=a, stop=b) for a, b in zip(cuts, cuts[1:])]
+        assert np.array_equal(np.concatenate([_condensed(g) for g in ranged]), _condensed(whole))
+    return geom
+
+
+class TestExactScreening:
+    @pytest.mark.filterwarnings("ignore")
+    def test_hard_inputs_match_the_direct_oracle(self):
+        rng = np.random.default_rng(700)
+        inputs = {
+            "grid ties": rng.integers(0, 4, size=(300, 2)).astype(float),
+            "duplicate rows": np.repeat(rng.normal(size=(60, 3)), 4, axis=0),
+            "1e6 offset": rng.normal(size=(400, 7)) + 1e6,
+            "far outlier": np.vstack([rng.normal(size=(300, 5)), np.full((1, 5), 1e8)]),
+        }
+        for d, n in ((1, 1500), (2, 900), (7, 600), (64, 1500), (130, 200)):
+            inputs[f"d={d}"] = rng.normal(size=(n, d))
+        for name, phi in inputs.items():
+            assert _check_against_oracle(phi, thresholds=(1.0, 2.0)).slack > 0, name
+
+    @pytest.mark.filterwarnings("ignore")
+    def test_non_finite_rows_keep_the_direct_results(self):
+        base = np.random.default_rng(710).normal(size=(60, 4))
+        cases = [((5, 2), np.nan), ((7, 0), np.inf), ((7, 0), -np.inf),
+                 (([3, 9], 1), np.inf),  # the pair of two inf rows is inf - inf: NaN
+                 ((11, 0), 1e300),  # its squared distances overflow to inf
+                 ((11, 0), 5e153)]  # finite, but too large for an estimate
+        for at, value in cases:
+            phi = base.copy()
+            phi[at] = value
+            _check_against_oracle(phi, thresholds=(1.5, math.inf))
+        # such a pair holds its S, and at t = its distance (the root rounded up)
+        # S < t * t: only the margin t^2 (1 - 8u) keeps the pair out of the graph
+        _check_against_oracle(np.array([[0.0, 0.0], [7.626540478400546e153, 7.825511154555444e153]]))
+
+    def test_threshold_and_median_select_once(self, monkeypatch):
+        calls = []
+        select = graphs._select
+        monkeypatch.setattr(graphs, "_select", lambda d, ranks: (calls.append(ranks), select(d, ranks))[1])
+        rng = np.random.default_rng(720)
+        for phi in (rng.normal(size=(40, 3)),  # 780 pairs: the median averages two ranks
+                    rng.normal(size=(42, 3)),  # 861 pairs: the median is one rank
+                    rng.integers(0, 3, size=(42, 2)).astype(float)):  # ties at the median
+            want = _row_loop_distances(phi)
+            geom = pair_distances(phi)
+            calls.clear()
+            assert percentile_threshold(phi, 50, dists=geom) == float(np.percentile(want, 50))
+            kernels = KernelSpec.from_median_heuristic(phi, dists=geom)
+            assert len(calls) == 1
+            assert kernels.bandwidths == tuple(float(np.median(want)) * s for s in MEDIAN_SCALES)
+            assert KernelSpec.from_median_heuristic(phi) == kernels
+
+
+_GEOMETRY_PROBE = """
+import json
+import numpy as np
+from graphda.graphs import build_graph, pair_distances, percentile_threshold
+from graphda.losses import KernelSpec
+phi = np.random.default_rng(91).normal(size=(1500, 64))
+geom = pair_distances(phi)
+ts = [percentile_threshold(phi, p, dists=geom) for p in (10, 50, 90)]
+med = KernelSpec.from_median_heuristic(phi, dists=geom).bandwidths[2]
+print(json.dumps([ts, med, [build_graph(phi, t, dists=geom).num_edges for t in ts]]))
+"""
+
+
+def test_results_do_not_depend_on_blas_threads():
+    # the estimates' bits move with the BLAS thread count; nothing read from them may
+    src = str(Path(graphs.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    runs = [json.loads(subprocess.run(
+        [sys.executable, "-c", _GEOMETRY_PROBE], capture_output=True, text=True, check=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}, timeout=300,
+    ).stdout) for threads in ("1", "2")]
+    want = _row_loop_distances(np.random.default_rng(91).normal(size=(1500, 64)))
+    ts = [float(np.percentile(want, p)) for p in (10, 50, 90)]
+    oracle = [ts, float(np.median(want)), [int(np.count_nonzero(want < t)) for t in ts]]
+    assert runs[0] == runs[1] == oracle
 
 
 class TestEdgeStats:

@@ -260,6 +260,12 @@ class TestCrossEntropy:
         got = float(cross_entropy_loss(logits, [0, -1]).data)
         assert got == pytest.approx(math.log(2), rel=1e-15)
 
+    def test_labels_outside_the_classes_are_rejected(self):
+        # -1 marks an unlabeled row; -2 would otherwise read the last column
+        for bad in (-2, 2):
+            with pytest.raises(ValueError, match=r"-1 or lie in \[0, 2\)"):
+                cross_entropy_loss(t([[0.0, 3.0], [1.0, 0.0]]), [bad, 0])
+
     def test_matches_reference_nll(self):
         rng = np.random.default_rng(17)
         z = rng.normal(size=(8, 4))

@@ -524,6 +524,13 @@ def test_train_rejects_mismatched_domains():
         train(tiny_cfg(), src, tgt, eval_labels=ev[:-1])
 
 
+def test_train_rejects_a_positive_class_outside_the_data(tmp_path):
+    src, tgt, _ = shift_data(seed=18)
+    with pytest.raises(ValueError, match="positive_class 2 is not one of the data's 2 classes"):
+        train(tiny_cfg(positive_class=2), src, tgt, run_dir=tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
 def test_checkpoint_reproduces_model(tmp_path):
     src, tgt, ev = shift_data(seed=19)
     model, _ = train(tiny_cfg(), src, tgt, eval_labels=ev, run_dir=tmp_path)
