@@ -20,7 +20,6 @@ import os
 import sys
 from importlib import metadata
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .datasets import (
     DataFormatError,
     Dataset,
     Domain,
-    NormStats,
     ShiftConfig,
     _write_atomic,
     gen_synthetic_shift,
@@ -39,11 +37,12 @@ from .datasets import (
 )
 from .graphs import (EdgeStats, build_graph, edge_stats, pair_distances, percentile_threshold,
                      row_cuts)
-from .model import Model, config_from_tensors, load_checkpoint
+from .model import Model, config_from_tensors, load_checkpoint, run_from_tensors
 from .pseudo import _check_epsilon, assign_pseudo_labels
 from .training import (
     DivergenceError,
     TrainConfig,
+    _check_inputs,
     evaluate,
     export_embeddings,
     train,
@@ -203,50 +202,6 @@ def _write_manifest(path, entries: dict) -> None:
     _write_atomic(path, text.encode("utf-8"))
 
 
-class _RunMeta(NamedTuple):
-    epoch: int
-    positive_class: int
-    threshold: float | None  # None when the graph threshold is a percentile
-    percentile: float | None
-    source_stats: NormStats
-    target_stats: NormStats
-
-
-def _run_meta(blob: dict, model: Model) -> _RunMeta:
-    """The checkpoint's ``meta/*`` run entries and ``norm/*`` statistics.
-
-    A missing, mis-shaped, non-finite or out-of-range entry raises
-    DataFormatError before any output is written.
-    """
-    def entry(key, shape=(), ok=np.isfinite):
-        if key not in blob:
-            raise DataFormatError(f"checkpoint lacks entry {key!r}")
-        value = blob[key]
-        if value.shape != shape or not np.all(ok(value)):
-            raise DataFormatError(f"checkpoint entry {key!r} is invalid: shape {value.shape}, "
-                                  f"values {value.ravel()[:4].tolist()}")
-        return value if shape else float(value)
-
-    def count(key, stop=np.inf):
-        return int(entry(key, ok=lambda v: (v == np.floor(v)) & (0 <= v) & (v < stop)))
-
-    def stats(domain):
-        dims = model.config.input_dims[:1]  # one entry per channel
-        return NormStats(entry(f"norm/{domain}_mean", dims),
-                         entry(f"norm/{domain}_std", dims, ok=lambda v: np.isfinite(v) & (v > 0)))
-
-    percentile = entry("meta/threshold_percentile", ok=lambda v: ~((v < 0) | (v > 100)))
-    fixed = np.isnan(percentile)  # NaN marks a fixed threshold
-    return _RunMeta(
-        epoch=count("meta/epoch"),
-        positive_class=count("meta/positive_class", model.config.num_classes),
-        threshold=entry("meta/threshold", ok=lambda v: v > 0) if fixed else None,
-        percentile=None if fixed else percentile,
-        source_stats=stats("source"),
-        target_stats=stats("target"),
-    )
-
-
 def _check_input_dims(model: Model, dataset: Dataset, path) -> None:
     if dataset.feature_dims != model.config.input_dims:
         raise DataFormatError(
@@ -315,15 +270,10 @@ def cmd_train(args) -> int:
     source = read_dataset(args.source, Domain.SOURCE)
     target = read_dataset(args.target, Domain.TARGET)
     eval_labels = _read_eval_labels(args.labels, target) if args.labels else None
-    for path, dataset in ((args.source, source), (args.target, target)):
-        if not len(dataset):
-            raise DataFormatError(f"{path}: no samples; training draws from both domains")
-    if (target.num_classes, target.feature_dims) != (source.num_classes, source.feature_dims):
-        raise DataFormatError(
-            f"{args.target}: {target.num_classes} classes of shape {target.feature_dims} do not "
-            f"match the source's {source.num_classes} classes of shape {source.feature_dims}")
     try:
-        config.check_classes(source.num_classes)
+        _check_inputs(config, source, target, names=(args.source, args.target))
+    except DataFormatError:
+        raise
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -358,7 +308,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     blob = load_checkpoint(args.checkpoint)
     model = Model.from_state(config_from_tensors(blob), blob)
-    meta = _run_meta(blob, model)
+    meta = run_from_tensors(blob, model.config)
     target = read_dataset(args.target, Domain.TARGET)
     _check_input_dims(model, target, args.target)
     if not len(target):
@@ -410,7 +360,7 @@ def _audit_pooled(phi: np.ndarray, audit: np.ndarray, threshold, percentile) -> 
 def cmd_export(args) -> int:
     blob = load_checkpoint(args.checkpoint)
     model = Model.from_state(config_from_tensors(blob), blob)
-    meta = _run_meta(blob, model)
+    meta = run_from_tensors(blob, model.config)
     try:
         _check_epsilon(args.epsilon, model.config.num_classes)
     except ValueError as exc:

@@ -9,6 +9,11 @@ graph layer mixes each row with its batch neighbors:
 Inference (``Model.infer``) runs the same three stages with no edges,
 so only the theta1 branch survives and each sample's prediction is
 independent of whatever else shares its batch.
+
+A checkpoint holds the weights, the architecture (``config_to_tensors``)
+and the run entries (``run_to_tensors``): the epoch, the graph threshold
+or its percentile, the positive class, and each domain's normalization.
+``run_from_tensors`` reads the run entries back and validates them.
 """
 
 from __future__ import annotations
@@ -16,11 +21,12 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .autodiff import ShapeError, Tensor, add, im2col, matmul, no_trace, relu
-from .datasets import DataFormatError, _Reader, _write_atomic
+from .datasets import DataFormatError, NormStats, _Reader, _write_atomic
 from .graphs import BatchGraph
 
 __all__ = [
@@ -30,6 +36,9 @@ __all__ = [
     "load_checkpoint",
     "config_to_tensors",
     "config_from_tensors",
+    "RunMeta",
+    "run_to_tensors",
+    "run_from_tensors",
 ]
 
 CHECKPOINT_MAGIC = b"HDAP"
@@ -41,9 +50,8 @@ class ModelConfig:
     """Static architecture description.
 
     ``input_dims`` is (D,) for flat features or (c, h, w) for images.
-    ``backbone_hidden`` = 0 collapses the MLP backbone to one linear
-    layer (useful for identity-weight probes); it is ignored for images,
-    which always use the small conv stack.
+    ``backbone_hidden`` is the hidden width of the two-layer MLP backbone;
+    it is ignored for images, which always use the small conv stack.
     """
 
     input_dims: tuple
@@ -62,8 +70,8 @@ class ModelConfig:
             raise ValueError(f"input_dims must be (D,) or (c, h, w), got {dims}")
         if self.num_classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.num_classes}")
-        if self.hidden < 1 or self.phi_dim < 1 or self.backbone_hidden < 0:
-            raise ValueError("hidden and phi_dim must be >= 1, backbone_hidden >= 0")
+        if min(self.hidden, self.phi_dim, self.backbone_hidden) < 1:
+            raise ValueError("hidden, phi_dim and backbone_hidden must be >= 1")
         if len(chans) != 2 or any(c < 1 for c in chans):
             raise ValueError(f"conv_channels must be two positive ints, got {chans}")
 
@@ -85,12 +93,6 @@ def _param_shapes(cfg: ModelConfig) -> list:
             ("backbone/cb2", (c2,), None),
             ("backbone/w3", (c2, cfg.phi_dim), c2),
             ("backbone/b3", (cfg.phi_dim,), None),
-        ]
-    elif cfg.backbone_hidden == 0:
-        d = cfg.input_dims[0]
-        shapes += [
-            ("backbone/w1", (d, cfg.phi_dim), d),
-            ("backbone/b1", (cfg.phi_dim,), None),
         ]
     else:
         d, h1 = cfg.input_dims[0], cfg.backbone_hidden
@@ -165,10 +167,8 @@ class Model:
             # pooling sums an NCHW copy: that summation order sets the bits of phi
             pooled = y.transpose((0, 3, 1, 2)).mean(axis=(2, 3))
             return add(matmul(pooled, p["backbone/w3"]), p["backbone/b3"])
-        y = add(matmul(x, p["backbone/w1"]), p["backbone/b1"])
-        if self.config.backbone_hidden == 0:
-            return y
-        return add(matmul(relu(y), p["backbone/w2"]), p["backbone/b2"])
+        y = relu(add(matmul(x, p["backbone/w1"]), p["backbone/b1"]))
+        return add(matmul(y, p["backbone/w2"]), p["backbone/b2"])
 
     def gnn_forward(self, phi: Tensor, graph: BatchGraph | None) -> Tensor:
         """Graph layer; ``graph=None`` or an empty edge set keeps only the
@@ -314,3 +314,65 @@ def config_from_tensors(tensors: dict) -> ModelConfig:
         raise DataFormatError(f"checkpoint lacks architecture entry {e.args[0]!r}") from None
     except (ValueError, OverflowError, IndexError) as e:  # NaN, inf, empty or out-of-range entries
         raise DataFormatError(f"checkpoint architecture entries are invalid: {e}") from None
+
+
+class RunMeta(NamedTuple):
+    """A checkpoint's run entries: what eval and export need beyond the weights."""
+
+    epoch: int
+    positive_class: int
+    threshold: float | None  # the fixed threshold; read back as None when a percentile sets it
+    percentile: float | None
+    source_stats: NormStats
+    target_stats: NormStats
+
+
+def run_to_tensors(run: RunMeta) -> dict:
+    """``meta/epoch``, ``meta/threshold``, ``meta/threshold_percentile`` (NaN
+    marks a fixed threshold), ``meta/positive_class`` and ``norm/*``."""
+    percentile = float("nan") if run.percentile is None else float(run.percentile)
+    return {
+        "meta/epoch": np.asarray(float(run.epoch)),
+        "meta/threshold": np.asarray(float(run.threshold)),
+        "meta/threshold_percentile": np.asarray(percentile),
+        "meta/positive_class": np.asarray(float(run.positive_class)),
+        "norm/source_mean": run.source_stats.mean,
+        "norm/source_std": run.source_stats.std,
+        "norm/target_mean": run.target_stats.mean,
+        "norm/target_std": run.target_stats.std,
+    }
+
+
+def run_from_tensors(tensors: dict, config: ModelConfig) -> RunMeta:
+    """The run entries of a checkpoint of architecture ``config``.
+
+    A missing, mis-shaped, non-finite or out-of-range entry raises
+    DataFormatError before any output is written.
+    """
+    def entry(key, shape=(), ok=np.isfinite):
+        if key not in tensors:
+            raise DataFormatError(f"checkpoint lacks entry {key!r}")
+        value = tensors[key]
+        if value.shape != shape or not np.all(ok(value)):
+            raise DataFormatError(f"checkpoint entry {key!r} is invalid: shape {value.shape}, "
+                                  f"values {value.ravel()[:4].tolist()}")
+        return value if shape else float(value)
+
+    def count(key, stop=np.inf):
+        return int(entry(key, ok=lambda v: (v == np.floor(v)) & (0 <= v) & (v < stop)))
+
+    def stats(domain):
+        dims = config.input_dims[:1]  # one entry per channel
+        return NormStats(entry(f"norm/{domain}_mean", dims),
+                         entry(f"norm/{domain}_std", dims, ok=lambda v: np.isfinite(v) & (v > 0)))
+
+    percentile = entry("meta/threshold_percentile", ok=lambda v: ~((v < 0) | (v > 100)))
+    fixed = np.isnan(percentile)
+    return RunMeta(
+        epoch=count("meta/epoch"),
+        positive_class=count("meta/positive_class", config.num_classes),
+        threshold=entry("meta/threshold", ok=lambda v: v > 0) if fixed else None,
+        percentile=None if fixed else percentile,
+        source_stats=stats("source"),
+        target_stats=stats("target"),
+    )

@@ -1,9 +1,10 @@
 """End-to-end adaptation training, evaluation, and embedding export.
 
-One epoch: reassign the pseudo-labels of the whole target set, then
-for every 128+128 batch augment images, run the backbone, build the
-threshold graph over the joint batch's backbone features phi, apply
-the graph layer, and take an Adam step on
+``train`` is the epoch loop. One epoch: reassign the pseudo-labels of
+the whole target set, then for every 128+128 batch ``train_step``
+augments images, runs the backbone, builds the threshold graph over the
+joint batch's backbone features phi, applies the graph layer, and takes
+an Adam step on
 
     L = L_mmd(phi_s, phi_t) + L_g(f, labels) + L_ce(logits, labels)
 
@@ -27,17 +28,19 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor, backward, slice_rows
-from .datasets import Dataset, TwoDomainSampler, _write_atomic, normalize, warp_image
+from .datasets import (Batch, DataFormatError, Dataset, TwoDomainSampler, _write_atomic,
+                       normalize, warp_image)
 from .graphs import BatchGraph, build_graph, edge_stats, pair_distances, percentile_threshold
 from .losses import (
     MEDIAN_SCALES,
     KernelSpec,
+    LossBreakdown,
     cross_entropy_loss,
     feature_similarity_loss,
     mmd_loss,
     total_loss,
 )
-from .model import Model, ModelConfig, config_to_tensors, save_checkpoint
+from .model import Model, ModelConfig, RunMeta, config_to_tensors, run_to_tensors, save_checkpoint
 from .pseudo import PseudoState, assign_pseudo_labels, pseudo_coverage, write_pseudo_csv
 
 __all__ = [
@@ -47,18 +50,12 @@ __all__ = [
     "EvalMetrics",
     "EpochMetrics",
     "METRICS_COLUMNS",
+    "train_step",
     "train",
     "evaluate",
     "export_embeddings",
     "pca_2d",
 ]
-
-METRICS_COLUMNS = (
-    "epoch,precision,accuracy,l_mmd,l_g,l_ce,l_total,pseudo_coverage,"
-    "edges_right,edges_wrong,edges_unknown"
-)
-STEPS_COLUMNS = "step,l_mmd,l_g,l_ce,l_total,pseudo_count"
-
 
 class DivergenceError(RuntimeError):
     """Raised when the loss goes non-finite; training must not continue."""
@@ -140,12 +137,6 @@ class TrainConfig:
         ModelConfig(input_dims=(1,), num_classes=2, hidden=self.hidden, phi_dim=self.phi_dim,
                     backbone_hidden=self.backbone_hidden, conv_channels=self.conv_channels)
 
-    def check_classes(self, num_classes: int) -> None:
-        """Raise ValueError unless ``positive_class`` is one of the data's classes."""
-        if self.positive_class >= num_classes:
-            raise ValueError(f"positive_class {self.positive_class} is not one of the data's "
-                             f"{num_classes} classes")
-
 
 @dataclass(frozen=True, eq=False)
 class EvalMetrics:
@@ -170,6 +161,20 @@ class EpochMetrics:
     edges_right: int
     edges_wrong: int
     edges_unknown: int
+
+
+METRICS_COLUMNS = ",".join(f.name for f in fields(EpochMetrics))
+STEPS_COLUMNS = ",".join(["step", *(f.name for f in fields(LossBreakdown)), "pseudo_count"])
+
+
+def _f(x) -> str:
+    return repr(float(x))
+
+
+def _csv_fields(record) -> list:
+    """A record's values in field order, floats through ``_f``."""
+    values = (getattr(record, f.name) for f in fields(record))
+    return [_f(v) if isinstance(v, float) else v for v in values]
 
 
 class Adam:
@@ -285,15 +290,6 @@ def _augment_batch(features: np.ndarray, rng: np.random.Generator) -> np.ndarray
     return warp_image(features, theta, scale, shear)
 
 
-def _empty_pseudo(n: int, epsilon: float) -> PseudoState:
-    return PseudoState(labels=np.full(n, -1, dtype=np.int64),
-                       confidence=np.zeros(n), epoch=0, epsilon=epsilon)
-
-
-def _f(x) -> str:
-    return repr(float(x))
-
-
 class _CsvFile:
     """Append-only CSV with a fixed header; floats written via repr."""
 
@@ -302,8 +298,8 @@ class _CsvFile:
         self.fh.write(header + "\n")
         self.fh.flush()
 
-    def row(self, fields) -> None:
-        self.fh.write(",".join(str(v) for v in fields) + "\n")
+    def row(self, values) -> None:
+        self.fh.write(",".join(str(v) for v in values) + "\n")
         self.fh.flush()
 
     def close(self) -> None:
@@ -314,11 +310,73 @@ def _audit_labels(batch, eval_labels) -> np.ndarray:
     """True source labels plus eval target labels (observer only)."""
     half = batch.source_count
     out = batch.labels.copy()
-    if eval_labels is not None:
-        out[half:] = eval_labels[batch.ids[half:]]
-    else:
-        out[half:] = -1
+    out[half:] = -1 if eval_labels is None else eval_labels[batch.ids[half:]]
     return out
+
+
+def _check_inputs(config: TrainConfig, source: Dataset, target: Dataset,
+                  names=("source", "target")) -> None:
+    """Raise DataFormatError unless both domains hold samples of one feature
+    shape over one class count, and ValueError unless ``positive_class`` is
+    one of those classes. ``names`` name the two domains in the messages."""
+    for name, dataset in zip(names, (source, target)):
+        if not len(dataset):
+            raise DataFormatError(f"{name}: no samples; training draws from both domains")
+    if (target.num_classes, target.feature_dims) != (source.num_classes, source.feature_dims):
+        raise DataFormatError(
+            f"{names[1]}: {target.num_classes} classes of shape {target.feature_dims}, but "
+            f"{names[0]} has {source.num_classes} of shape {source.feature_dims}; the domains' "
+            "class counts and feature shapes must agree")
+    if config.positive_class >= source.num_classes:
+        raise ValueError(f"positive_class {config.positive_class} is not one of the data's "
+                         f"{source.num_classes} classes")
+
+
+def train_step(model: Model, adam: Adam, config: TrainConfig, batch: Batch, labels: np.ndarray,
+               rng: np.random.Generator) -> tuple[LossBreakdown, BatchGraph | None]:
+    """One optimizer step on a joint batch, source rows first, fitting
+    ``labels`` (-1 where unknown): augment with ``rng``, run the backbone,
+    make the pair geometry, build the graph, run the graph layer, take the
+    losses and let Adam update the weights.
+
+    Returns the loss breakdown and the batch graph, None without the graph
+    layer; the graph holds the step's threshold and edges. A non-finite loss
+    makes no update: the weights and Adam's state stay as they were.
+    """
+    half, (w_mmd, w_g, w_ce) = batch.source_count, config.loss_weights
+    phi = model.backbone_forward(Tensor(_augment_batch(batch.features, rng)))
+    # one pair geometry feeds the threshold, the graph and the kernel median;
+    # it is made only when one of them is read
+    dists = pair_distances(phi.data) if config.use_gnn or w_mmd else None
+    graph = None
+    if config.use_gnn:
+        t_used = config.threshold
+        if config.threshold_percentile is not None:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # degenerate batch still trains
+                t_used = percentile_threshold(phi.data, config.threshold_percentile, dists=dists)
+        graph = (build_graph(phi.data, t_used, dists=dists) if t_used > 0 else
+                 BatchGraph(num_nodes=len(batch), rows=(), cols=(), threshold=0.0))
+    f = model.gnn_forward(phi, graph)
+    # a zero-weight term is never built: total_loss reads None as 0.0.
+    # The logits come first, as the creation order fixes the order in
+    # which the CE and separation gradients land on f, and so its bits.
+    logits = model.classify(f) if w_ce else None
+    l_mmd = l_g = None
+    if w_mmd:
+        kernels = KernelSpec.from_median_heuristic(phi.data, scales=config.kernel_scales,
+                                                   dists=dists)
+        l_mmd = mmd_loss(slice_rows(phi, 0, half), slice_rows(phi, half, len(batch)), kernels)
+    if w_g:
+        l_g = feature_similarity_loss(f if config.lg_features == "gnn" else phi, labels,
+                                      config.margin)
+    l_ce = cross_entropy_loss(logits, labels) if w_ce else None
+    total, breakdown = total_loss(l_mmd, l_g, l_ce, weights=config.loss_weights)
+    if np.isfinite(breakdown.l_total):
+        adam.zero_grad()
+        backward(total)
+        adam.step()
+    return breakdown, graph
 
 
 def train(
@@ -336,37 +394,24 @@ def train(
     columns. With ``run_dir`` set, writes metrics.csv, steps.csv,
     pseudo.csv, and periodic checkpoints there.
     """
-    if source.num_classes != target.num_classes:
-        raise ValueError("source and target class counts differ")
-    if source.feature_dims != target.feature_dims:
-        raise ValueError("source and target feature shapes differ")
-    config.check_classes(source.num_classes)
+    _check_inputs(config, source, target)
     if eval_labels is not None:
         eval_labels = np.asarray(eval_labels, dtype=np.int64)
         if eval_labels.shape != (len(target),):
             raise ValueError("eval labels do not match the target set")
 
     init_ss, sampler_ss, augment_ss = np.random.SeedSequence(config.seed).spawn(3)
-    init_rng = np.random.default_rng(init_ss)
-    sampler_rng = np.random.default_rng(sampler_ss)
     augment_rng = np.random.default_rng(augment_ss)
-
     source, src_stats = normalize(source)
     target, tgt_stats = normalize(target)
-
-    model_cfg = ModelConfig(
-        input_dims=source.feature_dims,
-        num_classes=source.num_classes,
-        hidden=config.hidden,
-        phi_dim=config.phi_dim,
-        backbone_hidden=config.backbone_hidden,
-        conv_channels=config.conv_channels,
-    )
-    model = Model.init(model_cfg, init_rng)
+    model_cfg = ModelConfig(input_dims=source.feature_dims, num_classes=source.num_classes,
+                            hidden=config.hidden, phi_dim=config.phi_dim,
+                            backbone_hidden=config.backbone_hidden,
+                            conv_channels=config.conv_channels)
+    model = Model.init(model_cfg, np.random.default_rng(init_ss))
     adam = Adam(model.parameters(), lr=config.lr, weight_decay=config.weight_decay)
-    sampler = TwoDomainSampler(source, target, config.batch_size, sampler_rng)
+    sampler = TwoDomainSampler(source, target, config.batch_size, np.random.default_rng(sampler_ss))
     half = config.batch_size // 2
-    w_mmd, w_g, w_ce = config.loss_weights
 
     run_dir = Path(run_dir) if run_dir is not None else None
     metrics_csv = steps_csv = None
@@ -375,26 +420,9 @@ def train(
         metrics_csv = _CsvFile(run_dir / "metrics.csv", METRICS_COLUMNS)
         steps_csv = _CsvFile(run_dir / "steps.csv", STEPS_COLUMNS)
 
-    def checkpoint_blob(epoch):
-        return {
-            **model.state(),
-            **config_to_tensors(model_cfg),
-            "meta/epoch": np.asarray(float(epoch)),
-            "meta/threshold": np.asarray(float(config.threshold)),
-            "meta/threshold_percentile": np.asarray(
-                float("nan") if config.threshold_percentile is None
-                else float(config.threshold_percentile)
-            ),
-            "meta/positive_class": np.asarray(float(config.positive_class)),
-            "norm/source_mean": src_stats.mean,
-            "norm/source_std": src_stats.std,
-            "norm/target_mean": tgt_stats.mean,
-            "norm/target_std": tgt_stats.std,
-        }
-
-    pseudo = _empty_pseudo(len(target), config.epsilon)
-    history = []
-    step = 0
+    pseudo = PseudoState(labels=np.full(len(target), -1, dtype=np.int64),
+                         confidence=np.zeros(len(target)), epoch=0, epsilon=config.epsilon)
+    history, step = [], 0
     probs = None  # target probabilities under the current weights, None once stale
 
     def target_probs():
@@ -410,66 +438,26 @@ def train(
                 pseudo = assign_pseudo_labels(target_probs(), config.epsilon, epoch=epoch)
             loss_sums = np.zeros(4)
             edge_sums = np.zeros(3, dtype=np.int64)
-            n_steps = 0
 
             for batch in sampler.epoch():
                 step += 1
                 labels = batch.labels.copy()
                 if pseudo_on:
                     labels[half:] = pseudo.labels[batch.ids[half:]]
-
-                phi = model.backbone_forward(Tensor(_augment_batch(batch.features, augment_rng)))
-                # one pair geometry feeds the threshold, the graph and the kernel median;
-                # it is made only when one of them is read
-                dists = pair_distances(phi.data) if config.use_gnn or w_mmd else None
-                graph = None
-                if config.use_gnn:
-                    if config.threshold_percentile is None:
-                        t_used = config.threshold
-                    else:
-                        with warnings.catch_warnings():
-                            warnings.simplefilter("ignore")  # degenerate batch still trains
-                            t_used = percentile_threshold(phi.data, config.threshold_percentile,
-                                                          dists=dists)
-                    graph = (build_graph(phi.data, t_used, dists=dists) if t_used > 0 else
-                             BatchGraph(num_nodes=len(batch), rows=(), cols=(), threshold=0.0))
-                f = model.gnn_forward(phi, graph)
-                # a zero-weight term is never built: total_loss reads None as 0.0.
-                # The logits come first, as the creation order fixes the order in
-                # which the CE and separation gradients land on f, and so its bits.
-                logits = model.classify(f) if w_ce else None
-                l_mmd = l_g = None
-                if w_mmd:
-                    kernels = KernelSpec.from_median_heuristic(
-                        phi.data, scales=config.kernel_scales, dists=dists)
-                    l_mmd = mmd_loss(slice_rows(phi, 0, half), slice_rows(phi, half, len(batch)),
-                                     kernels)
-                if w_g:
-                    lg_input = f if config.lg_features == "gnn" else phi
-                    l_g = feature_similarity_loss(lg_input, labels, config.margin)
-                l_ce = cross_entropy_loss(logits, labels) if w_ce else None
-                total, breakdown = total_loss(l_mmd, l_g, l_ce, weights=config.loss_weights)
-
+                breakdown, graph = train_step(model, adam, config, batch, labels, augment_rng)
                 if not np.isfinite(breakdown.l_total):
                     _dump_divergence(run_dir, epoch, step, breakdown, batch)
                     raise DivergenceError(
                         f"non-finite loss at epoch {epoch}, step {step}: "
                         f"mmd={breakdown.l_mmd} g={breakdown.l_g} ce={breakdown.l_ce}"
                     )
-
-                adam.zero_grad()
-                backward(total)
-                adam.step()
                 probs = None
-                n_steps += 1
-                pseudo_count = int((labels[half:] != -1).sum())
                 loss_sums += (breakdown.l_mmd, breakdown.l_g, breakdown.l_ce, breakdown.l_total)
                 if graph is not None:
                     st = edge_stats(graph, _audit_labels(batch, eval_labels))
                     edge_sums += (st.right, st.wrong, st.unknown)
                 if steps_csv is not None:
-                    steps_csv.row([step, _f(breakdown.l_mmd), _f(breakdown.l_g),
-                                   _f(breakdown.l_ce), _f(breakdown.l_total), pseudo_count])
+                    steps_csv.row([step, *_csv_fields(breakdown), int((labels[half:] != -1).sum())])
 
             if run_dir is not None:
                 write_pseudo_csv(run_dir / "pseudo.csv", pseudo)
@@ -478,28 +466,19 @@ def train(
                 precision, accuracy = ev.precision, ev.accuracy
             else:
                 precision = accuracy = float("nan")
-            means = loss_sums / max(n_steps, 1)
-            em = EpochMetrics(
-                epoch=epoch, precision=precision, accuracy=accuracy,
-                l_mmd=means[0], l_g=means[1], l_ce=means[2], l_total=means[3],
-                pseudo_coverage=pseudo_coverage(pseudo),
-                edges_right=int(edge_sums[0]), edges_wrong=int(edge_sums[1]),
-                edges_unknown=int(edge_sums[2]),
-            )
+            em = EpochMetrics(epoch, precision, accuracy, *(loss_sums / sampler.epoch_length),
+                              pseudo_coverage(pseudo), *map(int, edge_sums))
             history.append(em)
             if metrics_csv is not None:
-                metrics_csv.row([em.epoch, _f(em.precision), _f(em.accuracy),
-                                 _f(em.l_mmd), _f(em.l_g), _f(em.l_ce), _f(em.l_total),
-                                 _f(em.pseudo_coverage), em.edges_right,
-                                 em.edges_wrong, em.edges_unknown])
-            if run_dir is not None and (
-                epoch % config.checkpoint_every == 0 or epoch == config.epochs
-            ):
-                save_checkpoint(run_dir / f"checkpoint_epoch{epoch:03d}.hdap",
-                                checkpoint_blob(epoch))
-        if run_dir is not None:
-            save_checkpoint(run_dir / "checkpoint_final.hdap",
-                            checkpoint_blob(config.epochs))
+                metrics_csv.row(_csv_fields(em))
+            if run_dir is not None and (epoch % config.checkpoint_every == 0
+                                        or epoch == config.epochs):
+                run = RunMeta(epoch, config.positive_class, config.threshold,
+                              config.threshold_percentile, src_stats, tgt_stats)
+                blob = {**model.state(), **config_to_tensors(model_cfg), **run_to_tensors(run)}
+                save_checkpoint(run_dir / f"checkpoint_epoch{epoch:03d}.hdap", blob)
+                if epoch == config.epochs:
+                    save_checkpoint(run_dir / "checkpoint_final.hdap", blob)
     finally:
         for csvf in (metrics_csv, steps_csv):
             if csvf is not None:

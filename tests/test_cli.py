@@ -7,8 +7,11 @@ short training run keep the suite fast.
 
 import dataclasses
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -316,7 +319,8 @@ def test_non_utf8_config_is_usage_error(data_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line, field", [("lg_features=logits", "lg_features"),
-                                         ("batch_size=7", "batch_size")])
+                                         ("batch_size=7", "batch_size"),
+                                         ("backbone_hidden=0", "backbone_hidden")])
 def test_config_value_failing_a_check_names_file_and_line(data_dir, tmp_path, capsys, line, field):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"# tiny run\nepochs=1\n{line}\n")
@@ -370,6 +374,23 @@ def _replay(run_dir, tmp_path, first_line=""):
 def test_run_reproducible_from_manifest_alone(data_dir, run_dir, tmp_path):
     # feeding the manifest's config section back in must replay the run
     _replay(run_dir, tmp_path)
+
+
+def test_manifest_with_a_one_layer_backbone_names_file_and_line(run_dir, tmp_path, capsys):
+    # backbone_hidden=0 once selected a one-layer backbone, which no longer exists
+    cfg = tmp_path / "old.cfg"
+    manifest = _manifest_config(run_dir, cfg)
+    lines = cfg.read_text().splitlines()
+    lineno = lines.index("backbone_hidden=8") + 1
+    lines[lineno - 1] = "backbone_hidden=0"
+    cfg.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "old"
+    code = main(["train", "--source", manifest["source"], "--target", manifest["target"],
+                 "--out", str(out), "--config", str(cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:{lineno}: " in err and "backbone_hidden" in err
+    assert not out.exists()
 
 
 # removed options, each at the only value that ran as every run does now
@@ -536,6 +557,10 @@ def _positive_class_out_of_range(blob):
     blob["meta/positive_class"] = np.asarray(5.0)
 
 
+def _one_layer_backbone(blob):
+    blob["meta/backbone_hidden"] = np.asarray(0.0)
+
+
 def _target_std_wrong_shape(blob):
     blob["norm/target_std"] = np.ones(blob["norm/target_std"].size + 1)
 
@@ -544,6 +569,7 @@ def _target_std_wrong_shape(blob):
 @pytest.mark.parametrize("mutate,message", [
     (_drop_theta2, "theta2"),
     (_nan_hidden, "architecture"),
+    (_one_layer_backbone, "backbone_hidden"),
     (_nan_weight, "non-finite"),
     (_drop_target_mean, "norm/target_mean"),
     (_drop_positive_class, "meta/positive_class"),
@@ -829,3 +855,29 @@ def test_failed_write_keeps_old_artifact(writer, tmp_path, monkeypatch):
     write(path, 0.25)
     assert path.read_bytes() != old
     assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+
+# -- BLAS threads ------------------------------------------------------------------
+
+
+def test_whole_run_does_not_depend_on_blas_threads(tmp_path):
+    """Criterion 8's ``gen`` and ``train`` write the same bytes under
+    OPENBLAS_NUM_THREADS=1 and =2. Written on a 2-CPU machine: higher
+    thread counts are untested."""
+    src = str(pathlib.Path(graphs.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    names = ("metrics.csv", "steps.csv", "pseudo.csv", "checkpoint_final.hdap")
+    runs = []
+    for threads in ("1", "2"):
+        d = tmp_path / threads
+        d.mkdir()
+        for args in (["gen", "--out", d, "--per-class", "30", "--seed", "5"],
+                     ["train", "--source", d / "source.hda", "--target", d / "target.hda",
+                      "--labels", d / "target_labels.hda", "--epochs", "3", "--batch", "8",
+                      "--hidden", "8", "--phi-dim", "8", "--backbone-hidden", "8",
+                      "--threshold-percentile", "30", "--seed", "2", "--out", d / "run"]):
+            subprocess.run([sys.executable, "-m", "graphda", *map(str, args)], check=True,
+                           capture_output=True, timeout=300,
+                           env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path})
+        runs.append([(d / "run" / name).read_bytes() for name in names])
+    assert runs[0] == runs[1]

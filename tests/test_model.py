@@ -52,11 +52,14 @@ class TestBackbone:
         assert np.all(phi.data == 0.0)
 
     def test_single_linear_identity(self):
+        # relu(x) - relu(-x) == x: the two layers pass any input through exactly
         cfg = ModelConfig(input_dims=(3,), num_classes=2, hidden=4, phi_dim=3,
-                          backbone_hidden=0)
+                          backbone_hidden=6)
         model = Model.init(cfg, np.random.default_rng(0))
-        model.params["backbone/w1"].data = np.eye(3)
-        model.params["backbone/b1"].data = np.zeros(3)
+        model.params["backbone/w1"].data = np.hstack([np.eye(3), -np.eye(3)])
+        model.params["backbone/b1"].data = np.zeros(6)
+        model.params["backbone/w2"].data = np.vstack([np.eye(3), -np.eye(3)])
+        model.params["backbone/b2"].data = np.zeros(3)
         x = np.random.default_rng(1).normal(size=(4, 3))
         assert np.array_equal(model.backbone_forward(x).data, x)
 
@@ -91,7 +94,7 @@ class TestGnnForward:
         assert np.array_equal(got.data, want)
 
     def test_single_edge_identity_weights_adds_neighbor(self):
-        model = _small_model(d=4, m=2, hidden=4, phi=4, backbone_hidden=0)
+        model = _small_model(d=4, m=2, hidden=4, phi=4)
         for name in ("w", "theta1", "theta2"):
             model.params[name].data = np.eye(4)
         phi = t([[1.0, 2.0, 0.5, 3.0], [4.0, 0.25, 1.0, 2.0]])  # nonnegative
@@ -118,7 +121,7 @@ class TestGnnForward:
             assert np.allclose(f_p.data, f.data[perm], atol=1e-12)
 
     def test_locality_is_exact(self):
-        model = _small_model(d=4, phi=4, backbone_hidden=0, seed=11)
+        model = _small_model(d=4, phi=4, seed=11)
         graph = _graph_from_edges(4, [(0, 1), (2, 3)])
         rng = np.random.default_rng(12)
         phi = rng.normal(size=(4, 4))
@@ -195,7 +198,7 @@ class TestInfer:
         assert np.allclose(whole, np.stack(rows), atol=1e-12)
 
     def test_tie_breaks_to_lowest_class(self):
-        model = _zero(_small_model(m=3, d=2, hidden=2, phi=2, backbone_hidden=0))
+        model = _zero(_small_model(m=3, d=2, hidden=2, phi=2))
         x = np.ones((2, 2))
 
         def predicted():  # predictions per class, as evaluate counts them
@@ -293,7 +296,7 @@ class TestCheckpoint:
     def test_config_tensor_roundtrip(self):
         for cfg in (
             ModelConfig(input_dims=(7,), num_classes=4, hidden=16, phi_dim=8,
-                        backbone_hidden=0),
+                        backbone_hidden=5),
             ModelConfig(input_dims=(3, 8, 8), num_classes=2, conv_channels=(4, 9)),
         ):
             assert config_from_tensors(config_to_tensors(cfg)) == cfg

@@ -7,7 +7,8 @@ import pytest
 
 import graphda.training
 from graphda.autodiff import Tensor
-from graphda.datasets import Dataset, Domain, ShiftConfig, gen_synthetic_shift, normalize, warp_image
+from graphda.datasets import (Dataset, Domain, ShiftConfig, TwoDomainSampler, gen_synthetic_shift,
+                              normalize, warp_image)
 from graphda.model import Model, ModelConfig, load_checkpoint, config_from_tensors
 from graphda.training import (
     METRICS_COLUMNS,
@@ -19,6 +20,7 @@ from graphda.training import (
     export_embeddings,
     pca_2d,
     train,
+    train_step,
 )
 
 
@@ -450,6 +452,29 @@ def test_nan_alignment_term_diverges_only_when_weighted(monkeypatch, tmp_path, w
     else:
         _, hist = train(cfg, src, tgt, eval_labels=ev, run_dir=tmp_path)
         assert all(h.l_mmd == 0.0 and np.isfinite(h.l_total) for h in hist)
+
+
+def test_non_finite_step_makes_no_update(monkeypatch):
+    src, tgt, _ = shift_data(seed=17)
+    cfg = tiny_cfg()
+    model = Model.init(ModelConfig(input_dims=(2,), num_classes=2, hidden=8, phi_dim=8,
+                                   backbone_hidden=8), np.random.default_rng(0))
+    adam = Adam(model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    batch = TwoDomainSampler(src, tgt, cfg.batch_size, np.random.default_rng(1)).sample_batch()
+    rng = np.random.default_rng(2)
+    train_step(model, adam, cfg, batch, batch.labels, rng)  # moments and step count leave zero
+
+    def state():
+        arrays = [p.data for _, p in model.parameters()] + [adam._m, adam._v]
+        return [a.copy().view(np.int64) for a in arrays], adam.step_count
+
+    before = state()
+    monkeypatch.setattr(graphda.training, "mmd_loss", lambda *args: Tensor(float("nan")))
+    breakdown, graph = train_step(model, adam, cfg, batch, batch.labels, rng)
+    assert np.isnan(breakdown.l_mmd) and np.isnan(breakdown.l_total) and graph is not None
+    (arrays, steps), (want, want_steps) = state(), before
+    assert steps == want_steps == 1
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, want, strict=True))
 
 
 def test_fixed_threshold_mode_runs():
