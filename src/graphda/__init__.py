@@ -26,7 +26,8 @@ from .datasets import (
     write_dataset,
     write_label_file,
 )
-from .graphs import BatchGraph, EdgeStats, build_graph, edge_stats, percentile_threshold
+from .graphs import (BatchGraph, EdgeStats, PairGeometry, build_graph, edge_stats, pair_distances,
+                     percentile_threshold)
 from .losses import (
     MEDIAN_SCALES,
     KernelSpec,
@@ -78,6 +79,7 @@ __all__ = [
     "Model",
     "ModelConfig",
     "NormStats",
+    "PairGeometry",
     "PseudoState",
     "ShapeError",
     "ShiftConfig",
@@ -96,6 +98,7 @@ __all__ = [
     "load_checkpoint",
     "mmd_loss",
     "normalize",
+    "pair_distances",
     "pca_2d",
     "percentile_threshold",
     "pseudo_coverage",

@@ -345,15 +345,13 @@ def _audit_pooled(phi: np.ndarray, audit: np.ndarray, threshold, percentile) -> 
     condensed estimate vector, memory stays bounded: the percentile is a
     selection, and the graph is built and audited one row range of about
     _AUDIT_PAIRS pairs at a time."""
-    dists = pair_distances(phi)
+    geom = pair_distances(phi)
     if percentile is not None:
-        threshold = percentile_threshold(phi, percentile, dists=dists)
+        threshold = percentile_threshold(geom, percentile)
     stats = EdgeStats(right=0, wrong=0, unknown=0)
-    if threshold > 0:
-        cuts = row_cuts(len(phi), -(-dists.est.size // _AUDIT_PAIRS))
-        for first, stop in zip(cuts, cuts[1:]):
-            stats += edge_stats(build_graph(phi, threshold, dists=dists, first=first, stop=stop),
-                                audit)
+    cuts = row_cuts(len(phi), -(-geom.est.size // _AUDIT_PAIRS))
+    for first, stop in zip(cuts, cuts[1:]):
+        stats += edge_stats(build_graph(geom, threshold, first=first, stop=stop), audit)
     return stats
 
 

@@ -7,10 +7,11 @@ unlabeled target nodes; that adjacency is what lets label information
 travel across domains in the propagation layer. A distance is always the
 direct one, ``x[j] - x[i]`` squared, summed and rooted, but it is computed
 for few pairs: ``pair_distances`` estimates every pair's square from BLAS
-Gram products with a certified error bound, and the threshold, kernel
-median and edges compute directly only the pairs the bound cannot decide,
-with memory bounded beyond the estimate vector (see ``_select`` and the
-row ranges of ``build_graph``).
+Gram products with a certified error bound. That ``PairGeometry`` is the
+one input of the threshold, the kernel median and the edges, which compute
+directly only the pairs the bound cannot decide, with memory bounded
+beyond the estimate vector (see ``_select`` and the row ranges of
+``build_graph``).
 """
 
 from __future__ import annotations
@@ -31,15 +32,6 @@ __all__ = [
     "percentile_threshold",
     "row_cuts",
 ]
-
-
-def _as_matrix(phi) -> np.ndarray:
-    """Accept a raw array or an autodiff tensor; graphs never need grads."""
-    data = getattr(phi, "data", phi)
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-D feature matrix, got shape {arr.shape}")
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,6 +131,8 @@ class PairGeometry:
         when one distance is NaN. With a <= b the estimates ``_select`` finds at the
         lowest and highest rank, only the pairs whose estimates lie within
         (a - 3E, b + 3E) can hold a rank: they are computed and partitioned."""
+        if len(self.x) < 2:
+            raise ValueError(f"need at least 2 rows to take pairwise distances, got {len(self.x)}")
         want = sorted(set(ranks) - self._found.keys())
         if want:
             found = _select(self.est, want)
@@ -156,8 +150,8 @@ class PairGeometry:
         return [self._found[r] for r in ranks]
 
 
-def pair_distances(phi) -> PairGeometry:
-    """The ``PairGeometry`` of the rows of ``phi``: c is the rows less the
+def pair_distances(phi: np.ndarray) -> PairGeometry:
+    """The ``PairGeometry`` of the (n, d) rows ``phi``: c is the rows less the
     coordinate-wise median of the finite rows (a far row does not move it),
     s_i = c_i.c_i and est = s_i + s_j - 2 c_i.c_j, one Gram product per
     ``row_cuts`` range of about 2**15 pairs. With u = 2**-53, gamma_m =
@@ -170,7 +164,9 @@ def pair_distances(phi) -> PairGeometry:
     underflow, <= 2**-1075 per product. The pairs of a row with s_i not
     below 2**1020 hold their S.
     """
-    x = _as_matrix(phi)
+    x = np.asarray(phi, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"expected a 2-D feature matrix, got shape {x.shape}")
     n, d = x.shape
     ok = np.isfinite(x).all(axis=1)
     c = x - np.median(x[ok], axis=0, overwrite_input=True) if ok.any() else np.zeros_like(x)
@@ -192,29 +188,27 @@ def pair_distances(phi) -> PairGeometry:
     return PairGeometry(x, est, float(slack))
 
 
-def build_graph(phi, threshold: float, dists=None, first: int = 0, stop=None) -> BatchGraph:
-    """Connect i and j iff ||phi_i - phi_j||_2 < threshold (strict).
+def build_graph(geom: PairGeometry, threshold: float, first: int = 0, stop=None) -> BatchGraph:
+    """Connect rows i and j of ``geom.x`` iff ||x_i - x_j||_2 < threshold (strict).
 
-    A distance equal to the threshold gives no edge; no self-loops. Pass
-    ``dists`` = ``pair_distances(phi)`` if already computed. Estimates below
-    t^2 (1 - 8u) - E are edges, above t^2 (1 + 8u) + E not, and the band
-    between is computed directly. ``first`` and ``stop`` keep only the pairs
-    (i, j > i) with first <= i < stop (by default every row), so a caller can
-    walk a large graph one ``row_cuts`` range at a time.
+    A distance equal to the threshold gives no edge; no self-loops; a
+    threshold that is not positive (0, negative or NaN) gives no edges.
+    Estimates below t^2 (1 - 8u) - E are edges, above t^2 (1 + 8u) + E not,
+    and the band between is computed directly. ``first`` and ``stop`` keep
+    only the pairs (i, j > i) with first <= i < stop (by default every row),
+    so a caller can walk a large graph one ``row_cuts`` range at a time.
     """
-    x = _as_matrix(phi)
-    if not threshold > 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
-    n = x.shape[0]
+    n = len(geom.x)
     stop = max(n - 1, 0) if stop is None else stop
     if not 0 <= first <= stop <= max(n - 1, 0):
         raise ValueError(f"row range [{first}, {stop}) does not lie in the {n} rows' pairs")
-    geom = pair_distances(x) if dists is None else dists
+    if not threshold > 0:  # checked first: squaring a negative one would make it positive
+        return BatchGraph(num_nodes=n, rows=(), cols=(), threshold=float(threshold))
     lo = _row_offset(n, first)
     e = geom.est[lo:_row_offset(n, stop)]
     keep = e < threshold * threshold * (1 - 8 * _U) - geom.slack
     band = np.flatnonzero((e <= threshold * threshold * (1 + 8 * _U) + geom.slack) ^ keep)
-    keep[band] = np.sqrt(_direct_sq(x, band + lo)) < threshold
+    keep[band] = np.sqrt(_direct_sq(geom.x, band + lo)) < threshold
     k = np.flatnonzero(keep)
     i = np.arange(first, stop, dtype=np.int64)
     starts = _row_offset(n, i) - lo  # where row i's pairs start, counted from the range's start
@@ -313,13 +307,12 @@ def _select(d: np.ndarray, ranks: list):
     return [lo if r < upto_lo else hi if r >= below_hi else inside[r - upto_lo] for r in ranks]
 
 
-def percentile_threshold(phi, p: float, dists=None) -> float:
-    """p-th percentile (linear interpolation) of all pairwise distances.
+def percentile_threshold(geom: PairGeometry, p: float) -> float:
+    """p-th percentile (linear interpolation) of the pairwise distances of ``geom``.
 
     Scale-free alternative to a fixed threshold: the same p yields a
     comparable edge density regardless of feature magnitude. p=0 gives
-    the minimum pairwise distance, p=100 the maximum. Pass ``dists`` =
-    ``pair_distances(phi)`` if already computed.
+    the minimum pairwise distance, p=100 the maximum.
 
     The bits are those of ``np.percentile`` of the direct distances: the
     same one or two ranks, found exactly by ``PairGeometry.ranks``
@@ -327,13 +320,8 @@ def percentile_threshold(phi, p: float, dists=None) -> float:
     which for a weight t >= 0.5 measures back from the upper value, so a
     NaN distance gives NaN.
     """
-    x = _as_matrix(phi)
-    n = x.shape[0]
-    if n < 2:
-        raise ValueError(f"need at least 2 rows to take pairwise distances, got {n}")
     if not 0 <= p <= 100:
         raise ValueError(f"percentile must lie in [0, 100], got {p}")
-    geom = pair_distances(x) if dists is None else dists
     k, k1, t = _lerp_ranks(geom.est.size, p)
     a, b = geom.ranks([k, k1])
     diff = b - a

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, gaussian_mixture, nll, pairwise_sqdist, pull_push
-from .graphs import _as_matrix, pair_distances
+from .graphs import PairGeometry
 
 __all__ = [
     "KernelSpec",
@@ -71,20 +71,16 @@ class KernelSpec:
         return gaussian_mixture(sqdists, coefs, self.weights)
 
     @classmethod
-    def from_median_heuristic(cls, *feature_sets, scales=MEDIAN_SCALES, dists=None) -> "KernelSpec":
-        """Bandwidths from the median pairwise distance of the joint batch.
+    def from_median_heuristic(cls, geom: PairGeometry, scales=MEDIAN_SCALES) -> "KernelSpec":
+        """Bandwidths from the median pairwise distance of the rows of
+        ``geom``, the joint batch's pair geometry.
 
         The median is scale-matched to the data, so the same kernel family
         works across feature magnitudes; ``scales`` spreads bandwidths
         around it. All-identical rows give no usable scale; falls back to
-        a median of 1 with a warning. Pass ``dists`` = ``pair_distances``
-        of the stacked feature sets if already computed.
+        a median of 1 with a warning.
         """
-        x = np.concatenate([_as_matrix(fs) for fs in feature_sets], axis=0)
-        n = x.shape[0]
-        if n < 2:
-            raise ValueError("median heuristic needs at least 2 rows")
-        m = (geom := pair_distances(x) if dists is None else dists).est.size
+        m = geom.est.size
         a, b = geom.ranks([(m - 1) // 2, m // 2])  # the ranks np.median reads
         med = a if m % 2 else (a + b) / 2
         if med == 0.0:

@@ -13,7 +13,7 @@ independent of whatever else shares its batch.
 A checkpoint holds the weights, the architecture (``config_to_tensors``)
 and the run entries (``run_to_tensors``): the epoch, the graph threshold
 or its percentile, the positive class, and each domain's normalization.
-``run_from_tensors`` reads the run entries back and validates them.
+``config_from_tensors`` and ``run_from_tensors`` read and validate them.
 """
 
 from __future__ import annotations
@@ -297,22 +297,35 @@ def config_to_tensors(cfg: ModelConfig) -> dict:
     }
 
 
+def _entry(tensors: dict, key, shape=(), ok=np.isfinite):
+    """Checkpoint entry ``key``: a float, or an array of ``shape`` (None: any
+    1-D); DataFormatError names it if missing, mis-shaped or failing ``ok``."""
+    if key not in tensors:
+        raise DataFormatError(f"checkpoint lacks entry {key!r}")
+    value = tensors[key]
+    if ((value.ndim != 1) if shape is None else (value.shape != shape)) or not np.all(ok(value)):
+        raise DataFormatError(f"checkpoint entry {key!r} is invalid: shape {value.shape}, "
+                              f"values {value.ravel()[:4].tolist()}")
+    return float(value) if shape == () else value
+
+
+def _whole(stop=np.inf):
+    """An ``ok`` for ``_entry``: whole numbers in [0, stop)."""
+    return lambda v: (v == np.floor(v)) & (0 <= v) & (v < stop)
+
+
 def config_from_tensors(tensors: dict) -> ModelConfig:
-    def ints(key):
-        return tuple(int(v) for v in np.atleast_1d(tensors[key]))
+    """A checkpoint's architecture; DataFormatError names a missing or invalid entry."""
+    def ints(key, shape=()):
+        value = _entry(tensors, f"meta/{key}", shape, _whole())
+        return int(value) if shape == () else tuple(int(v) for v in value)
 
     try:
-        return ModelConfig(
-            input_dims=ints("meta/input_dims"),
-            num_classes=ints("meta/num_classes")[0],
-            hidden=ints("meta/hidden")[0],
-            phi_dim=ints("meta/phi_dim")[0],
-            backbone_hidden=ints("meta/backbone_hidden")[0],
-            conv_channels=ints("meta/conv_channels"),
-        )
-    except KeyError as e:
-        raise DataFormatError(f"checkpoint lacks architecture entry {e.args[0]!r}") from None
-    except (ValueError, OverflowError, IndexError) as e:  # NaN, inf, empty or out-of-range entries
+        return ModelConfig(input_dims=ints("input_dims", None), num_classes=ints("num_classes"),
+                           hidden=ints("hidden"), phi_dim=ints("phi_dim"),
+                           backbone_hidden=ints("backbone_hidden"),
+                           conv_channels=ints("conv_channels", None))
+    except ValueError as e:  # a bad entry, or counts the architecture does not allow
         raise DataFormatError(f"checkpoint architecture entries are invalid: {e}") from None
 
 
@@ -349,29 +362,21 @@ def run_from_tensors(tensors: dict, config: ModelConfig) -> RunMeta:
     A missing, mis-shaped, non-finite or out-of-range entry raises
     DataFormatError before any output is written.
     """
-    def entry(key, shape=(), ok=np.isfinite):
-        if key not in tensors:
-            raise DataFormatError(f"checkpoint lacks entry {key!r}")
-        value = tensors[key]
-        if value.shape != shape or not np.all(ok(value)):
-            raise DataFormatError(f"checkpoint entry {key!r} is invalid: shape {value.shape}, "
-                                  f"values {value.ravel()[:4].tolist()}")
-        return value if shape else float(value)
-
     def count(key, stop=np.inf):
-        return int(entry(key, ok=lambda v: (v == np.floor(v)) & (0 <= v) & (v < stop)))
+        return int(_entry(tensors, key, ok=_whole(stop)))
 
     def stats(domain):
         dims = config.input_dims[:1]  # one entry per channel
-        return NormStats(entry(f"norm/{domain}_mean", dims),
-                         entry(f"norm/{domain}_std", dims, ok=lambda v: np.isfinite(v) & (v > 0)))
+        return NormStats(_entry(tensors, f"norm/{domain}_mean", dims),
+                         _entry(tensors, f"norm/{domain}_std", dims,
+                                ok=lambda v: np.isfinite(v) & (v > 0)))
 
-    percentile = entry("meta/threshold_percentile", ok=lambda v: ~((v < 0) | (v > 100)))
+    percentile = _entry(tensors, "meta/threshold_percentile", ok=lambda v: ~((v < 0) | (v > 100)))
     fixed = np.isnan(percentile)
     return RunMeta(
         epoch=count("meta/epoch"),
         positive_class=count("meta/positive_class", config.num_classes),
-        threshold=entry("meta/threshold", ok=lambda v: v > 0) if fixed else None,
+        threshold=_entry(tensors, "meta/threshold", ok=lambda v: v > 0) if fixed else None,
         percentile=None if fixed else percentile,
         source_stats=stats("source"),
         target_stats=stats("target"),

@@ -41,7 +41,8 @@ from .losses import (
     total_loss,
 )
 from .model import Model, ModelConfig, RunMeta, config_to_tensors, run_to_tensors, save_checkpoint
-from .pseudo import PseudoState, assign_pseudo_labels, pseudo_coverage, write_pseudo_csv
+from .pseudo import (PseudoState, _check_epsilon, assign_pseudo_labels, pseudo_coverage,
+                     write_pseudo_csv)
 
 __all__ = [
     "TrainConfig",
@@ -317,8 +318,8 @@ def _audit_labels(batch, eval_labels) -> np.ndarray:
 def _check_inputs(config: TrainConfig, source: Dataset, target: Dataset,
                   names=("source", "target")) -> None:
     """Raise DataFormatError unless both domains hold samples of one feature
-    shape over one class count, and ValueError unless ``positive_class`` is
-    one of those classes. ``names`` name the two domains in the messages."""
+    shape over one count m of classes, and ValueError unless ``positive_class``
+    is one of them and ``epsilon`` lies above 1/m. ``names`` name the domains."""
     for name, dataset in zip(names, (source, target)):
         if not len(dataset):
             raise DataFormatError(f"{name}: no samples; training draws from both domains")
@@ -330,6 +331,7 @@ def _check_inputs(config: TrainConfig, source: Dataset, target: Dataset,
     if config.positive_class >= source.num_classes:
         raise ValueError(f"positive_class {config.positive_class} is not one of the data's "
                          f"{source.num_classes} classes")
+    _check_epsilon(config.epsilon, source.num_classes)
 
 
 def train_step(model: Model, adam: Adam, config: TrainConfig, batch: Batch, labels: np.ndarray,
@@ -347,16 +349,15 @@ def train_step(model: Model, adam: Adam, config: TrainConfig, batch: Batch, labe
     phi = model.backbone_forward(Tensor(_augment_batch(batch.features, rng)))
     # one pair geometry feeds the threshold, the graph and the kernel median;
     # it is made only when one of them is read
-    dists = pair_distances(phi.data) if config.use_gnn or w_mmd else None
+    geom = pair_distances(phi.data) if config.use_gnn or w_mmd else None
     graph = None
     if config.use_gnn:
         t_used = config.threshold
         if config.threshold_percentile is not None:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # degenerate batch still trains
-                t_used = percentile_threshold(phi.data, config.threshold_percentile, dists=dists)
-        graph = (build_graph(phi.data, t_used, dists=dists) if t_used > 0 else
-                 BatchGraph(num_nodes=len(batch), rows=(), cols=(), threshold=0.0))
+                t_used = percentile_threshold(geom, config.threshold_percentile)
+        graph = build_graph(geom, t_used)
     f = model.gnn_forward(phi, graph)
     # a zero-weight term is never built: total_loss reads None as 0.0.
     # The logits come first, as the creation order fixes the order in
@@ -364,8 +365,7 @@ def train_step(model: Model, adam: Adam, config: TrainConfig, batch: Batch, labe
     logits = model.classify(f) if w_ce else None
     l_mmd = l_g = None
     if w_mmd:
-        kernels = KernelSpec.from_median_heuristic(phi.data, scales=config.kernel_scales,
-                                                   dists=dists)
+        kernels = KernelSpec.from_median_heuristic(geom, scales=config.kernel_scales)
         l_mmd = mmd_loss(slice_rows(phi, 0, half), slice_rows(phi, half, len(batch)), kernels)
     if w_g:
         l_g = feature_similarity_loss(f if config.lg_features == "gnn" else phi, labels,
@@ -433,8 +433,7 @@ def train(
 
     try:
         for epoch in range(1, config.epochs + 1):
-            pseudo_on = config.use_pseudo and epoch > config.warmup_epochs
-            if pseudo_on:
+            if config.use_pseudo and epoch > config.warmup_epochs:
                 pseudo = assign_pseudo_labels(target_probs(), config.epsilon, epoch=epoch)
             loss_sums = np.zeros(4)
             edge_sums = np.zeros(3, dtype=np.int64)
@@ -442,8 +441,7 @@ def train(
             for batch in sampler.epoch():
                 step += 1
                 labels = batch.labels.copy()
-                if pseudo_on:
-                    labels[half:] = pseudo.labels[batch.ids[half:]]
+                labels[half:] = pseudo.labels[batch.ids[half:]]  # all -1 until the first refresh
                 breakdown, graph = train_step(model, adam, config, batch, labels, augment_rng)
                 if not np.isfinite(breakdown.l_total):
                     _dump_divergence(run_dir, epoch, step, breakdown, batch)

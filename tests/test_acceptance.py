@@ -16,7 +16,7 @@ import pytest
 from graphda.autodiff import Tensor, gaussian_mixture, pull_push
 from graphda.cli import main
 from graphda.datasets import Domain, ShiftConfig, gen_synthetic_shift, read_dataset
-from graphda.graphs import BatchGraph, build_graph, percentile_threshold
+from graphda.graphs import BatchGraph
 from graphda.losses import (
     KernelSpec,
     cross_entropy_loss,
@@ -26,6 +26,7 @@ from graphda.losses import (
 from graphda.model import Model, ModelConfig
 from graphda.pseudo import assign_pseudo_labels, pseudo_coverage
 from graphda.training import TrainConfig, train
+from geometry import graph_of, kernels_of, threshold_of
 from gradcheck import grad_check
 
 
@@ -80,7 +81,7 @@ def test_criterion_1_gradient_suite():
 
         s = rng.normal(size=(4, 3))
         u = rng.normal(size=(5, 3))
-        spec = KernelSpec.from_median_heuristic(s, u)
+        spec = kernels_of(s, u)
         ok(grad_check(lambda x: mmd_loss(x, t(u), spec), t(s)))
         ok(grad_check(lambda x: mmd_loss(t(s), x, spec), t(u)))
 
@@ -91,7 +92,7 @@ def test_criterion_1_gradient_suite():
         model = small_model(seed=200 + i)
         x0 = rng.normal(size=(6, 3))
         phi = model.backbone_forward(x0).data
-        graph = build_graph(phi, percentile_threshold(phi, 40.0) or 1.0)
+        graph = graph_of(phi, threshold_of(phi, 40.0) or 1.0)
         y = rng.integers(0, 2, size=6)
 
         def through_graph(x, model=model, graph=graph, y=y):
@@ -131,7 +132,7 @@ def test_criterion_2_mmd_oracles():
         draw = np.random.default_rng(seed)
         a = draw.normal(size=(draw.integers(1, 7), 2))
         b = draw.normal(size=(draw.integers(1, 7), 2))
-        spec = KernelSpec.from_median_heuristic(a, b)
+        spec = kernels_of(a, b)
         ab = float(mmd_loss(t(a), t(b), spec).data)
         ba = float(mmd_loss(t(b), t(a), spec).data)
         if abs(ab - ba) > 1e-12 or ab < 0.0:
@@ -196,7 +197,7 @@ def test_criterion_4_graph_layer_invariants():
         draw = np.random.default_rng(seed)
         pts = draw.normal(size=(8, 3))
         phi = model.backbone_forward(pts).data
-        graph = build_graph(phi, percentile_threshold(phi, 40.0) or 1.0)
+        graph = graph_of(phi, threshold_of(phi, 40.0) or 1.0)
         out = model.gnn_forward(model.backbone_forward(pts), graph).data
 
         perm = draw.permutation(8)

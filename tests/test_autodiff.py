@@ -21,8 +21,9 @@ from graphda.autodiff import (
     slice_rows,
     _result,
 )
-from graphda.losses import MEDIAN_SCALES, KernelSpec, feature_similarity_loss, mmd_loss
+from graphda.losses import MEDIAN_SCALES, feature_similarity_loss, mmd_loss
 from graphda.model import Model, ModelConfig
+from geometry import kernels_of
 from gradcheck import GradCheckReport, grad_check
 
 
@@ -562,7 +563,7 @@ class TestOneNodeLossOps:
     def test_mixture_bit_equal_to_chain(self, monkeypatch, scales):
         rng = np.random.default_rng(21)
         s, u = rng.normal(size=(7, 4)), rng.normal(size=(6, 4)) + 0.5
-        spec = KernelSpec.from_median_heuristic(s, u, scales=scales)
+        spec = kernels_of(s, u, scales=scales)
         self._check(monkeypatch, "gaussian_mixture", _mixture_chain,
                     lambda a, b: mmd_loss(a, b, spec), [s, u])
 

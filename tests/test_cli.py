@@ -35,10 +35,11 @@ from graphda.datasets import (
     write_dataset,
     write_label_file,
 )
-from graphda.graphs import build_graph, edge_stats, percentile_threshold
+from graphda.graphs import edge_stats
 from graphda.model import Model, load_checkpoint, save_checkpoint
 from graphda.pseudo import PseudoState, write_pseudo_csv
 from graphda.training import TrainConfig
+from geometry import graph_of, threshold_of
 
 scipy_stats = pytest.importorskip("scipy.stats")
 
@@ -561,6 +562,18 @@ def _one_layer_backbone(blob):
     blob["meta/backbone_hidden"] = np.asarray(0.0)
 
 
+def _fractional_hidden(blob):
+    blob["meta/hidden"] = blob["meta/hidden"] + 0.5
+
+
+def _fractional_num_classes(blob):
+    blob["meta/num_classes"] = np.asarray(2.9)
+
+
+def _fractional_input_dims(blob):
+    blob["meta/input_dims"] = np.asarray([2.7])
+
+
 def _target_std_wrong_shape(blob):
     blob["norm/target_std"] = np.ones(blob["norm/target_std"].size + 1)
 
@@ -576,6 +589,9 @@ def _target_std_wrong_shape(blob):
     (_nan_epoch, "meta/epoch"),
     (_positive_class_out_of_range, "meta/positive_class"),
     (_target_std_wrong_shape, "norm/target_std"),
+    (_fractional_hidden, "meta/hidden"),
+    (_fractional_num_classes, "meta/num_classes"),
+    (_fractional_input_dims, "meta/input_dims"),
 ])
 def test_malformed_checkpoint_is_format_error(run_dir, data_dir, tmp_path, capsys,
                                               command, mutate, message):
@@ -659,7 +675,7 @@ def test_pooled_audit_memory_is_bounded(percentile):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    graph = build_graph(phi, percentile_threshold(phi, percentile))
+    graph = graph_of(phi, threshold_of(phi, percentile))
     assert stats == edge_stats(graph, audit)
     assert peak - vector < 0.2 * vector
 
@@ -785,7 +801,7 @@ def test_train_mismatched_domains_is_format_error(data_dir, tmp_path, capsys, ge
 
 @pytest.mark.parametrize("flags", [
     ["--hidden", "0"], ["--phi-dim", "-1"], ["--backbone-hidden", "-2"], ["--conv-channels", "8"],
-    ["--positive-class", "-1"], ["--positive-class", "5"]])
+    ["--positive-class", "-1"], ["--positive-class", "5"], ["--epsilon", "0.4"]])
 def test_train_bad_width_or_positive_class_is_usage_error(data_dir, tmp_path, capsys, flags):
     out = tmp_path / "run"
     code = main(["train", "--source", str(data_dir / "source.hda"),

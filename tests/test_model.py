@@ -3,7 +3,7 @@ import pytest
 
 from graphda.autodiff import ShapeError, Tensor
 from graphda.datasets import DataFormatError
-from graphda.graphs import BatchGraph, build_graph
+from graphda.graphs import BatchGraph
 from graphda.losses import KernelSpec, cross_entropy_loss, feature_similarity_loss, mmd_loss, total_loss
 from graphda.model import (
     Model,
@@ -14,6 +14,7 @@ from graphda.model import (
     save_checkpoint,
 )
 from graphda.training import evaluate
+from geometry import graph_of
 from gradcheck import grad_check
 
 
@@ -116,8 +117,8 @@ class TestGnnForward:
             perm = rng.permutation(12)
             phi = model.backbone_forward(x)
             phi_p = model.backbone_forward(x[perm])
-            f = model.gnn_forward(phi, build_graph(phi.data, 2.0))
-            f_p = model.gnn_forward(phi_p, build_graph(phi_p.data, 2.0))
+            f = model.gnn_forward(phi, graph_of(phi.data, 2.0))
+            f_p = model.gnn_forward(phi_p, graph_of(phi_p.data, 2.0))
             assert np.allclose(f_p.data, f.data[perm], atol=1e-12)
 
     def test_locality_is_exact(self):
@@ -215,7 +216,7 @@ class TestEndToEndGradient:
         rng = np.random.default_rng(20)
         x0 = rng.normal(size=(6, 3))
         labels = np.array([0, 1, 2, -1, 2, -1])
-        graph = build_graph(model.backbone_forward(x0).data, 3.0)
+        graph = graph_of(model.backbone_forward(x0).data, 3.0)
         kernels = KernelSpec(bandwidths=(0.8, 1.6), weights=(0.5, 0.5))
 
         def loss_from(x):

@@ -411,7 +411,6 @@ FLOOR = dict(use_gnn=False, use_pseudo=False, loss_weights=(0.0, 0.0, 1.0))
 ])
 def test_one_pair_scan_per_step(monkeypatch, arm, scans):
     import graphda.graphs
-    import graphda.losses
 
     calls = []
     real = graphda.graphs.pair_distances
@@ -420,7 +419,7 @@ def test_one_pair_scan_per_step(monkeypatch, arm, scans):
         calls.append(1)
         return real(phi)
 
-    for mod in (graphda.graphs, graphda.losses, graphda.training):
+    for mod in (graphda.graphs, graphda.training):
         monkeypatch.setattr(mod, "pair_distances", counting)
     src, tgt, _ = shift_data(seed=10)  # 40 per domain: one 80-sample step per epoch
     _, hist = train(tiny_cfg(epochs=1, batch_size=80, **arm), src, tgt)
@@ -496,6 +495,22 @@ def test_no_pseudo_keeps_targets_unlabeled(tmp_path):
     train(tiny_cfg(use_pseudo=False), src, tgt, eval_labels=ev, run_dir=tmp_path)
     rows = read_lines(tmp_path / "pseudo.csv")[1:]
     assert all(r.split(",")[1] == "-1" for r in rows)
+
+
+@pytest.mark.parametrize("arm", [dict(use_pseudo=False), dict(warmup_epochs=2)])
+def test_target_truth_never_trains(tmp_path, arm):
+    # with pseudo-labels off, the target half of every batch is unlabeled even
+    # when the target set carries its ground truth
+    src, tgt, ev = shift_data(seed=13)
+    labeled = Dataset(tgt.features, ev, Domain.TARGET, tgt.num_classes)
+    runs = []
+    for name, target in (("unlabeled", tgt), ("labeled", labeled)):
+        model, _ = train(tiny_cfg(**arm), src, target, run_dir=tmp_path / name)
+        runs.append(([p.data.view(np.int64) for _, p in model.parameters()],
+                     read_lines(tmp_path / name / "steps.csv")))
+    (params, steps), (want_params, want_steps) = runs
+    assert steps == want_steps
+    assert all(np.array_equal(a, b) for a, b in zip(params, want_params, strict=True))
 
 
 def test_one_target_pass_per_weight_state(monkeypatch):
