@@ -217,15 +217,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(data, (a, b), bw)
 
 
+def _positive(x: np.ndarray) -> np.ndarray:
+    """``np.where(x > 0, x, 0.0)`` bit for bit: fmax maps NaN to 0, and + 0.0 makes -0.0 +0.0."""
+    out = np.fmax(x, 0.0)
+    out += 0.0
+    return out
+
+
+def _masked(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``np.where(mask, g, 0.0)`` bit for bit, -0.0 and NaN payloads included: g's bits AND 0 or ~0."""
+    bits = np.dtype(f"i{g.itemsize}")
+    return (g.view(bits) & -mask.astype(bits)).view(g.dtype)
+
+
 def relu(a: Tensor) -> Tensor:
     # subgradient 0 at exactly 0
     mask = a.data > 0
-    data = np.where(mask, a.data, 0.0)
 
     def bw(g):
-        a._accum(np.where(mask, g, 0.0), owned=True)
+        a._accum(_masked(g, mask), owned=True)
 
-    return _result(data, (a,), bw)
+    return _result(_positive(a.data), (a,), bw)
 
 
 def gaussian_mixture(sq: Tensor, coefs, weights) -> Tensor:
@@ -249,10 +261,10 @@ def pull_push(d2: Tensor, same, diff, margin: float) -> Tensor:
     """
     gap = d2.data * -1.0 + margin
     mask = gap > 0
-    data = (d2.data * same).sum() + (np.where(mask, gap, 0) * diff).sum()
+    data = (d2.data * same).sum() + (_positive(gap) * diff).sum()
 
     def bw(g):
-        d2._accum(np.where(mask, g * diff, 0) * -1.0, owned=True)
+        d2._accum(_masked(g * diff, mask) * -1.0, owned=True)
         d2._accum(g * same, owned=True)
 
     return _result(data, (d2,), bw)

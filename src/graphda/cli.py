@@ -35,8 +35,7 @@ from .datasets import (
     write_dataset,
     write_label_file,
 )
-from .graphs import (EdgeStats, build_graph, edge_stats, pair_distances, percentile_threshold,
-                     row_cuts)
+from .graphs import EdgeStats, build_graph, edge_stats, pair_distances, percentile_threshold
 from .model import Model, config_from_tensors, load_checkpoint, run_from_tensors
 from .pseudo import _check_epsilon, assign_pseudo_labels
 from .training import (
@@ -336,20 +335,17 @@ def cmd_eval(args) -> int:
     return 0
 
 
-_AUDIT_PAIRS = 2 ** 15  # pairs per row range of the pooled audit: about 1 MB of edge arrays
-
-
 def _audit_pooled(phi: np.ndarray, audit: np.ndarray, threshold, percentile) -> EdgeStats:
     """Edge counts of the pooled graph at the fixed ``threshold``, or at the
-    ``percentile`` of its distances when that is not None. Beyond the
-    condensed estimate vector, memory stays bounded: the percentile is a
-    selection, and the graph is built and audited one row range of about
-    _AUDIT_PAIRS pairs at a time."""
+    ``percentile`` of its distances when that is not None. No structure of
+    all N(N-1)/2 pairs is held: the pair geometry makes its estimates one
+    Gram block at a time, the percentile is a selection over them, and the
+    graph is built and audited one block of rows at a time."""
     geom = pair_distances(phi)
     if percentile is not None:
         threshold = percentile_threshold(geom, percentile)
     stats = EdgeStats(right=0, wrong=0, unknown=0)
-    cuts = row_cuts(len(phi), -(-geom.est.size // _AUDIT_PAIRS))
+    cuts = geom.cuts
     for first, stop in zip(cuts, cuts[1:]):
         stats += edge_stats(build_graph(geom, threshold, first=first, stop=stop), audit)
     return stats

@@ -6,12 +6,12 @@ Edges ignore domain membership, so labeled source nodes can sit next to
 unlabeled target nodes; that adjacency is what lets label information
 travel across domains in the propagation layer. A distance is always the
 direct one, ``x[j] - x[i]`` squared, summed and rooted, but it is computed
-for few pairs: ``pair_distances`` estimates every pair's square from BLAS
-Gram products with a certified error bound. That ``PairGeometry`` is the
-one input of the threshold, the kernel median and the edges, which compute
-directly only the pairs the bound cannot decide, with memory bounded
-beyond the estimate vector (see ``_select`` and the row ranges of
-``build_graph``).
+for few pairs: a ``PairGeometry`` estimates every pair's square from BLAS
+Gram products with a certified error bound, one block of rows at a time.
+It is the one input of the threshold, the kernel median and the edges,
+which compute directly only the pairs the bound cannot decide and never
+hold the estimates of all pairs at once (see ``_select`` and the row
+ranges of ``build_graph``).
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ class EdgeStats:
                          self.unknown + other.unknown)
 
 
-_SCAN_VALUES = 2 ** 15  # values per chunk of a counting pass (256 KB)
+_SCAN_VALUES = 2 ** 15  # values per chunk of a direct pass (256 KB)
 _GRAM_PAIRS = 2 ** 15  # pairs per Gram block, which holds at most about twice that many values
 _MARGIN = 0.5  # the sample bracket's half-width, in units of sqrt(m ln n) sample ranks
 _U = 2.0 ** -53  # unit roundoff of float64
@@ -102,90 +102,110 @@ def row_cuts(n: int, parts: int) -> list:
     return np.searchsorted(_row_offset(n, np.arange(n, dtype=np.int64)), share).tolist()
 
 
-def _direct_sq(x: np.ndarray, k) -> np.ndarray:
-    """Squared direct distances S of the pairs at condensed indices ``k``, each
-    summed as one contiguous row: its bits do not depend on the other pairs."""
-    n, d = x.shape
-    starts, out, step = _row_offset(n, np.arange(n)), np.empty(len(k)), _SCAN_VALUES // max(d, 1)
-    for at in range(0, len(k), step):
-        i = np.searchsorted(starts, k[at:at + step], side="right") - 1
-        diff = x[k[at:at + step] - starts[i] + i + 1] - x[i]
+def _direct_sq(x: np.ndarray, i, j) -> np.ndarray:
+    """Squared direct distances S of the pairs (i[k], j[k]), each summed as
+    one contiguous row: its bits do not depend on the other pairs."""
+    out, step = np.empty(len(i)), _SCAN_VALUES // max(x.shape[1], 1)
+    for at in range(0, len(i), step):
+        diff = x[j[at:at + step]] - x[i[at:at + step]]
         np.add.reduce(np.multiply(diff, diff, out=diff), axis=1, out=out[at:at + step])
     return out
 
 
 @dataclass(frozen=True, eq=False)
 class PairGeometry:
-    """Estimates ``est`` of the squared direct distance S of every pair i < j
-    of the rows ``x``, condensed row-major (pair (i, j) of n rows at
-    i*n - i*(i+1)/2 + j - i - 1), with |est - S| <= ``slack``. ``_found``
-    keeps what ``ranks`` found, so consumers of the same ranks select once."""
+    """Estimates of the squared direct distance S of every pair i < j of the
+    rows ``x``, made one Gram block at a time by ``block``: pair (i, j) gets
+    lhs_i . rhs_j, with lhs_i = (c_i, s_i, 1) and rhs_j = (-2 c_j, 1, s_j)
+    (see ``pair_distances``), and |estimate - S| <= ``slack``; a row of
+    ``direct`` gets its pairs' S. ``_found`` keeps what ``ranks`` found, so
+    consumers of the same ranks select once, and ``_whole`` the block of a
+    geometry of one block, so a training step makes one Gram product."""
 
     x: np.ndarray
-    est: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    direct: np.ndarray
     slack: float
     _found: dict = field(default_factory=dict, repr=False)
+    _whole: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def pairs(self) -> int:
+        return _row_offset(len(self.x), len(self.x))
+
+    @property
+    def cuts(self) -> list:
+        """The ``row_cuts`` of the Gram blocks, of about _GRAM_PAIRS pairs each."""
+        return row_cuts(len(self.x), -(-self.pairs // _GRAM_PAIRS))
+
+    def block(self, first: int, stop: int) -> np.ndarray:
+        """The estimates of the pairs (i, j > i) with first <= i < stop, at
+        [i - first, j - first] of a (stop - first, n - first) array that is
+        NaN where j <= i."""
+        if not 0 < self.pairs <= _GRAM_PAIRS:
+            return _gram(self, first, stop)
+        if self._whole is None:
+            object.__setattr__(self, "_whole", _gram(self, 0, len(self.x) - 1))
+        return self._whole[first:stop, first:]
 
     def ranks(self, ranks) -> list:
-        """The direct distances of the given ranks (0 is the smallest), all NaN
-        when one distance is NaN. With a <= b the estimates ``_select`` finds at the
-        lowest and highest rank, only the pairs whose estimates lie within
-        (a - 3E, b + 3E) can hold a rank: they are computed and partitioned."""
+        """The direct distances of the given ranks (0 is the smallest), all
+        NaN when one distance is NaN; see ``_select``."""
         if len(self.x) < 2:
             raise ValueError(f"need at least 2 rows to take pairwise distances, got {len(self.x)}")
         want = sorted(set(ranks) - self._found.keys())
         if want:
-            found = _select(self.est, want)
+            found = _select(self, want)
             if found is None:
                 return [math.nan] * len(ranks)
-            # rounded outwards, as a directly computed estimate can dwarf the slack
-            lo = np.nextafter(found[0] - 3 * self.slack, -math.inf)
-            hi = np.nextafter(found[-1] + 3 * self.slack, math.inf)
-            (_, below, _, _), inside = _bracket_pass(self.est, lo, hi)
-            # a rank past the bracket has an infinite estimate, and so S = inf
-            d = np.append(np.sqrt(_direct_sq(self.x, inside)), math.inf)
-            kth = [min(r - below, d.size - 1) for r in want]
-            d.partition(kth)
-            self._found.update(zip(want, d[kth].tolist()))
+            self._found.update(zip(want, found))
         return [self._found[r] for r in ranks]
+
+
+def _gram(geom: PairGeometry, first: int, stop: int) -> np.ndarray:
+    """``PairGeometry.block`` of rows [first, stop), from one Gram product."""
+    g = geom.lhs[first:stop] @ geom.rhs[first:].T
+    if geom.direct.any():
+        i, j = np.nonzero(geom.direct[first:stop, None] | geom.direct[first:])
+        g[i, j] = _direct_sq(geom.x, i + first, j + first)
+    g[:, :stop - first][np.tri(stop - first, dtype=bool)] = math.nan
+    return g
 
 
 def pair_distances(phi: np.ndarray) -> PairGeometry:
     """The ``PairGeometry`` of the (n, d) rows ``phi``: c is the rows less the
     coordinate-wise median of the finite rows (a far row does not move it),
-    s_i = c_i.c_i and est = s_i + s_j - 2 c_i.c_j, one Gram product per
-    ``row_cuts`` range of about 2**15 pairs. With u = 2**-53, gamma_m =
-    m u / (1 - m u) and R^2 = max s_i (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2002, sec. 3.1), |est - S| < 16 gamma_{d+2} R^2:
-    4 gamma_d R^2 for the norm and Gram sums in any order (any BLAS blocking
-    or thread count), 8u R^2 for the three-term sum, 8u R^2 for the rounding
-    of c, and gamma_{d+2} S <= 4 gamma_{d+2} R^2 for the direct sum. The
-    slack E = 64 gamma_{d+2} (R^2 + 2**-1022) is 4x that; 2**-1022 covers
-    underflow, <= 2**-1075 per product. The pairs of a row with s_i not
-    below 2**1020 hold their S.
+    s_i = c_i.c_i and an estimate is s_i + s_j - 2 c_i.c_j, one (d + 2)-term
+    product. With u = 2**-53, gamma_m = m u / (1 - m u) and R^2 = max s_i
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.1),
+    |estimate - S| < 16 gamma_{d+2} R^2: 2 gamma_d R^2 for the norms, 4
+    gamma_{d+2} R^2 for the product in any order (any BLAS blocking or
+    thread count), 8u R^2 for the rounding of c, and gamma_{d+2} S <= 4
+    gamma_{d+2} R^2 for the direct sum. The slack E = 64 gamma_{d+2} (R^2 +
+    2**-1022) is 4x that; 2**-1022 covers underflow, <= 2**-1075 per
+    product. A row with s_i not below 2**1020, or above 2**20 times the
+    median s, is direct: its pairs hold their S, and R^2 is over the rest.
     """
     x = np.asarray(phi, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected a 2-D feature matrix, got shape {x.shape}")
     n, d = x.shape
     ok = np.isfinite(x).all(axis=1)
-    c = x - np.median(x[ok], axis=0, overwrite_input=True) if ok.any() else np.zeros_like(x)
+    lhs = np.ones((n, d + 2))
+    c = lhs[:, :d]
+    c[:] = x - np.median(x[ok], axis=0, overwrite_input=True) if ok.any() else 0.0
     s = np.einsum("ij,ij->i", c, c)
     direct = ~(s < 2.0 ** 1020)  # NaN, inf, or large enough to overflow an estimate
+    s[direct] = 0.0
+    if n:  # and so is a row far from the rest; a zero median keeps every row
+        direct |= s > 2.0 ** 20 * (np.partition(s, n // 2)[n // 2] or math.inf)
     c[direct] = s[direct] = 0.0
+    rhs = np.ones_like(lhs)
+    np.multiply(c, -2.0, out=rhs[:, :d])
+    lhs[:, d] = rhs[:, d + 1] = s
     slack = 64 * (d + 2) * _U / (1 - (d + 2) * _U) * (s.max(initial=0.0) + 2.0 ** -1022)
-    est = np.empty(n * (n - 1) // 2)
-    cuts = row_cuts(n, -(-est.size // _GRAM_PAIRS))
-    for a, b in zip(cuts, cuts[1:]):
-        g = (-2.0 * c[a:b]) @ c[a:].T
-        g += s[a:b, None]
-        g += s[a:]
-        est[_row_offset(n, a):_row_offset(n, b)] = g[np.arange(n - a) > np.arange(b - a)[:, None]]
-    for i in np.flatnonzero(direct):
-        k = np.r_[_row_offset(n, np.arange(i)) + i - np.arange(i) - 1,
-                  _row_offset(n, i):_row_offset(n, i + 1)]
-        est[k] = _direct_sq(x, k)
-    return PairGeometry(x, est, float(slack))
+    return PairGeometry(x, lhs, rhs, direct, float(slack))
 
 
 def build_graph(geom: PairGeometry, threshold: float, first: int = 0, stop=None) -> BatchGraph:
@@ -196,7 +216,7 @@ def build_graph(geom: PairGeometry, threshold: float, first: int = 0, stop=None)
     Estimates below t^2 (1 - 8u) - E are edges, above t^2 (1 + 8u) + E not,
     and the band between is computed directly. ``first`` and ``stop`` keep
     only the pairs (i, j > i) with first <= i < stop (by default every row),
-    so a caller can walk a large graph one ``row_cuts`` range at a time.
+    so a caller can walk a large graph one block of ``geom.cuts`` at a time.
     """
     n = len(geom.x)
     stop = max(n - 1, 0) if stop is None else stop
@@ -204,16 +224,13 @@ def build_graph(geom: PairGeometry, threshold: float, first: int = 0, stop=None)
         raise ValueError(f"row range [{first}, {stop}) does not lie in the {n} rows' pairs")
     if not threshold > 0:  # checked first: squaring a negative one would make it positive
         return BatchGraph(num_nodes=n, rows=(), cols=(), threshold=float(threshold))
-    lo = _row_offset(n, first)
-    e = geom.est[lo:_row_offset(n, stop)]
+    e = geom.block(first, stop)
     keep = e < threshold * threshold * (1 - 8 * _U) - geom.slack
     band = np.flatnonzero((e <= threshold * threshold * (1 + 8 * _U) + geom.slack) ^ keep)
-    keep[band] = np.sqrt(_direct_sq(geom.x, band + lo)) < threshold
-    k = np.flatnonzero(keep)
-    i = np.arange(first, stop, dtype=np.int64)
-    starts = _row_offset(n, i) - lo  # where row i's pairs start, counted from the range's start
-    rows = np.repeat(i, np.diff(np.searchsorted(k, starts), append=k.size))
-    cols = k - starts[rows - first] + rows + 1
+    i, j = np.divmod(band, n - first)
+    np.put(keep, band, np.sqrt(_direct_sq(geom.x, i + first, j + first)) < threshold)
+    rows = np.repeat(np.arange(first, stop), np.count_nonzero(keep, axis=1))
+    cols = np.flatnonzero(keep) - (rows - first) * (n - first) + first
     return BatchGraph(num_nodes=n, rows=rows, cols=cols, threshold=float(threshold))
 
 
@@ -248,63 +265,87 @@ def _lerp_ranks(n: int, p: float):
     return k, k + 1, vi - k
 
 
-def _bracket_pass(d: np.ndarray, lo: float, hi: float):
-    """One pass over cache-sized chunks of ``d``: the counts of values
-    < lo, <= lo, < hi and <= hi, and the indices of the values strictly
-    between lo and hi; None as soon as a chunk holds a NaN."""
-    below_lo = upto_lo = below_hi = upto_hi = 0
+def _bracket_pass(geom: PairGeometry, lo: float, hi: float):
+    """One pass over the blocks of ``geom``: the numbers of estimates below
+    lo and above hi, and per block its first row, its estimates in [lo, hi]
+    and their flat indices in the block; None when an estimate is NaN."""
+    n, cuts = len(geom.x), geom.cuts
+    below = above = held = 0
     inside = []
-    masks = np.empty((3, _SCAN_VALUES), dtype=bool)
-    for start in range(0, d.size, _SCAN_VALUES):
-        c = d[start:start + _SCAN_VALUES]
-        if np.isnan(np.maximum.reduce(c)):
-            return None
-        mask, le_lo, lt_hi = (m[:c.size] for m in masks)
-        below_lo += np.count_nonzero(np.less(c, lo, out=mask))
-        upto_lo += np.count_nonzero(np.less_equal(c, lo, out=le_lo))
-        below_hi += np.count_nonzero(np.less(c, hi, out=lt_hi))
-        upto_hi += np.count_nonzero(np.less_equal(c, hi, out=mask))
-        inside.append(np.flatnonzero(lt_hi & ~le_lo) + start)
-    return (below_lo, upto_lo, below_hi, upto_hi), np.concatenate(inside)
+    for a, b in zip(cuts, cuts[1:]):
+        e = geom.block(a, b)
+        lt, le = e < lo, e <= hi
+        k = np.flatnonzero(np.greater(le, lt, out=le))  # in [lo, hi]
+        below, held = below + np.count_nonzero(lt), held + k.size
+        above += np.count_nonzero(np.greater(e, hi, out=lt))
+        if below + above + held < _row_offset(n, b):
+            return None  # a NaN is neither below, above nor inside
+        inside.append((a, e.ravel()[k], k))
+    return below, above, inside
 
 
-def _select(d: np.ndarray, ranks: list):
-    """The values of the given ranks of ``d`` in ascending order, exactly,
-    or None when ``d`` holds a NaN (numpy sorts NaN last, so a NaN makes
-    any percentile NaN).
+def _sample(geom: PairGeometry) -> np.ndarray:
+    """The direct squares of every s-th pair of ``geom``, s about n^(1/3) for
+    n pairs, or for a geometry of one block its kept estimates at that stride."""
+    n, pairs = len(geom.x), geom.pairs
+    step = math.ceil(pairs ** (1 / 3))
+    if pairs <= _GRAM_PAIRS:
+        e = geom.block(0, n - 1).ravel()[::step]
+        return e[~np.isnan(e)]  # the NaN below the pairs, and one that the pass finds again
+    k = np.arange(0, pairs, step)
+    i = np.searchsorted(_row_offset(n, np.arange(n)), k, side="right") - 1
+    return _direct_sq(geom.x, i, k - _row_offset(n, i) + i + 1)
 
-    It never copies ``d`` (Floyd & Rivest, CACM 18(3), 1975): a sorted
-    sample of every s-th value, s about n^(1/3), brackets the ranks between
+
+def _select(geom: PairGeometry, ranks: list):
+    """The direct distances of the given ranks of the pairs of ``geom``, in
+    ascending order, exactly, or None when one is NaN (numpy sorts NaN
+    last, so a NaN makes any percentile NaN).
+
+    It holds one block of estimates at a time (Floyd & Rivest, CACM 18(3),
+    1975): the m pairs of ``_sample``, sorted, bracket the ranks between
     two sample values lo <= hi, _MARGIN * sqrt(m ln n) sample ranks beyond
-    them for m sampled values; one ``_bracket_pass`` counts the values
-    below, at and above both ends and gathers the few strictly between
-    them, and only those are partitioned. When the bracket misses a rank,
-    its margin grows fourfold and the pass repeats; the sample's ends give
-    way to -inf and inf, so the answer is always exact.
+    them for n pairs; one ``_bracket_pass`` counts the estimates below and
+    above them and gathers those between. When these hold the ranks'
+    estimates a <= b and every estimate within (a - 3E, b + 3E), where a
+    pair that can hold a rank lies, only those pairs are computed directly
+    and partitioned. Otherwise the margin grows fourfold and the pass
+    repeats; the sample's ends give way to -inf and inf, so the answer is
+    always exact.
     """
-    n = d.size
-    sample = np.sort(d[::math.ceil(n ** (1 / 3))])
-    if np.isnan(sample[-1]):
-        return None
+    x, n, pairs = geom.x, len(geom.x), geom.pairs
+    sample = np.sort(_sample(geom))  # a NaN in it is found again by the pass
     m = sample.size
-    margin = _MARGIN * math.sqrt(m * math.log(n))
+    margin = _MARGIN * math.sqrt(m * math.log(pairs))
     while True:
-        a = math.floor(min(ranks) * m / n - margin)
-        b = math.ceil((max(ranks) + 1) * m / n + margin)
+        a = math.floor(min(ranks) * m / pairs - margin)
+        b = math.ceil((max(ranks) + 1) * m / pairs + margin)
         lo = sample[a] if a > 0 else -math.inf
         hi = sample[b] if b < m - 1 else math.inf
-        found = _bracket_pass(d, lo, hi)
+        found = _bracket_pass(geom, lo, hi)
         if found is None:
             return None
-        (below_lo, upto_lo, below_hi, upto_hi), inside = found
-        if below_lo <= min(ranks) and max(ranks) < upto_hi:
-            break
+        below, above, inside = found
+        if below <= min(ranks) and max(ranks) < pairs - above:
+            est = np.concatenate([e for _, e, _ in inside])
+            ends = [min(ranks) - below, max(ranks) - below]
+            est.partition(ends)
+            # rounded outwards, as a directly computed estimate can dwarf the slack
+            zlo = np.nextafter(est[ends[0]] - 3 * geom.slack, -math.inf)
+            zhi = np.nextafter(est[ends[1]] + 3 * geom.slack, math.inf)
+            if lo <= zlo and zhi <= hi:
+                break
         margin = 4 * margin + 1
-    inside = d[inside]
-    kth = sorted({r - upto_lo for r in ranks if upto_lo <= r < below_hi})
-    if kth:
-        inside.partition(kth)
-    return [lo if r < upto_lo else hi if r >= below_hi else inside[r - upto_lo] for r in ranks]
+    d = []
+    for first, e, k in inside:
+        below += np.count_nonzero(e <= zlo)
+        i, j = np.divmod(k[(e > zlo) & (e < zhi)], n - first)
+        d.append(_direct_sq(x, i + first, j + first))
+    # a rank past the zone has an infinite estimate, and so S = inf
+    d = np.append(np.sqrt(np.concatenate(d)), math.inf)
+    kth = [min(r - below, d.size - 1) for r in ranks]
+    d.partition(kth)
+    return d[kth].tolist()
 
 
 def percentile_threshold(geom: PairGeometry, p: float) -> float:
@@ -322,7 +363,7 @@ def percentile_threshold(geom: PairGeometry, p: float) -> float:
     """
     if not 0 <= p <= 100:
         raise ValueError(f"percentile must lie in [0, 100], got {p}")
-    k, k1, t = _lerp_ranks(geom.est.size, p)
+    k, k1, t = _lerp_ranks(geom.pairs, p)
     a, b = geom.ranks([k, k1])
     diff = b - a
     threshold = b - diff * (1 - t) if t >= 0.5 else a + diff * t

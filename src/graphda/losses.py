@@ -80,7 +80,7 @@ class KernelSpec:
         around it. All-identical rows give no usable scale; falls back to
         a median of 1 with a warning.
         """
-        m = geom.est.size
+        m = geom.pairs
         a, b = geom.ranks([(m - 1) // 2, m // 2])  # the ranks np.median reads
         med = a if m % 2 else (a + b) / 2
         if med == 0.0:

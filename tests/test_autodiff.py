@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import graphda.autodiff
 import graphda.losses
 import graphda.model
 from graphda.autodiff import (
@@ -58,7 +59,42 @@ class TestMatmul:
         assert rep.passed, rep.max_error
 
 
+# signed zeros, NaN (one negative with a payload), infinities, subnormals, normals
+SPECIALS = np.array([-0.0, 0.0, np.nan, np.uint64(0xFFF8_0000_0000_0003).view(np.float64), np.inf,
+                     -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308, 1.5, -2.0])
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
 class TestRelu:
+    def test_bits_equal_where(self):
+        # the branch-free forward and backward keep np.where's bits: -0.0 and
+        # NaN go to +0.0 forward, and a kept gradient keeps its sign and payload
+        x = np.repeat(SPECIALS, SPECIALS.size)  # every value against every gradient
+        g = np.tile(SPECIALS, SPECIALS.size)
+        leaf = t(x)
+        out = relu(leaf)
+        assert _bits(out.data) == _bits(np.where(x > 0, x, 0.0))
+        out._backward(g)
+        assert _bits(leaf.grad) == _bits(np.where(x > 0, g, 0.0) + 0)  # a first gradient lands + 0
+        assert _bits(graphda.autodiff._masked(g, x > 0)) == _bits(np.where(x > 0, g, 0.0))
+
+    @pytest.mark.filterwarnings("ignore:invalid value")  # inf * 0
+    def test_pull_push_bits_equal_where(self):
+        rng = np.random.default_rng(5)
+        d2 = np.repeat(SPECIALS, SPECIALS.size)
+        same, diff = rng.integers(0, 2, size=(2, d2.size)).astype(float)
+        for margin, g in ((1.0, 1.0), (0.0, -0.0), (2.0, np.nan), (1.0, -3.5)):
+            gap = d2 * -1.0 + margin
+            leaf = t(d2)
+            out = pull_push(leaf, same, diff, margin)
+            assert _bits(out.data) == _bits((d2 * same).sum() + (np.where(gap > 0, gap, 0) * diff).sum())
+            out._backward(np.float64(g))
+            want = np.where(gap > 0, g * diff, 0) * -1.0 + 0
+            assert _bits(leaf.grad) == _bits(want + g * same), (margin, g)
+
     def test_definition(self):
         out = relu(t([-1.0, 0.0, 2.0]))
         assert np.array_equal(out.data, [0.0, 0.0, 2.0])

@@ -650,7 +650,7 @@ def test_export_audit_ranges_change_no_count(run_dir, data_dir, tmp_path, monkey
     build = cli.build_graph
     monkeypatch.setattr(cli, "build_graph", lambda *a, **kw: (
         ranges.append((kw["first"], kw["stop"])), build(*a, **kw))[1])
-    monkeypatch.setattr(cli, "_AUDIT_PAIRS", 50)  # 7140 pairs of 120 rows: 143 ranges
+    monkeypatch.setattr(graphs, "_GRAM_PAIRS", 50)  # 7140 pairs of 120 rows: 143 blocks
     assert main(args + ["--out", str(tmp_path / "ranged")]) == 0
     assert len(ranges) == 143 and ranges[0][0] == 0 and ranges[-1][1] == 119
     assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
@@ -661,23 +661,27 @@ def test_export_audit_ranges_change_no_count(run_dir, data_dir, tmp_path, monkey
 
 @pytest.mark.parametrize("percentile", [50.0, 90.0])
 def test_pooled_audit_memory_is_bounded(percentile):
-    # beyond the condensed estimate vector of 1500 rows, the stage needs a small
-    # fraction of it; a copy for np.percentile, or the whole graph's index arrays,
-    # is 1x to 2x
+    # no structure of all N(N-1)/2 pairs: the stage holds the rows, one Gram
+    # block and the selection's bracket, about P^(2/3) sqrt(ln P) of the P pairs.
+    # At 1500 rows that is under a quarter of the condensed estimate vector, and
+    # 2.7x the rows (7.1x the pairs) need under 3x the memory
     rng = np.random.default_rng(71)
-    phi = rng.normal(size=(1500, 16))
-    audit = rng.integers(-1, 2, size=1500)
-    vector = 8 * 1500 * 1499 // 2
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        stats = cli._audit_pooled(phi, audit, None, percentile)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    graph = graph_of(phi, threshold_of(phi, percentile))
-    assert stats == edge_stats(graph, audit)
-    assert peak - vector < 0.2 * vector
+    cli._audit_pooled(rng.normal(size=(50, 16)), np.zeros(50), None, percentile)  # first-call imports
+    peaks = {}
+    for n in (1500, 4000):
+        phi = rng.normal(size=(n, 16))
+        audit = rng.integers(-1, 2, size=n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            stats = cli._audit_pooled(phi, audit, None, percentile)
+            peaks[n] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        if n == 1500:
+            assert stats == edge_stats(graph_of(phi, threshold_of(phi, percentile)), audit)
+    assert peaks[1500] < 0.25 * (8 * 1500 * 1499 // 2)
+    assert peaks[4000] < 3 * peaks[1500]
 
 
 def test_export_without_sidecar_counts_unknown(run_dir, data_dir, tmp_path):

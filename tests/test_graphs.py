@@ -59,13 +59,13 @@ def _oracle_edges(x, threshold):
 
 
 class _Exact:
-    """A pair geometry whose estimates are a given vector of exact distances."""
+    """A pair geometry whose distances are a given vector, ranked by sorting."""
 
     def __init__(self, d):
-        self.est = d
+        self.pairs, self.sorted = d.size, np.sort(d)
 
     def ranks(self, ranks):
-        return graphs._select(self.est, ranks) or [math.nan] * len(ranks)
+        return [math.nan] * len(ranks) if np.isnan(self.sorted[-1]) else self.sorted[ranks].tolist()
 
 
 def _pct(d, p):
@@ -134,7 +134,7 @@ class TestBuildGraph:
     @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan])
     def test_non_positive_threshold_gives_no_edges(self, threshold):
         # -1 squared would be a positive threshold; no estimate may be read
-        geom = dataclasses.replace(pair_distances(np.array([[0.0], [0.5], [3.0]])), est=None)
+        geom = dataclasses.replace(pair_distances(np.array([[0.0], [0.5], [3.0]])), lhs=None)
         g = build_graph(geom, threshold)
         assert g.num_nodes == 3 and g.num_edges == 0
         assert g.rows.dtype == g.cols.dtype == np.int64
@@ -208,11 +208,11 @@ class TestPairGeometry:
             phi = np.random.default_rng(300 + seed).normal(size=(n, d))
             geom = pair_distances(phi)
             want = _row_loop_distances(phi)
-            assert geom.est.shape == (n * (n - 1) // 2,)
-            assert np.array_equal(np.sqrt(graphs._direct_sq(phi, np.arange(geom.est.size))), want)
+            i, j = np.triu_indices(n, 1)
+            assert geom.pairs == i.size and np.array_equal(np.sqrt(graphs._direct_sq(phi, i, j)), want)
             sq = np.concatenate([((phi[i + 1:] - phi[i]) ** 2).sum(axis=1) for i in range(n - 1)]
                                 or [np.zeros(0)])
-            assert np.all(np.abs(geom.est - sq) <= geom.slack / 4)
+            assert np.all(np.abs(_estimates(geom) - sq) <= geom.slack / 4)
 
     def test_ties_exactly_at_threshold(self):
         # integer grid points with repeats: many pairs sit exactly at the median
@@ -250,6 +250,18 @@ def _same(a, b):
     return a == b or (math.isnan(a) and math.isnan(b))
 
 
+def _estimates(geom):
+    """Every pair's estimate, condensed row-major, read one block of ``geom.cuts``
+    at a time; each block is NaN below its pairs."""
+    n, cuts, out = len(geom.x), geom.cuts, [np.zeros(0)]
+    for a, b in zip(cuts, cuts[1:]):
+        e = geom.block(a, b)
+        upper = np.arange(a, n) > np.arange(a, b)[:, None]
+        assert e.shape == upper.shape and np.isnan(e[~upper]).all()
+        out.append(e[upper])
+    return np.concatenate(out)
+
+
 def _condensed(g):
     """The graph's edges as condensed pair indices."""
     return graphs._row_offset(g.num_nodes, g.rows) + g.cols - g.rows - 1
@@ -278,20 +290,37 @@ def _check_against_oracle(phi, thresholds=()):
     return geom
 
 
+def _hard_inputs():
+    rng = np.random.default_rng(700)
+    far = np.array([[1e8] * 5, [-1e8] * 5, [1e150, -1e150, 0.0, 0.0, 0.0],
+                    [-1e150, 3.0, 1e8, 0.0, 0.0]])
+    inputs = {
+        "grid ties": rng.integers(0, 4, size=(300, 2)).astype(float),
+        "duplicate rows": np.repeat(rng.normal(size=(60, 3)), 4, axis=0),
+        "1e6 offset": rng.normal(size=(400, 7)) + 1e6,
+        "far outlier": np.vstack([rng.normal(size=(300, 5)), np.full((1, 5), 1e8)]),
+        "far rows": np.vstack([rng.normal(size=(300, 5)), far])[rng.permutation(304)],
+    }
+    for d, n in ((1, 1500), (2, 900), (7, 600), (64, 1500), (130, 200)):
+        inputs[f"d={d}"] = rng.normal(size=(n, d))
+    return inputs
+
+
 class TestExactScreening:
     @pytest.mark.filterwarnings("ignore")
     def test_hard_inputs_match_the_direct_oracle(self):
-        rng = np.random.default_rng(700)
-        inputs = {
-            "grid ties": rng.integers(0, 4, size=(300, 2)).astype(float),
-            "duplicate rows": np.repeat(rng.normal(size=(60, 3)), 4, axis=0),
-            "1e6 offset": rng.normal(size=(400, 7)) + 1e6,
-            "far outlier": np.vstack([rng.normal(size=(300, 5)), np.full((1, 5), 1e8)]),
-        }
-        for d, n in ((1, 1500), (2, 900), (7, 600), (64, 1500), (130, 200)):
-            inputs[f"d={d}"] = rng.normal(size=(n, d))
+        inputs = _hard_inputs()
         for name, phi in inputs.items():
             assert _check_against_oracle(phi, thresholds=(1.0, 2.0)).slack > 0, name
+        # far rows leave the slack, and so the band, to the others
+        assert pair_distances(inputs["far rows"]).slack < 1e-10
+
+    @pytest.mark.filterwarnings("ignore")
+    def test_hard_inputs_across_blocks(self, monkeypatch):
+        # at 64 pairs per Gram block, selection and edges cross hundreds of blocks
+        monkeypatch.setattr(graphs, "_GRAM_PAIRS", 64)
+        for name, phi in _hard_inputs().items():
+            assert len(_check_against_oracle(phi[-300:], thresholds=(1.0, 2.0)).cuts) > 300, name
 
     @pytest.mark.filterwarnings("ignore")
     def test_non_finite_rows_keep_the_direct_results(self):
@@ -476,23 +505,41 @@ class TestPercentileThreshold:
             for p in (0, 50, 100):
                 assert math.isnan(_pct(d, p)) and math.isnan(np.percentile(d, p))
 
+    @pytest.mark.filterwarnings("ignore")
+    def test_bits_equal_numpy_percentile_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_GRAM_PAIRS", 64)
+        rng = np.random.default_rng(63)
+        for phi in (rng.normal(size=(2, 3)), rng.normal(size=(150, 4)),
+                    rng.integers(0, 5, size=(170, 1)).astype(float),  # ties at every rank
+                    np.sort(rng.exponential(size=(160, 1)), axis=0)):
+            want = _row_loop_distances(phi)
+            geom = pair_distances(phi)
+            for p in (0, 100, 50, 37.5, float(rng.uniform(0, 100))):
+                assert percentile_threshold(geom, p) == float(np.percentile(want, p)), (len(phi), p)
+        phi[77] = np.nan
+        assert math.isnan(percentile_threshold(pair_distances(phi), 50))
+
+    @pytest.mark.filterwarnings("ignore")
     def test_bracket_miss_widens_to_the_exact_value(self, monkeypatch):
         # with no margin the sampled bracket is about one sample rank wide and
-        # misses most ranks; the widened passes must still land on numpy's bits
+        # misses most ranks; the widened passes, each over hundreds of Gram
+        # blocks, must still land on numpy's bits
         passes = []
         scan = graphs._bracket_pass
         monkeypatch.setattr(graphs, "_bracket_pass", lambda *a: (passes.append(a[1:]), scan(*a))[1])
         monkeypatch.setattr(graphs, "_MARGIN", 0.0)
+        monkeypatch.setattr(graphs, "_GRAM_PAIRS", 64)
         rng = np.random.default_rng(62)
-        d = rng.random(4 * graphs._SCAN_VALUES)
         ps = (0, 1, 37.5, 50, 63.2, 99, 100)
-        for p in ps:
-            assert _pct(d, p) == float(np.percentile(d, p)), p
-        assert len(passes) > len(ps)
-        assert (-math.inf, math.inf) not in passes  # no rank needed the whole vector
-        d = rng.integers(0, 3, size=4 * graphs._SCAN_VALUES).astype(float)  # ties at both ends
-        for p in ps:
-            assert _pct(d, p) == float(np.percentile(d, p)), p
+        for phi in (rng.normal(size=(200, 3)),
+                    rng.integers(0, 3, size=(200, 1)).astype(float)):  # ties at both ends
+            want = _row_loop_distances(phi)
+            geom = pair_distances(phi)
+            assert len(geom.cuts) > 300
+            for p in ps:
+                assert percentile_threshold(geom, p) == float(np.percentile(want, p)), p
+        assert len(passes) > 2 * len(ps)  # some brackets missed
+        assert (-math.inf, math.inf) not in passes  # no rank needed every pair
 
 
 def test_graph_types_are_immutable():

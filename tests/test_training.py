@@ -427,6 +427,21 @@ def test_one_pair_scan_per_step(monkeypatch, arm, scans):
     assert (hist[0].edges_unknown > 0) == arm.get("use_gnn", True)  # the graph was built
 
 
+@pytest.mark.parametrize("arm, products", [pytest.param(dict(), 1, id="full"),
+                                            pytest.param(FLOOR, 0, id="floor")])
+def test_one_gram_product_per_step(monkeypatch, arm, products):
+    # a B=128 step's 8128 pairs are one Gram block, made once and kept for the
+    # threshold, the graph and the kernel median
+    import graphda.graphs
+
+    calls = []
+    gram = graphda.graphs._gram
+    monkeypatch.setattr(graphda.graphs, "_gram", lambda *a: (calls.append(1), gram(*a))[1])
+    src, tgt, _ = shift_data(seed=10, per_class=32)  # 64 per domain: one 128-sample step per epoch
+    _, hist = train(tiny_cfg(epochs=2, batch_size=128, **arm), src, tgt)
+    assert len(hist) == 2 and len(calls) == 2 * products
+
+
 def test_floor_arm_builds_no_zero_weight_term(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a zero-weight loss term was built")
