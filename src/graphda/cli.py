@@ -338,9 +338,8 @@ def cmd_eval(args) -> int:
 def _audit_pooled(phi: np.ndarray, audit: np.ndarray, threshold, percentile) -> EdgeStats:
     """Edge counts of the pooled graph at the fixed ``threshold``, or at the
     ``percentile`` of its distances when that is not None. No structure of
-    all N(N-1)/2 pairs is held: the pair geometry makes its estimates one
-    Gram block at a time, the percentile is a selection over them, and the
-    graph is built and audited one block of rows at a time."""
+    all N(N-1)/2 pairs is held: the estimates, the percentile's selection
+    over them and the edges go one Gram block of rows at a time."""
     geom = pair_distances(phi)
     if percentile is not None:
         threshold = percentile_threshold(geom, percentile)

@@ -184,8 +184,9 @@ def pair_distances(phi: np.ndarray) -> PairGeometry:
     thread count), 8u R^2 for the rounding of c, and gamma_{d+2} S <= 4
     gamma_{d+2} R^2 for the direct sum. The slack E = 64 gamma_{d+2} (R^2 +
     2**-1022) is 4x that; 2**-1022 covers underflow, <= 2**-1075 per
-    product. A row with s_i not below 2**1020, or above 2**20 times the
-    median s, is direct: its pairs hold their S, and R^2 is over the rest.
+    product. A row with s_i not below 2**1020, or above 2**20 times the s of
+    rank n - 1 - isqrt(n) (so at most sqrt(n) rows, whatever a cluster does
+    to the median), is direct: its pairs hold their S, and R^2 is over the rest.
     """
     x = np.asarray(phi, dtype=np.float64)
     if x.ndim != 2:
@@ -198,8 +199,8 @@ def pair_distances(phi: np.ndarray) -> PairGeometry:
     s = np.einsum("ij,ij->i", c, c)
     direct = ~(s < 2.0 ** 1020)  # NaN, inf, or large enough to overflow an estimate
     s[direct] = 0.0
-    if n:  # and so is a row far from the rest; a zero median keeps every row
-        direct |= s > 2.0 ** 20 * (np.partition(s, n // 2)[n // 2] or math.inf)
+    k = n - 1 - math.isqrt(n)  # and so is a row far from the rest; a zero s there keeps all
+    direct |= s > 2.0 ** 20 * ((np.partition(s, k)[k] if n else 0.0) or math.inf)
     c[direct] = s[direct] = 0.0
     rhs = np.ones_like(lhs)
     np.multiply(c, -2.0, out=rhs[:, :d])
@@ -215,13 +216,18 @@ def build_graph(geom: PairGeometry, threshold: float, first: int = 0, stop=None)
     threshold that is not positive (0, negative or NaN) gives no edges.
     Estimates below t^2 (1 - 8u) - E are edges, above t^2 (1 + 8u) + E not,
     and the band between is computed directly. ``first`` and ``stop`` keep
-    only the pairs (i, j > i) with first <= i < stop (by default every row),
-    so a caller can walk a large graph one block of ``geom.cuts`` at a time.
+    only the pairs (i, j > i) with first <= i < stop, from one Gram product;
+    with no ``stop``, the rows from ``first`` on, one block of ``geom.cuts``
+    at a time, so the estimates of every pair are never held at once.
     """
     n = len(geom.x)
-    stop = max(n - 1, 0) if stop is None else stop
-    if not 0 <= first <= stop <= max(n - 1, 0):
+    if not 0 <= first <= (max(n - 1, 0) if stop is None else stop) <= max(n - 1, 0):
         raise ValueError(f"row range [{first}, {stop}) does not lie in the {n} rows' pairs")
+    if stop is None:
+        cuts = [first] + [c for c in geom.cuts if c > first]
+        parts = [build_graph(geom, threshold, a, b) for a, b in zip(cuts, cuts[1:])]
+        rows, cols = (np.concatenate([getattr(g, f) for g in parts] or [()]) for f in ("rows", "cols"))
+        return BatchGraph(num_nodes=n, rows=rows, cols=cols, threshold=float(threshold))
     if not threshold > 0:  # checked first: squaring a negative one would make it positive
         return BatchGraph(num_nodes=n, rows=(), cols=(), threshold=float(threshold))
     e = geom.block(first, stop)
@@ -269,9 +275,8 @@ def _bracket_pass(geom: PairGeometry, lo: float, hi: float):
     """One pass over the blocks of ``geom``: the numbers of estimates below
     lo and above hi, and per block its first row, its estimates in [lo, hi]
     and their flat indices in the block; None when an estimate is NaN."""
-    n, cuts = len(geom.x), geom.cuts
+    n, cuts, inside = len(geom.x), geom.cuts, []
     below = above = held = 0
-    inside = []
     for a, b in zip(cuts, cuts[1:]):
         e = geom.block(a, b)
         lt, le = e < lo, e <= hi
@@ -280,21 +285,18 @@ def _bracket_pass(geom: PairGeometry, lo: float, hi: float):
         above += np.count_nonzero(np.greater(e, hi, out=lt))
         if below + above + held < _row_offset(n, b):
             return None  # a NaN is neither below, above nor inside
-        inside.append((a, e.ravel()[k], k))
+        inside.append((a, e.ravel()[k], k.astype(np.int32)))  # a block holds < 2**31 values
     return below, above, inside
 
 
 def _sample(geom: PairGeometry) -> np.ndarray:
-    """The direct squares of every s-th pair of ``geom``, s about n^(1/3) for
-    n pairs, or for a geometry of one block its kept estimates at that stride."""
+    """Every s-th pair of ``geom``, s about n^(1/3) for n pairs: the estimates of a geometry
+    of one block, made anyway (0.1 ms less per 128-row step), or else direct squares."""
     n, pairs = len(geom.x), geom.pairs
-    step = math.ceil(pairs ** (1 / 3))
-    if pairs <= _GRAM_PAIRS:
-        e = geom.block(0, n - 1).ravel()[::step]
-        return e[~np.isnan(e)]  # the NaN below the pairs, and one that the pass finds again
-    k = np.arange(0, pairs, step)
+    k = np.arange(0, pairs, math.ceil(pairs ** (1 / 3)))
     i = np.searchsorted(_row_offset(n, np.arange(n)), k, side="right") - 1
-    return _direct_sq(geom.x, i, k - _row_offset(n, i) + i + 1)
+    j = k - _row_offset(n, i) + i + 1
+    return geom.block(0, n - 1)[i, j] if pairs <= _GRAM_PAIRS else _direct_sq(geom.x, i, j)
 
 
 def _select(geom: PairGeometry, ranks: list):

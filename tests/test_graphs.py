@@ -300,6 +300,9 @@ def _hard_inputs():
         "1e6 offset": rng.normal(size=(400, 7)) + 1e6,
         "far outlier": np.vstack([rng.normal(size=(300, 5)), np.full((1, 5), 1e8)]),
         "far rows": np.vstack([rng.normal(size=(300, 5)), far])[rng.permutation(304)],
+        # a majority within 1e-4 of one point: the median norm is tiny, the others not far
+        "tight cluster": np.vstack([3.0 + 1e-4 * rng.normal(size=(170, 5)),
+                                    rng.normal(size=(130, 5))])[rng.permutation(300)],
     }
     for d, n in ((1, 1500), (2, 900), (7, 600), (64, 1500), (130, 200)):
         inputs[f"d={d}"] = rng.normal(size=(n, d))
@@ -314,13 +317,21 @@ class TestExactScreening:
             assert _check_against_oracle(phi, thresholds=(1.0, 2.0)).slack > 0, name
         # far rows leave the slack, and so the band, to the others
         assert pair_distances(inputs["far rows"]).slack < 1e-10
+        assert pair_distances(inputs["far rows"]).direct.sum() == 4
+        # but a cluster's rows are not far from the rest, which keep their estimates
+        assert not pair_distances(inputs["tight cluster"]).direct.any()
 
     @pytest.mark.filterwarnings("ignore")
     def test_hard_inputs_across_blocks(self, monkeypatch):
-        # at 64 pairs per Gram block, selection and edges cross hundreds of blocks
+        # at 64 pairs per Gram block, selection and edges cross hundreds of blocks,
+        # and the whole graph is built one block at a time, never in one product
         monkeypatch.setattr(graphs, "_GRAM_PAIRS", 64)
+        spans = []
+        gram = graphs._gram
+        monkeypatch.setattr(graphs, "_gram", lambda g, a, b: (spans.append((a, b)), gram(g, a, b))[1])
         for name, phi in _hard_inputs().items():
             assert len(_check_against_oracle(phi[-300:], thresholds=(1.0, 2.0)).cuts) > 300, name
+        assert spans and (0, 299) not in spans
 
     @pytest.mark.filterwarnings("ignore")
     def test_non_finite_rows_keep_the_direct_results(self):
@@ -488,8 +499,7 @@ class TestPercentileThreshold:
 
     def test_bits_equal_numpy_percentile(self):
         rng = np.random.default_rng(61)
-        big = graphs._SCAN_VALUES + 1  # the counting pass reads two chunks
-        for n in (1, 2, 3, 17, 1000, big, 3 * big + 7):
+        for n in (1, 2, 3, 17, 1000, 100_003):
             for d in (rng.random(n), rng.integers(0, 6, size=n).astype(float),
                       np.sort(rng.exponential(size=n))):
                 for p in (0, 100, 50, 37.5, float(rng.uniform(0, 100))):
@@ -499,8 +509,8 @@ class TestPercentileThreshold:
         for (a, b), p in (((1.0, 10.0), 80.0), ((0.1, 3.7), 60.0)):
             assert a + (b - a) * (p / 100) != np.percentile([b, a], p)
             assert _pct(np.array([b, a]), p) == float(np.percentile([b, a], p))
-        d = rng.random(big)
-        d[big // 3] = np.nan
+        d = rng.random(1000)
+        d[333] = np.nan
         for d in (d, np.array([1.0, np.nan, 2.0])):
             for p in (0, 50, 100):
                 assert math.isnan(_pct(d, p)) and math.isnan(np.percentile(d, p))
