@@ -35,7 +35,7 @@ from .datasets import (
     write_dataset,
     write_label_file,
 )
-from .graphs import EdgeStats, build_graph, edge_stats, pair_distances, percentile_threshold
+from .graphs import EdgeStats, build_graph, edge_pass, edge_stats, pair_distances, percentile_threshold
 from .model import Model, config_from_tensors, load_checkpoint, run_from_tensors
 from .pseudo import _check_epsilon, assign_pseudo_labels
 from .training import (
@@ -266,6 +266,9 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     config = _resolve_train_config(args)
+    run_dir = Path(args.out)
+    if run_dir.is_dir() and any(run_dir.iterdir()) and not args.force:
+        raise UsageError(f"refusing to overwrite {run_dir} (pass --force)")
     source = read_dataset(args.source, Domain.SOURCE)
     target = read_dataset(args.target, Domain.TARGET)
     eval_labels = _read_eval_labels(args.labels, target) if args.labels else None
@@ -276,7 +279,6 @@ def cmd_train(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
 
-    run_dir = Path(args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
     entries = {
         "command": "train",
@@ -336,18 +338,16 @@ def cmd_eval(args) -> int:
 
 
 def _audit_pooled(phi: np.ndarray, audit: np.ndarray, threshold, percentile) -> EdgeStats:
-    """Edge counts of the pooled graph at the fixed ``threshold``, or at the
-    ``percentile`` of its distances when that is not None. No structure of
-    all N(N-1)/2 pairs is held: the estimates, the percentile's selection
-    over them and the edges go one Gram block of rows at a time."""
-    geom = pair_distances(phi)
+    """Edge counts of the pooled graph at the fixed ``threshold``, or at the ``percentile``
+    of its distances when that is not None, in one pass over the Gram blocks (``edge_pass``,
+    then the edges of the pairs it holds) of the rows ordered by audit label, which moves
+    only bits of estimates that every decision is certified against."""
+    order = np.argsort(audit, kind="stable")
+    geom = pair_distances(phi[order], labels=np.asarray(audit)[order])
     if percentile is not None:
         threshold = percentile_threshold(geom, percentile)
-    stats = EdgeStats(right=0, wrong=0, unknown=0)
-    cuts = geom.cuts
-    for first, stop in zip(cuts, cuts[1:]):
-        stats += edge_stats(build_graph(geom, threshold, first=first, stop=stop), audit)
-    return stats
+    counted, held = edge_pass(geom, threshold)
+    return counted + edge_stats(build_graph(geom, threshold, held), geom.labels)
 
 
 def cmd_export(args) -> int:
@@ -379,6 +379,7 @@ def cmd_export(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     emb_path = out / f"embeddings_epoch{epoch:03d}.csv"
     phi = export_embeddings(emb_path, phi_s, phi_t, source.labels, state.labels, epoch=epoch)
+    del phi_s, phi_t  # freed before the audit makes its label-ordered copy of the pooled rows
 
     # Pooled graph at the stored threshold, audited against source truth
     # plus the eval sidecar when provided (-1 rows count as unknown).
@@ -446,6 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--target", required=True, help="unlabeled target dataset file")
     tr.add_argument("--labels", help="target ground-truth sidecar; metrics only, never trained on")
     tr.add_argument("--out", required=True, help="run directory (created if missing)")
+    tr.add_argument("--force", action="store_true", help="write into a non-empty run directory")
     tr.add_argument("--config", help="flat key=value config file; flags override it")
     _add_config_flags(tr)
     tr.set_defaults(func=cmd_train)

@@ -10,8 +10,7 @@ for few pairs: a ``PairGeometry`` estimates every pair's square from BLAS
 Gram products with a certified error bound, one block of rows at a time.
 It is the one input of the threshold, the kernel median and the edges,
 which compute directly only the pairs the bound cannot decide and never
-hold the estimates of all pairs at once (see ``_select`` and the row
-ranges of ``build_graph``).
+hold the estimates of all pairs at once (``edge_pass`` counts in ``_select``'s pass).
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ __all__ = [
     "EdgeStats",
     "PairGeometry",
     "build_graph",
+    "edge_pass",
     "edge_stats",
     "pair_distances",
     "percentile_threshold",
@@ -82,7 +82,7 @@ class EdgeStats:
                          self.unknown + other.unknown)
 
 
-_SCAN_VALUES = 2 ** 15  # values per chunk of a direct pass (256 KB)
+_SCAN_VALUES = 2 ** 13  # values per buffer of a direct pass (64 KB, below malloc's mmap threshold)
 _GRAM_PAIRS = 2 ** 15  # pairs per Gram block, which holds at most about twice that many values
 _MARGIN = 0.5  # the sample bracket's half-width, in units of sqrt(m ln n) sample ranks
 _U = 2.0 ** -53  # unit roundoff of float64
@@ -103,11 +103,13 @@ def row_cuts(n: int, parts: int) -> list:
 
 
 def _direct_sq(x: np.ndarray, i, j) -> np.ndarray:
-    """Squared direct distances S of the pairs (i[k], j[k]), each summed as
-    one contiguous row: its bits do not depend on the other pairs."""
-    out, step = np.empty(len(i)), _SCAN_VALUES // max(x.shape[1], 1)
+    """Squared direct distances S of the pairs (i[k], j[k]), each summed as one
+    contiguous row of a buffer every chunk reuses: its bits do not depend on the other pairs."""
+    out, step = np.empty(len(i)), max(_SCAN_VALUES // max(x.shape[1], 1), 1)
+    buf = np.empty((min(step, len(i)), x.shape[1]))
     for at in range(0, len(i), step):
-        diff = x[j[at:at + step]] - x[i[at:at + step]]
+        diff = np.take(x, j[at:at + step], 0, buf[:len(i[at:at + step])], "clip")  # "raise" copies
+        np.subtract(diff, x[i[at:at + step]], out=diff)
         np.add.reduce(np.multiply(diff, diff, out=diff), axis=1, out=out[at:at + step])
     return out
 
@@ -119,16 +121,18 @@ class PairGeometry:
     lhs_i . rhs_j, with lhs_i = (c_i, s_i, 1) and rhs_j = (-2 c_j, 1, s_j)
     (see ``pair_distances``), and |estimate - S| <= ``slack``; a row of
     ``direct`` gets its pairs' S. ``_found`` keeps what ``ranks`` found, so
-    consumers of the same ranks select once, and ``_whole`` the block of a
-    geometry of one block, so a training step makes one Gram product."""
+    consumers of the same ranks select once, ``_whole`` the block of a one-block geometry, and
+    ``_pass`` the last pass counted by ``labels``, which ascend with the rows (``edge_pass``)."""
 
     x: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
     direct: np.ndarray
     slack: float
+    labels: np.ndarray | None = None
     _found: dict = field(default_factory=dict, repr=False)
     _whole: np.ndarray | None = field(default=None, repr=False)
+    _pass: tuple | None = field(default=None, repr=False)
 
     @property
     def pairs(self) -> int:
@@ -173,7 +177,7 @@ def _gram(geom: PairGeometry, first: int, stop: int) -> np.ndarray:
     return g
 
 
-def pair_distances(phi: np.ndarray) -> PairGeometry:
+def pair_distances(phi: np.ndarray, labels=None) -> PairGeometry:
     """The ``PairGeometry`` of the (n, d) rows ``phi``: c is the rows less the
     coordinate-wise median of the finite rows (a far row does not move it),
     s_i = c_i.c_i and an estimate is s_i + s_j - 2 c_i.c_j, one (d + 2)-term
@@ -192,6 +196,8 @@ def pair_distances(phi: np.ndarray) -> PairGeometry:
     if x.ndim != 2:
         raise ValueError(f"expected a 2-D feature matrix, got shape {x.shape}")
     n, d = x.shape
+    if labels is not None and not (np.shape(labels) == (n,) and (np.diff(labels) >= 0).all()):
+        raise ValueError(f"labels must be {n} integers in ascending order")
     ok = np.isfinite(x).all(axis=1)
     lhs = np.ones((n, d + 2))
     c = lhs[:, :d]
@@ -206,38 +212,71 @@ def pair_distances(phi: np.ndarray) -> PairGeometry:
     np.multiply(c, -2.0, out=rhs[:, :d])
     lhs[:, d] = rhs[:, d + 1] = s
     slack = 64 * (d + 2) * _U / (1 - (d + 2) * _U) * (s.max(initial=0.0) + 2.0 ** -1022)
-    return PairGeometry(x, lhs, rhs, direct, float(slack))
+    return PairGeometry(x, lhs, rhs, direct, float(slack),
+                        None if labels is None else np.asarray(labels, dtype=np.int64))
 
 
-def build_graph(geom: PairGeometry, threshold: float, first: int = 0, stop=None) -> BatchGraph:
+def build_graph(geom: PairGeometry, threshold: float, held=None) -> BatchGraph:
     """Connect rows i and j of ``geom.x`` iff ||x_i - x_j||_2 < threshold (strict).
 
-    A distance equal to the threshold gives no edge; no self-loops; a
-    threshold that is not positive (0, negative or NaN) gives no edges.
-    Estimates below t^2 (1 - 8u) - E are edges, above t^2 (1 + 8u) + E not,
-    and the band between is computed directly. ``first`` and ``stop`` keep
-    only the pairs (i, j > i) with first <= i < stop, from one Gram product;
-    with no ``stop``, the rows from ``first`` on, one block of ``geom.cuts``
-    at a time, so the estimates of every pair are never held at once.
+    A distance equal to the threshold gives no edge; no self-loops; a threshold
+    that is not positive (0, negative or NaN) gives no edges and reads no estimate.
+    The pairs are those of ``_edge_rule``, found one block of ``geom.cuts``
+    at a time, so the estimates of every pair are never held at once; with
+    ``held``, the blocks of an ``edge_pass`` at ``threshold``, only its held pairs.
     """
-    n = len(geom.x)
-    if not 0 <= first <= (max(n - 1, 0) if stop is None else stop) <= max(n - 1, 0):
-        raise ValueError(f"row range [{first}, {stop}) does not lie in the {n} rows' pairs")
-    if stop is None:
-        cuts = [first] + [c for c in geom.cuts if c > first]
-        parts = [build_graph(geom, threshold, a, b) for a, b in zip(cuts, cuts[1:])]
-        rows, cols = (np.concatenate([getattr(g, f) for g in parts] or [()]) for f in ("rows", "cols"))
-        return BatchGraph(num_nodes=n, rows=rows, cols=cols, threshold=float(threshold))
-    if not threshold > 0:  # checked first: squaring a negative one would make it positive
-        return BatchGraph(num_nodes=n, rows=(), cols=(), threshold=float(threshold))
-    e = geom.block(first, stop)
-    keep = e < threshold * threshold * (1 - 8 * _U) - geom.slack
-    band = np.flatnonzero((e <= threshold * threshold * (1 + 8 * _U) + geom.slack) ^ keep)
-    i, j = np.divmod(band, n - first)
-    np.put(keep, band, np.sqrt(_direct_sq(geom.x, i + first, j + first)) < threshold)
-    rows = np.repeat(np.arange(first, stop), np.count_nonzero(keep, axis=1))
-    cols = np.flatnonzero(keep) - (rows - first) * (n - first) + first
+    n, parts = len(geom.x), [np.empty((2, 0), dtype=np.int64)]
+    if held is None:
+        held = ((a, geom.block(a, b), None) for a, b in zip(geom.cuts, geom.cuts[1:]))
+    for first, e, k in (held if threshold > 0 else ()):
+        f = np.flatnonzero(_edge_rule(geom, threshold, first, e, k))
+        parts.append(np.stack(np.divmod(f if k is None else k[f], n - first)) + first)
+    rows, cols = np.concatenate(parts, axis=1)
     return BatchGraph(num_nodes=n, rows=rows, cols=cols, threshold=float(threshold))
+
+
+def _bounds(geom: PairGeometry, t: float) -> tuple:
+    return t * t * (1 - 8 * _U) - geom.slack, t * t * (1 + 8 * _U) + geom.slack
+
+
+def _edge_rule(geom: PairGeometry, t: float, first: int, e: np.ndarray, k=None) -> np.ndarray:
+    """True where estimates ``e`` (at flat indices ``k``) of the block of rows from ``first``
+    are edges at t > 0: below t^2 (1 - 8u) - E, or up to t^2 (1 + 8u) + E with distance < t."""
+    low, high = _bounds(geom, t)
+    keep = e < low
+    band = np.flatnonzero((e <= high) ^ keep)
+    i, j = np.divmod(band if k is None else k[band], len(geom.x) - first)
+    np.put(keep, band, np.sqrt(_direct_sq(geom.x, i + first, j + first)) < t)
+    return keep
+
+
+def _block_stats(keep: np.ndarray, first: int, lab: np.ndarray) -> EdgeStats:
+    """EdgeStats of the pairs (first + r, first + c) where ``keep[r, c]``, by ascending ``lab``."""
+    at = {v: slice(*np.maximum(np.searchsorted(lab, [v, v + 1]) - first, 0))
+          for v in {-1, *lab[first:first + len(keep)].tolist()}}
+    unknown = sum(np.count_nonzero(keep[at[v]] if v == -1 else keep[at[v], at[-1]]) for v in at)
+    right = sum(np.count_nonzero(keep[at[v], at[v]]) for v in at if v != -1)
+    return EdgeStats(int(right), int(np.count_nonzero(keep) - right - unknown), int(unknown))
+
+
+def edge_pass(geom: PairGeometry, threshold: float) -> tuple:
+    """``EdgeStats`` by ``geom.labels`` of the pairs with estimates below low = t^2 (1 - 8u) - E,
+    edges at t = ``threshold``, and the held pairs from low on of each block with one up to high =
+    t^2 (1 + 8u) + E, whose edges ``build_graph(geom, t, held)`` finds: one ``_bracket_pass`` at
+    [low, high], or none if the pass selecting t's ranks k <= k' holds it. Selection accepts
+    lo <= zlo < a - 3E for the estimate a <= S_(k) + E of rank k (P - k pairs have S >= a - E),
+    so e < lo gives e < S_(k) - 2E <= low, as E >= 128u R^2 >= 30u t^2 unless t is a far row's."""
+    if not threshold > 0:
+        return EdgeStats(0, 0, 0), []
+    low, high = _bounds(geom, threshold)
+    if geom._pass is None or not geom._pass[2] <= low or not high <= geom._pass[3]:
+        object.__setattr__(geom, "_pass", (*_bracket_pass(geom, low, high)[2:], low, high))
+    counted, held, n = geom._pass[0], [], len(geom.x)
+    for first, e, k in geom._pass[1]:  # the pass's held pairs below low are edges too
+        i, j = np.divmod(k[e < low], n - first)
+        counted += edge_stats(BatchGraph(n, i + first, j + first, threshold), geom.labels)
+        held.append((first, e[low <= e], k[low <= e]))
+    return counted, [(a, e, k) for a, e, k in held if (e <= high).any()]  # the band's blocks
 
 
 def edge_stats(graph: BatchGraph, labels) -> EdgeStats:
@@ -273,20 +312,19 @@ def _lerp_ranks(n: int, p: float):
 
 def _bracket_pass(geom: PairGeometry, lo: float, hi: float):
     """One pass over the blocks of ``geom``: the numbers of estimates below
-    lo and above hi, and per block its first row, its estimates in [lo, hi]
-    and their flat indices in the block; None when an estimate is NaN."""
-    n, cuts, inside = len(geom.x), geom.cuts, []
-    below = above = held = 0
+    lo and above hi (a NaN is neither), per block its first row, its estimates in [lo, hi]
+    and their flat indices in it, and with labels the ``_block_stats`` below lo."""
+    cuts, counted, inside, below, above = geom.cuts, EdgeStats(0, 0, 0), [], 0, 0
     for a, b in zip(cuts, cuts[1:]):
         e = geom.block(a, b)
         lt, le = e < lo, e <= hi
+        if geom.labels is not None:
+            counted += _block_stats(lt, a, geom.labels)
         k = np.flatnonzero(np.greater(le, lt, out=le))  # in [lo, hi]
-        below, held = below + np.count_nonzero(lt), held + k.size
+        below += np.count_nonzero(lt)
         above += np.count_nonzero(np.greater(e, hi, out=lt))
-        if below + above + held < _row_offset(n, b):
-            return None  # a NaN is neither below, above nor inside
         inside.append((a, e.ravel()[k], k.astype(np.int32)))  # a block holds < 2**31 values
-    return below, above, inside
+    return below, above, counted, inside
 
 
 def _sample(geom: PairGeometry) -> np.ndarray:
@@ -312,8 +350,8 @@ def _select(geom: PairGeometry, ranks: list):
     estimates a <= b and every estimate within (a - 3E, b + 3E), where a
     pair that can hold a rank lies, only those pairs are computed directly
     and partitioned. Otherwise the margin grows fourfold and the pass
-    repeats; the sample's ends give way to -inf and inf, so the answer is
-    always exact.
+    repeats, counting afresh; the sample's ends give way to -inf and inf, so
+    the answer is always exact (and with labels kept for ``edge_pass``).
     """
     x, n, pairs = geom.x, len(geom.x), geom.pairs
     sample = np.sort(_sample(geom))  # a NaN in it is found again by the pass
@@ -324,10 +362,9 @@ def _select(geom: PairGeometry, ranks: list):
         b = math.ceil((max(ranks) + 1) * m / pairs + margin)
         lo = sample[a] if a > 0 else -math.inf
         hi = sample[b] if b < m - 1 else math.inf
-        found = _bracket_pass(geom, lo, hi)
-        if found is None:
-            return None
-        below, above, inside = found
+        below, above, counted, inside = _bracket_pass(geom, lo, hi)
+        if below + above + sum(k.size for _, _, k in inside) < pairs:
+            return None  # a NaN is neither below, above nor inside
         if below <= min(ranks) and max(ranks) < pairs - above:
             est = np.concatenate([e for _, e, _ in inside])
             ends = [min(ranks) - below, max(ranks) - below]
@@ -338,6 +375,7 @@ def _select(geom: PairGeometry, ranks: list):
             if lo <= zlo and zhi <= hi:
                 break
         margin = 4 * margin + 1
+    object.__setattr__(geom, "_pass", None if geom.labels is None else (counted, inside, lo, hi))
     d = []
     for first, e, k in inside:
         below += np.count_nonzero(e <= zlo)

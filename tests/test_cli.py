@@ -110,6 +110,24 @@ def test_gen_refuses_overwrite_without_force(data_dir, capsys):
                  "--seed", "7", "--force"]) == 0
 
 
+def test_train_refuses_non_empty_out_without_force(data_dir, tmp_path, capsys):
+    def train(out, *flags):
+        return main(["train", "--source", str(data_dir / "source.hda"),
+                     "--target", str(data_dir / "target.hda"), "--out", str(out),
+                     *TINY_TRAIN, *flags])
+
+    out, empty = tmp_path / "run", tmp_path / "empty"
+    out.mkdir()
+    empty.mkdir()
+    (out / "notes.txt").write_text("keep")
+    assert train(out) == 2
+    assert capsys.readouterr().err == f"error: refusing to overwrite {out} (pass --force)\n"
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]  # nothing written
+    assert train(out, "--force") == 0
+    assert (out / "manifest.txt").is_file() and (out / "notes.txt").read_text() == "keep"
+    assert train(empty) == 0  # an empty directory is not refused
+
+
 def test_gen_missing_output_dir_writes_nothing(tmp_path, capsys):
     missing = tmp_path / "not_created" / "deeper"
     assert main(["gen", "--out", str(missing)]) == 2
@@ -647,11 +665,12 @@ def test_export_audit_ranges_change_no_count(run_dir, data_dir, tmp_path, monkey
             "--source", str(data_dir / "source.hda"), "--target", str(data_dir / "target.hda")]
     assert main(args + ["--out", str(tmp_path / "whole")]) == 0
     ranges = []
-    build = cli.build_graph
-    monkeypatch.setattr(cli, "build_graph", lambda *a, **kw: (
-        ranges.append((kw["first"], kw["stop"])), build(*a, **kw))[1])
+    gram = graphs._gram
+    monkeypatch.setattr(graphs, "_gram", lambda g, a, b: (ranges.append((a, b)), gram(g, a, b))[1])
     monkeypatch.setattr(graphs, "_GRAM_PAIRS", 50)  # 7140 pairs of 120 rows: 143 blocks
     assert main(args + ["--out", str(tmp_path / "ranged")]) == 0
+    # the selection's bracket holds, and its one pass also counts the edges:
+    # each block is made exactly once
     assert len(ranges) == 143 and ranges[0][0] == 0 and ranges[-1][1] == 119
     assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
     for name in ("edges_epoch002.csv", "embeddings_epoch002.csv"):

@@ -15,6 +15,7 @@ from graphda.graphs import (
     BatchGraph,
     EdgeStats,
     build_graph,
+    edge_pass,
     edge_stats,
     pair_distances,
     percentile_threshold,
@@ -138,7 +139,8 @@ class TestBuildGraph:
         g = build_graph(geom, threshold)
         assert g.num_nodes == 3 and g.num_edges == 0
         assert g.rows.dtype == g.cols.dtype == np.int64
-        assert _edges(build_graph(geom, threshold, first=1, stop=2)) == ()
+        counted = dataclasses.replace(geom, labels=np.array([-1, 0, 0]))
+        assert _audited(counted, threshold) == EdgeStats(0, 0, 0)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_no_edges_and_all_pairs(self, n):
@@ -148,27 +150,26 @@ class TestBuildGraph:
         assert _edges(g) == tuple((i, j) for i in range(n) for j in range(i + 1, n))
         assert g.rows.dtype == g.cols.dtype == np.int64
 
-    def test_row_ranges_hold_every_edge_once(self):
-        # integer grid points: many distances tie, and the thresholds sit on them
-        for seed, (n, parts) in enumerate([(40, 1), (40, 3), (40, 7), (61, 5), (9, 40), (2, 2)]):
+    def test_row_ranges_hold_every_edge_once(self, monkeypatch):
+        # integer grid points: many distances tie, and the thresholds sit on them;
+        # the graph is built, and its edges counted by label, one Gram block of
+        # rows at a time, from one block of all pairs down to one pair a block
+        for seed, (n, block) in enumerate([(40, 780), (40, 260), (40, 112), (61, 366), (9, 1),
+                                           (2, 1)]):
+            monkeypatch.setattr(graphs, "_GRAM_PAIRS", block)
             rng = np.random.default_rng(600 + seed)
             phi = rng.integers(0, 4, size=(n, 2)).astype(float)
-            geom = pair_distances(phi)
-            labels = rng.integers(-1, 3, size=n)
-            cuts = graphs.row_cuts(n, parts)
+            labels = np.sort(rng.integers(-1, 3, size=n))
+            geom = pair_distances(phi, labels)
+            cuts, pairs = geom.cuts, n * (n - 1) // 2
             assert cuts[0] == 0 and cuts[-1] == n - 1 and cuts == sorted(cuts)
+            assert len(cuts) - 1 == -(-pairs // block)
             for t in (threshold_of(phi, 50), 2.0, 1e9):
-                whole = graph_of(phi, t)
+                whole = build_graph(geom, t)
                 assert n < 9 or t == 1e9 or np.count_nonzero(_row_loop_distances(phi) == t) > 1
                 assert set(_edges(whole)) == _oracle_edges(phi.tolist(), t)
-                assert _edges(build_graph(geom, t, first=0, stop=n - 1)) == _edges(whole)
-                ranged = [build_graph(geom, t, first=a, stop=b)
-                          for a, b in zip(cuts, cuts[1:])]
-                assert sum((_edges(g) for g in ranged), ()) == _edges(whole)
-                for (a, b), g in zip(zip(cuts, cuts[1:]), ranged):
-                    assert g.num_nodes == n and all(a <= i < b for i in g.rows.tolist())
-                assert (sum((edge_stats(g, labels) for g in ranged), EdgeStats(0, 0, 0))
-                        == edge_stats(whole, labels))
+                assert _edges(whole) == tuple(sorted(_edges(whole)))
+                assert _audited(geom, t) == edge_stats(whole, labels)
 
     def test_row_cuts_split_pairs_evenly(self):
         for n in range(0, 30):
@@ -180,12 +181,6 @@ class TestBuildGraph:
                 for k, (a, b) in enumerate(zip(cuts, cuts[1:])):
                     got = graphs._row_offset(n, b) - graphs._row_offset(n, a)
                     assert got <= pairs * (k + 1) // parts - pairs * k // parts + max(n - 1, 0)
-
-    def test_rejects_a_range_outside_the_rows(self):
-        phi = np.zeros((5, 2))
-        for first, stop in [(-1, 2), (3, 2), (0, 5)]:
-            with pytest.raises(ValueError, match="row range"):
-                graph_of(phi, 1.0, first=first, stop=stop)
 
     def test_adjacency_matrix(self):
         rng = np.random.default_rng(5)
@@ -213,6 +208,13 @@ class TestPairGeometry:
             sq = np.concatenate([((phi[i + 1:] - phi[i]) ** 2).sum(axis=1) for i in range(n - 1)]
                                 or [np.zeros(0)])
             assert np.all(np.abs(_estimates(geom) - sq) <= geom.slack / 4)
+
+    def test_direct_squares_of_rows_wider_than_a_chunk(self, monkeypatch):
+        # a row wider than the chunk buffer gets one pair a chunk
+        monkeypatch.setattr(graphs, "_SCAN_VALUES", 4)
+        phi = np.random.default_rng(7).normal(size=(9, 7))
+        i, j = np.triu_indices(9, 1)
+        assert np.array_equal(np.sqrt(graphs._direct_sq(phi, i, j)), _row_loop_distances(phi))
 
     def test_ties_exactly_at_threshold(self):
         # integer grid points with repeats: many pairs sit exactly at the median
@@ -262,14 +264,22 @@ def _estimates(geom):
     return np.concatenate(out)
 
 
+def _audited(geom, t):
+    """The export's audit: ``edge_pass``'s counts below its bracket, plus the
+    counts of the edges ``build_graph`` finds among the pairs it holds."""
+    counted, held = edge_pass(geom, t)
+    return counted + edge_stats(build_graph(geom, t, held), geom.labels)
+
+
 def _condensed(g):
     """The graph's edges as condensed pair indices."""
     return graphs._row_offset(g.num_nodes, g.rows) + g.cols - g.rows - 1
 
 
 def _check_against_oracle(phi, thresholds=()):
-    """Thresholds, kernel median and edge sets, whole and per row range,
-    against numpy on the direct row-loop distances."""
+    """Thresholds, kernel median, edge sets and their counts by label (at a
+    fixed threshold, and in the selection's own pass) against numpy on the
+    direct row-loop distances."""
     want = _row_loop_distances(phi)
     geom = pair_distances(phi)
     for p in (0, 37.5, 50, 90, 100):
@@ -279,14 +289,17 @@ def _check_against_oracle(phi, thresholds=()):
     med = KernelSpec.from_median_heuristic(geom).bandwidths
     ref = float(np.median(want))
     assert all(_same(b, (ref if ref != 0.0 else 1.0) * s) for b, s in zip(med, MEDIAN_SCALES))
-    cuts = graphs.row_cuts(len(phi), 7)
+    labels = np.arange(len(phi)) * 4 // len(phi) - 1  # ascending, -1 to 2
     for t in thresholds:
         if not t > 0:
             continue
         whole = build_graph(geom, t)
         assert np.array_equal(_condensed(whole), np.flatnonzero(want < t)), t
-        ranged = [build_graph(geom, t, first=a, stop=b) for a, b in zip(cuts, cuts[1:])]
-        assert np.array_equal(np.concatenate([_condensed(g) for g in ranged]), _condensed(whole))
+        assert _audited(pair_distances(phi, labels), t) == edge_stats(whole, labels), t
+    for p in (37.5, 90):
+        counted = pair_distances(phi, labels)
+        t = percentile_threshold(counted, p)
+        assert _audited(counted, t) == edge_stats(build_graph(geom, t), labels), p
     return geom
 
 
@@ -445,6 +458,75 @@ class TestEdgeStats:
         g = self._chain(3)
         with pytest.raises(ValueError):
             edge_stats(g, [0, 1])
+
+    @pytest.mark.filterwarnings("ignore")
+    @pytest.mark.parametrize("margin", [graphs._MARGIN, 0.0])
+    def test_audit_counts_of_one_pass_equal_build_graph(self, monkeypatch, margin):
+        # edge_pass counts by label in the selection's own pass, or in one pass
+        # at a fixed threshold; both must give edge_stats of build_graph at the
+        # percentile of the direct distances, across hundreds of Gram blocks. With
+        # no margin the bracket misses, and each widened pass counts afresh
+        monkeypatch.setattr(graphs, "_GRAM_PAIRS", 64)
+        monkeypatch.setattr(graphs, "_MARGIN", margin)
+        passes, blocks = [], []
+        scan, gram = graphs._bracket_pass, graphs._gram
+        monkeypatch.setattr(graphs, "_bracket_pass", lambda *a: (passes.append(a[1:]), scan(*a))[1])
+        monkeypatch.setattr(graphs, "_gram", lambda g, a, b: (blocks.append(a), gram(g, a, b))[1])
+        rng = np.random.default_rng(81)
+        far = np.array([[1e8] * 5, [-1e8] * 5, [1e150, -1e150, 0.0, 0.0, 0.0],
+                        [-1e150, 3.0, 1e8, 0.0, 0.0]])
+        nan_row = rng.normal(size=(160, 3))
+        nan_row[41, 1] = np.nan
+        inputs = {
+            "gaussian": rng.normal(size=(160, 4)),
+            "grid ties": rng.integers(0, 4, size=(160, 2)).astype(float),
+            "far rows": np.vstack([rng.normal(size=(156, 5)), far])[rng.permutation(160)],
+            "nan row": nan_row,
+        }
+        ps, selections, again = (0, 1, 37.5, 50, 99, 100), 0, {}
+        for name, phi in inputs.items():
+            labels = np.sort(rng.integers(-1, 3, size=len(phi)))
+            want = _row_loop_distances(phi)
+            assert len(pair_distances(phi).cuts) > 150
+            for p in ps:
+                geom = pair_distances(phi, labels)
+                t = percentile_threshold(geom, p)
+                assert t == float(np.percentile(want, p)) or math.isnan(t), (name, p)
+                selections += 1
+                blocks.clear()
+                got = _audited(geom, t)
+                again[name, p] = len(blocks)
+                whole = build_graph(pair_distances(phi), t)
+                assert got == edge_stats(whole, labels), (name, p)
+                counted, held = edge_pass(geom, t)  # the held pairs' edges are the rest
+                part = set(_edges(build_graph(geom, t, held)))
+                assert part <= set(_edges(whole)) and counted.total + len(part) == whole.num_edges
+                assert all(type(v) is int for v in dataclasses.astuple(got))
+                assert got.total or p == 0 or not t > 0, (name, p)
+            for t in (1.0, 0.0, -1.0, math.nan):
+                got = _audited(pair_distances(phi, labels), t)
+                assert got == edge_stats(build_graph(pair_distances(phi), t), labels), (name, t)
+                assert got.total or not t > 0, (name, t)
+        assert all(n == 0 for n in again.values())  # no block made twice
+        # a threshold far from the selected ranks is outside the held pass's
+        # certificate, and one more pass counts it
+        phi, labels = inputs["gaussian"], np.sort(rng.integers(-1, 3, size=160))
+        geom = pair_distances(phi, labels)
+        t = percentile_threshold(geom, 50)
+        for s in (0.3, 3.0):
+            blocks.clear()
+            got = _audited(geom, s * t)
+            assert len(blocks) == len(geom.cuts) - 1
+            assert got == edge_stats(build_graph(pair_distances(phi), s * t), labels), s
+        assert _audited(pair_distances(nan_row, np.zeros(160)), math.nan) == EdgeStats(0, 0, 0)
+        same = pair_distances(np.ones((40, 3)), np.arange(40))
+        with pytest.warns(UserWarning, match="zero"):
+            t = percentile_threshold(same, 50)
+        assert t == 0.0 and _audited(same, t) == EdgeStats(0, 0, 0)
+        if margin == 0:
+            assert len(passes) > selections  # some brackets missed
+        with pytest.raises(ValueError, match="ascending"):
+            pair_distances(nan_row, np.arange(160)[::-1])
 
 
 class TestPercentileThreshold:
