@@ -12,13 +12,14 @@ the last closure that reads it finishes. Leaves keep their gradients. Under
 
 Only the operations the models and losses in this package differentiate
 are provided: elementwise arithmetic with broadcasting, matrix products,
-reductions, ReLU, row slices, pairwise squared distances, an im2col
-expansion for small channels-last (B, h, w, c) convolutions (a window-view
-copy forward, a shift-add backward), and three one-node loss ops, a
-Gaussian kernel mixture, a contrastive pull/push and a mean log-softmax
-likelihood. ``reshape`` and ``slice_rows`` return views: no op writes
-``data`` in place. A gradient array that an op built itself is passed
-``owned`` and lands without a copy. Every tensor is float64.
+reductions, ReLU, row slices, pairwise squared distances, a one-node 3x3
+convolution with bias and ReLU, and three one-node loss ops, a Gaussian
+kernel mixture, a contrastive pull/push and a mean log-softmax likelihood.
+``reshape`` and ``slice_rows`` return views: no op writes another tensor's
+``data``. A plain array is a constant, whose gradient no closure computes:
+``add``'s and ``mul``'s second operand, ``matmul``'s and the conv's first.
+A gradient array that an op built itself is passed ``owned`` and lands
+without a copy. Every tensor is float64.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ __all__ = [
     "nll",
     "pairwise_sqdist",
     "slice_rows",
-    "im2col",
+    "conv3x3_relu",
 ]
 
 
@@ -205,16 +206,17 @@ def mul(a: Tensor, b) -> Tensor:
     return _result(data, (a, b), bw)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    data = a.data @ b.data
+def matmul(a, b: Tensor) -> Tensor:
+    A = a.data if isinstance(a, Tensor) else np.asarray(a, dtype=np.float64)
+    if A.ndim != 2 or b.ndim != 2 or A.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul shape mismatch: {A.shape} x {b.shape}")
 
     def bw(g):
-        a._accum(g @ b.data.T, owned=True)
-        b._accum(a.data.T @ g, owned=True)
+        if isinstance(a, Tensor):
+            a._accum(g @ b.data.T, owned=True)
+        b._accum(A.T @ g, owned=True)
 
-    return _result(data, (a, b), bw)
+    return _result(A @ b.data, (a, b) if isinstance(a, Tensor) else (b,), bw)
 
 
 def _positive(x: np.ndarray) -> np.ndarray:
@@ -388,37 +390,64 @@ def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
     return _result(data, (a, b), bw)
 
 
-# -- im2col -----------------------------------------------------------------------
+# -- fused 3x3 convolution ---------------------------------------------------------
+
+_COL2IM_BYTES = 2 ** 20  # patch-gradient bytes per col2im block, whose adds stay in cache
 
 
-def im2col(a: Tensor, kh: int, kw: int, padding: int = 0) -> Tensor:
-    """Unfold channels-last (B, h, w, c) into patch rows for stride-1 convolution.
-
-    Output has shape (B*oh*ow, c*kh*kw) with channel-major columns, so a
-    convolution is one matmul with a (c*kh*kw, out) weight and stays NHWC.
-    Forward: one copy of a window view of the padded input. Backward: kh*kw
-    shifted slice adds in descending (i, j), a patch scatter-add's order.
-    """
-    if a.ndim != 4:
-        raise ShapeError(f"im2col expects (B, h, w, c), got shape {a.shape}")
-    bsz, h, w, c = a.shape
-    p = padding
-    oh, ow = h + 2 * p - kh + 1, w + 2 * p - kw + 1
-    if oh <= 0 or ow <= 0:
-        raise ShapeError(f"im2col kernel {kh}x{kw} too large for input {a.shape} with padding {p}")
-    xp = np.pad(a.data, ((0, 0), (p, p), (p, p), (0, 0)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))  # (B,oh,ow,c,kh,kw)
-    data = win.reshape(bsz * oh * ow, c * kh * kw)
+def conv3x3_relu(x, w: Tensor, b: Tensor, spare: list) -> Tensor:
+    """``relu(patches @ w + b)`` over the padding-1 3x3 patches of channels-last
+    (B, h, w, c) ``x`` as one (B, h, w, out) node, bit-equal in data and every
+    gradient to the chain im2col -> matmul -> add -> relu -> reshape, with
+    channel-major patch columns. The node keeps only the ReLU mask and the
+    patches, which fill a buffer borrowed from ``spare``, the caller's list of
+    at most one per layer (a forward finding it empty allocates); backward
+    overwrites it with the patch gradient, then lends it back, as untraced forwards do."""
+    xd = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+    if xd.ndim != 4 or w.shape[0] != xd.shape[3] * 9:
+        raise ShapeError(f"conv3x3_relu: input {xd.shape} does not fit weight {w.shape}")
+    bsz, h, wd, c = xd.shape
+    n, k = bsz * h * wd, c * 9
+    flat = spare.pop() if spare and spare[-1].size >= n * k else np.empty(n * k)
+    patches = flat[:n * k].reshape(n, k)
+    xp = np.pad(xd, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    np.copyto(patches.reshape(bsz, h, wd, c, 3, 3),
+              np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2)))
+    y = patches @ w.data
+    y += b.data
+    mask = y > 0  # subgradient 0 at exactly 0
+    np.fmax(y, 0.0, out=y)  # _positive's bits, in place
+    y += 0.0
 
     def bw(g):
-        gk = g.reshape(bsz, oh, ow, c, kh, kw)
-        gx = np.zeros_like(xp)
-        for i in reversed(range(kh)):
-            for j in reversed(range(kw)):
-                gx[:, i:i + oh, j:j + ow] += gk[..., i, j]
-        a._accum(gx[:, p:p + h, p:p + w], owned=True)
+        gc = _masked(g.reshape(mask.shape) + 0, mask)  # the chain's later +0 landings are no-ops
+        b._accum(gc.sum(axis=0))
+        w._accum(patches.T @ gc, owned=True)
+        if isinstance(x, Tensor):
+            np.matmul(gc, w.data.T, out=patches)  # col2im's sums from +0.0 drop any -0.0
+            x._accum(_col2im(patches, (bsz, h, wd, c)), owned=True)
+        spare[:] = [flat]
 
-    return _result(data, (a,), bw)
+    out = _result(y.reshape(bsz, h, wd, -1), (x, w, b) if isinstance(x, Tensor) else (w, b), bw)
+    if out._backward is None:  # no trace holds the patches
+        spare[:] = [flat]
+    return out
+
+
+def _col2im(cols: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum (B*h*w, c*9) patch gradients onto (B, h, w, c) block by block of the batch:
+    nine shifted adds onto a zeroed padded block, in a scatter-add's descending (i, j)."""
+    bsz, h, w, c = shape
+    gk, out = cols.reshape(bsz, h, w, c, 3, 3), np.empty(shape)
+    step = max(1, _COL2IM_BYTES // (cols.itemsize * cols.size // bsz))
+    gx = np.empty((min(step, bsz), h + 2, w + 2, c))
+    for lo in range(0, bsz, step):
+        blk = gx[:min(step, bsz - lo)]
+        blk.fill(0.0)
+        for i, j in itertools.product((2, 1, 0), repeat=2):
+            blk[:, i:i + h, j:j + w] += gk[lo:lo + step, ..., i, j]
+        out[lo:lo + step] = blk[:, 1:h + 1, 1:w + 1]
+    return out
 
 
 # -- backward pass ------------------------------------------------------------------

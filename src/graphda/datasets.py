@@ -371,11 +371,12 @@ def _pack_header(magic: bytes, count: int, dims: tuple, m: int) -> bytes:
     )
 
 
-def _write_atomic(path, data: bytes) -> None:
-    """Write through a temp file beside ``path`` and a rename: a failed write keeps the old file."""
+def _write_atomic(path, data) -> None:
+    """Write bytes or byte chunks through a temp file and a rename: a failed write keeps the old file."""
     tmp = Path(f"{path}.tmp")
     try:
-        tmp.write_bytes(data)
+        with tmp.open("wb") as f:
+            f.writelines([data] if isinstance(data, bytes) else data)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, add, im2col, matmul, no_trace, relu
+from .autodiff import ShapeError, Tensor, add, conv3x3_relu, matmul, no_trace, relu
 from .datasets import DataFormatError, NormStats, _Reader, _write_atomic
 from .graphs import BatchGraph
 
@@ -118,6 +118,7 @@ class Model:
     def __init__(self, config: ModelConfig, params: dict):
         self.config = config
         self.params = params
+        self._spares = ([], [])  # each conv layer's spare patch buffer, lent to its node
 
     @classmethod
     def init(cls, config: ModelConfig, rng: np.random.Generator) -> "Model":
@@ -137,8 +138,9 @@ class Model:
 
     # -- forward passes --------------------------------------------------------
 
-    def _as_input(self, features) -> Tensor:
-        x = features if isinstance(features, Tensor) else Tensor(features)
+    def _as_input(self, features):
+        # a plain array is a constant: no closure computes its gradient
+        x = features if isinstance(features, Tensor) else np.asarray(features, dtype=np.float64)
         if x.shape[1:] != self.config.input_dims:
             raise ShapeError(
                 f"batch features {x.shape} do not match configured input dims "
@@ -161,9 +163,8 @@ class Model:
             c, h, w = self.config.input_dims
             # channels-last (B, h, w, c) activations; a view of x when c == 1
             y = x.reshape((b, h, w, 1)) if c == 1 else x.transpose((0, 2, 3, 1))
-            for i, ch in enumerate(self.config.conv_channels, 1):
-                y = add(matmul(im2col(y, 3, 3, 1), p[f"backbone/conv{i}"]), p[f"backbone/cb{i}"])
-                y = relu(y).reshape((b, h, w, ch))
+            for i, spare in enumerate(self._spares, 1):
+                y = conv3x3_relu(y, p[f"backbone/conv{i}"], p[f"backbone/cb{i}"], spare)
             # pooling sums an NCHW copy: that summation order sets the bits of phi
             pooled = y.transpose((0, 3, 1, 2)).mean(axis=(2, 3))
             return add(matmul(pooled, p["backbone/w3"]), p["backbone/b3"])
@@ -180,7 +181,7 @@ class Model:
         base = matmul(relu(phi), self.params["w"])
         out = matmul(base, self.params["theta1"])
         if graph is not None and graph.num_edges > 0:
-            neighbor = matmul(Tensor(graph.adjacency()), base)
+            neighbor = matmul(graph.adjacency(), base)
             out = out + matmul(neighbor, self.params["theta2"])
         return out
 

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, backward, slice_rows
+from .autodiff import backward, slice_rows
 from .datasets import (Batch, DataFormatError, Dataset, TwoDomainSampler, _write_atomic,
                        normalize, warp_image)
 from .graphs import BatchGraph, build_graph, edge_stats, pair_distances, percentile_threshold
@@ -346,7 +346,7 @@ def train_step(model: Model, adam: Adam, config: TrainConfig, batch: Batch, labe
     makes no update: the weights and Adam's state stay as they were.
     """
     half, (w_mmd, w_g, w_ce) = batch.source_count, config.loss_weights
-    phi = model.backbone_forward(Tensor(_augment_batch(batch.features, rng)))
+    phi = model.backbone_forward(_augment_batch(batch.features, rng))  # a constant
     # one pair geometry feeds the threshold, the graph and the kernel median;
     # it is made only when one of them is read
     geom = pair_distances(phi.data) if config.use_gnn or w_mmd else None
@@ -546,19 +546,18 @@ def export_embeddings(
     pooled = np.concatenate([phi_source, phi_target])
     _, proj = pca_2d(pooled)
 
-    width = pooled.shape[1]
     values = pooled.astype(np.float64, copy=False)  # tolist() then yields what _f reprs
-    header = "epoch,id,domain,label," + ",".join(
-        f"phi_{k}" for k in range(width)) + ",pca_0,pca_1"
-    lines = [header]
-    row = 0
-    for labels, dom in ((source_labels, "source"), (target_labels, "target")):
-        for i, label in enumerate(labels):
-            lines.append(
-                f"{epoch},{i},{dom},{label},"
-                + ",".join(map(repr, values[row].tolist()))
-                + f",{_f(proj[row, 0])},{_f(proj[row, 1])}"
-            )
-            row += 1
-    _write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+
+    def rows():  # one encoded line at a time: no whole-file text is held
+        yield ("epoch,id,domain,label," + ",".join(f"phi_{k}" for k in range(pooled.shape[1]))
+               + ",pca_0,pca_1\n").encode("utf-8")
+        row = 0
+        for labels, dom in ((source_labels, "source"), (target_labels, "target")):
+            for i, label in enumerate(labels):
+                yield (f"{epoch},{i},{dom},{label},"
+                       + ",".join(map(repr, values[row].tolist()))
+                       + f",{_f(proj[row, 0])},{_f(proj[row, 1])}\n").encode("utf-8")
+                row += 1
+
+    _write_atomic(path, rows())
     return pooled

@@ -5,14 +5,13 @@ import pytest
 
 import graphda.autodiff
 import graphda.losses
-import graphda.model
 from graphda.autodiff import (
     ShapeError,
     Tensor,
     add,
     backward,
+    conv3x3_relu,
     gaussian_mixture,
-    im2col,
     matmul,
     nll,
     no_trace,
@@ -239,9 +238,11 @@ class TestBackwardFreesTrace:
             assert n.grad is not None and n.grad.shape == n.shape
 
     def test_backward_peak_above_forward_trace_is_bounded(self):
-        # B=64 16x16 images through the default conv stack: the forward trace
-        # is 23.1 MB. Backward's peak above it measured 4.6 MB when each node is
-        # freed as it finishes, and 29.3 MB when every gradient was kept to the end
+        # B=64 16x16 images through the default conv stack, on a fresh model: the
+        # forward trace, the conv layers' patch buffers included, is 15.7 MB.
+        # Backward's peak above it measured 4.0 MB when each node is freed as it
+        # finishes, and 29.3 MB when every gradient was kept to the end (with the
+        # unfused conv chain, whose forward trace was 23.1 MB)
         model = Model.init(ModelConfig(input_dims=(1, 16, 16), num_classes=2),
                            np.random.default_rng(32))
         rng = np.random.default_rng(33)
@@ -255,7 +256,7 @@ class TestBackwardFreesTrace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert forward > 20 * 2 ** 20
+        assert forward > 14 * 2 ** 20
         assert peak - forward < 10 * 2 ** 20
 
 
@@ -264,7 +265,7 @@ class TestNoTrace:
         a, b = t(np.ones((2, 3))), t(np.ones((3, 2)))
         with no_trace():
             outs = [matmul(a, b), relu(a), (a * 2.0 + 1.0).sum(), nll(a, [2, -1]),
-                    im2col(t(np.ones((1, 3, 3, 1))), 2, 2)]
+                    conv3x3_relu(t(np.ones((1, 3, 3, 1))), t(np.ones((9, 2))), t(np.ones(2)), [])]
         for out in outs:
             assert out._parents == () and out._backward is None
         assert matmul(a, b)._parents == (a, b)  # tracing again after the block
@@ -344,6 +345,18 @@ def _weighted(build_const, apply_op):
     return build
 
 
+def _conv_case(arg):
+    """The conv op's gradient in operand ``arg`` (0 input, 1 weight, 2 bias);
+    the other two operands and the output weights are drawn once per trial."""
+    shapes = ((2, 4, 4, 2), (18, 3), (3,))
+
+    def build(rng, shape):
+        ops, c = [_rand(rng, s) for s in shapes], _rand(rng, (2, 4, 4, 3))
+        return lambda x: (conv3x3_relu(*ops[:arg], x, *ops[arg + 1:], []) * c).sum()
+
+    return shapes[arg], build
+
+
 # name -> (input shape, builder(rng, shape) -> f). f maps Tensor -> scalar Tensor.
 OP_CASES = {
     "add": ((3, 4), _weighted(lambda rng: _rand(rng, (3, 4)), lambda x, c: (x + c).sum())),
@@ -369,7 +382,9 @@ OP_CASES = {
     "nll": ((4, 5), lambda rng, shape: lambda x: nll(x, [2, -1, 0, 4])),
     "pairwise_sqdist_a": ((5, 3), _weighted(lambda rng: (_rand(rng, (4, 3)), _rand(rng, (5, 4))), lambda x, c: (pairwise_sqdist(x, c[0]) * c[1]).sum())),
     "pairwise_sqdist_self": ((4, 3), _weighted(lambda rng: _rand(rng, (4, 4)), lambda x, c: (pairwise_sqdist(x, x) * c).sum())),
-    "im2col": ((2, 4, 4, 2), _weighted(lambda rng: _rand(rng, (2 * 4 * 4, 2 * 9)), lambda x, c: (im2col(x, 3, 3, padding=1) * c).sum())),
+    "conv3x3_relu_input": _conv_case(0),
+    "conv3x3_relu_weight": _conv_case(1),
+    "conv3x3_relu_bias": _conv_case(2),
 }
 
 
@@ -402,6 +417,50 @@ class TestPairwiseSqdist:
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
             pairwise_sqdist(t(np.zeros((2, 3))), t(np.zeros((2, 4))))
+
+
+def im2col(a, kh, kw, padding=0):
+    """Channels-last (B, h, w, c) patch rows for stride-1 convolution, with
+    channel-major columns, as the op the conv node fuses: the chain oracle.
+    Forward: one copy of a window view of the padded input. Backward: kh*kw
+    shifted slice adds in descending (i, j), a patch scatter-add's order."""
+    bsz, h, w, c = a.shape
+    p = padding
+    oh, ow = h + 2 * p - kh + 1, w + 2 * p - kw + 1
+    xp = np.pad(a.data, ((0, 0), (p, p), (p, p), (0, 0)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))  # (B,oh,ow,c,kh,kw)
+    data = win.reshape(bsz * oh * ow, c * kh * kw)
+
+    def bw(g):
+        gk = g.reshape(bsz, oh, ow, c, kh, kw)
+        gx = np.zeros_like(xp)
+        for i in reversed(range(kh)):
+            for j in reversed(range(kw)):
+                gx[:, i:i + oh, j:j + ow] += gk[..., i, j]
+        a._accum(gx[:, p:p + h, p:p + w], owned=True)
+
+    return _result(data, (a,), bw)
+
+
+def _conv_chain(x, w, b, unfold=im2col):
+    """The op chain the conv node replaces: unfold -> matmul -> add -> relu -> reshape."""
+    bsz, h, wd, _ = x.shape
+    return relu(add(matmul(unfold(x, 3, 3, 1), w), b)).reshape((bsz, h, wd, w.shape[1]))
+
+
+def _fused(x, w, b):
+    return conv3x3_relu(x, w, b, [])
+
+
+def _chain_backbone(model, x, unfold=im2col):
+    """The conv backbone with each layer as the op chain."""
+    p = model.params
+    b, (c, h, w) = x.shape[0], model.config.input_dims
+    y = x.reshape((b, h, w, 1)) if c == 1 else x.transpose((0, 2, 3, 1))
+    for i in (1, 2):
+        y = _conv_chain(y, p[f"backbone/conv{i}"], p[f"backbone/cb{i}"], unfold)
+    pooled = y.transpose((0, 3, 1, 2)).mean(axis=(2, 3))
+    return add(matmul(pooled, p["backbone/w3"]), p["backbone/b3"])
 
 
 def _oracle_im2col_nchw(a, kh, kw, padding=0):
@@ -484,8 +543,12 @@ class TestIm2col:
                         assert abs(out[bi, oi, oj, oc] - acc) < 1e-10
 
     def test_bad_rank(self):
-        with pytest.raises(ShapeError):
-            im2col(t(np.zeros((3, 4))), 3, 3)
+        # the conv node checks its operands' shapes before it borrows a buffer
+        spare = []
+        for x, w in ((np.zeros((3, 4)), np.zeros((9, 2))), (np.zeros((1, 3, 3, 2)), np.zeros((9, 2)))):
+            with pytest.raises(ShapeError):
+                conv3x3_relu(t(x), t(w), t(np.zeros(2)), spare)
+        assert spare == []
 
     @staticmethod
     def _mixed(rng, shape):
@@ -512,19 +575,20 @@ class TestIm2col:
         for data, grad in runs[1:]:
             assert np.array_equal(data, runs[0][0]) and np.array_equal(grad, runs[0][1])
 
-    def test_conv_backbone_gradients_bit_equal_to_oracle(self, monkeypatch):
+    def test_conv_backbone_gradients_bit_equal_to_oracle(self):
+        # the fused backbone against the op chain on the gather/scatter oracle
         cfg = ModelConfig(input_dims=(2, 6, 6), num_classes=2, hidden=5, phi_dim=4,
                           conv_channels=(3, 4))
         x0 = self._mixed(np.random.default_rng(8), (5, 2, 6, 6))
 
-        def grads(model):
+        def grads(forward):
+            model = Model.init(cfg, np.random.default_rng(9))
             x = t(x0)
-            backward(model.backbone_forward(x).sum())
+            backward(forward(model, x).sum())
             return [x.grad] + [p.grad for name, p in model.parameters() if name.startswith("backbone/")]
 
-        got = grads(Model.init(cfg, np.random.default_rng(9)))
-        monkeypatch.setattr(graphda.model, "im2col", _oracle_im2col)
-        want = grads(Model.init(cfg, np.random.default_rng(9)))
+        got = grads(Model.backbone_forward)
+        want = grads(lambda model, x: _chain_backbone(model, x, _oracle_im2col))
         assert len(got) == len(want) == 7  # input, two convs and biases, w3, b3
         for a, b in zip(got, want):
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
@@ -551,6 +615,82 @@ class TestIm2col:
         for a, b in zip(got, want):
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
+
+
+class TestConv3x3Relu:
+    """The fused conv node against the op chain, bit for bit."""
+
+    @staticmethod
+    def _operands(c, bsz):
+        rng = np.random.default_rng(40 + c)
+        x, w = TestIm2col._mixed(rng, (bsz, 6, 7, c)), TestIm2col._mixed(rng, (c * 9, 4))
+        b, g = TestIm2col._mixed(rng, 4), TestIm2col._mixed(rng, (bsz, 6, 7, 4))
+        g[::3] = -0.0
+        g[rng.random(g.shape) < 0.2] = -0.0
+        return x, w, b, g
+
+    @staticmethod
+    def _bits(op, x, w, b, g):
+        xt, wt, bt = t(x), t(w), t(b)
+        out = op(xt, wt, bt)
+        data = out.data.copy()
+        backward((out * g).sum())
+        return [a.view(np.int64) for a in (data, xt.grad, wt.grad, bt.grad)]
+
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_bit_equal_to_chain(self, c):
+        # the batch spans several col2im blocks and the last one is short
+        step = graphda.autodiff._COL2IM_BYTES // (8 * 6 * 7 * c * 9)
+        bsz = 2 * step + step // 2 + 1
+        operands = self._operands(c, bsz)
+        got, want = self._bits(_fused, *operands), self._bits(_conv_chain, *operands)
+        assert len(got) == len(want) == 4  # data, then the input, weight and bias gradients
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_untraced_data_equals_traced(self):
+        x, w, b, _ = self._operands(3, 5)
+        spare = []
+        traced = conv3x3_relu(t(x), t(w), t(b), spare)
+        with no_trace():
+            untraced = conv3x3_relu(t(x), t(w), t(b), spare)
+        assert np.array_equal(untraced.data.view(np.int64), traced.data.view(np.int64))
+        assert len(spare) == 1  # the untraced node lent its buffer back at once
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_two_live_traces_keep_their_own_patches(self, order):
+        # the first forward borrows the buffer that an untraced one lent back;
+        # the second finds it lent out and allocates its own
+        spare, runs = [], []
+        with no_trace():
+            conv3x3_relu(*(t(a) for a in self._operands(3, 5)[:3]), spare)
+        for scale in (1.0, -3.0):
+            x, w, b, g = self._operands(3, 5)
+            x *= scale
+            ts = [t(x), t(w), t(b)]
+            runs.append((ts, conv3x3_relu(*ts, spare), g, self._bits(_conv_chain, x, w, b, g)))
+            x[...] = 0.0  # the node reads its own patches, not x
+        assert spare == []
+        for i in order:
+            ts, out, g, want = runs[i]
+            backward((out * g).sum())
+            assert len(spare) == 1
+            got = [out.data] + [a.grad for a in ts]
+            for a, b in zip(got, want):
+                assert np.array_equal(a.view(np.int64), b)
+
+    def test_constant_input_gets_no_patch_gradient(self, monkeypatch):
+        x, w, b, g = self._operands(3, 5)
+        calls = []
+        monkeypatch.setattr(graphda.autodiff, "_col2im", lambda *a: calls.append(a))
+        wt, bt = t(w), t(b)
+        out = conv3x3_relu(x, wt, bt, [])
+        assert out._parents == (wt, bt)
+        backward((out * g).sum())
+        want = self._bits(_conv_chain, x, w, b, g)
+        assert calls == []
+        for a, b in zip((out.data, wt.grad, bt.grad), want[:1] + want[2:]):
+            assert np.array_equal(a.view(np.int64), b)
 
 
 # -- one-node loss ops against the op chains they replace ---------------------------

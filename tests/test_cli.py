@@ -38,7 +38,7 @@ from graphda.datasets import (
 from graphda.graphs import edge_stats
 from graphda.model import Model, load_checkpoint, save_checkpoint
 from graphda.pseudo import PseudoState, write_pseudo_csv
-from graphda.training import TrainConfig
+from graphda.training import TrainConfig, export_embeddings
 from geometry import graph_of, threshold_of
 
 scipy_stats = pytest.importorskip("scipy.stats")
@@ -870,6 +870,8 @@ ARTIFACT_WRITERS = {
         labels=np.array([-1]), confidence=np.array([v]), epoch=1, epsilon=0.97)),
     "manifest": lambda path, v: _write_manifest(path, {"config.lr": v}),
     "dataset": lambda path, v: write_dataset(path, Dataset(np.full((2, 3), v), np.zeros(2), Domain.SOURCE, 2)),
+    "embeddings": lambda path, v: export_embeddings(path, np.full((3, 2), v), np.eye(2), [0, 1, 0], [-1, 1],
+                                                    epoch=1),
 }
 
 
@@ -879,13 +881,27 @@ def test_failed_write_keeps_old_artifact(writer, tmp_path, monkeypatch):
     write = ARTIFACT_WRITERS[writer]
     write(path, 0.5)
     old = path.read_bytes()
-    real_write_bytes = pathlib.Path.write_bytes
+    real_open = pathlib.Path.open
 
-    def half_then_fail(self, data):
-        real_write_bytes(self, data[:len(data) // 2])
-        raise OSError(28, "No space left on device")
+    class HalfThenFail:
+        """A file that writes half of what it is given, then fails as a full disk would."""
 
-    monkeypatch.setattr(pathlib.Path, "write_bytes", half_then_fail)
+        def __init__(self, file):
+            self.file = file
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.file.close()
+
+        def writelines(self, chunks):
+            data = b"".join(chunks)
+            self.file.write(data[:len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(pathlib.Path, "open", lambda self, mode="r", *args, **kw: (
+        HalfThenFail if "w" in mode else lambda f: f)(real_open(self, mode, *args, **kw)))
     with pytest.raises(OSError):
         write(path, 0.25)
     assert path.read_bytes() == old

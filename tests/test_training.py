@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import graphda.autodiff
 import graphda.training
 from graphda.autodiff import Tensor
 from graphda.datasets import (Dataset, Domain, ShiftConfig, TwoDomainSampler, gen_synthetic_shift,
@@ -702,6 +703,17 @@ def test_augment_batch_is_one_warp_equal_to_per_image_loop(monkeypatch):
 # -- one training step's autodiff trace ---------------------------------------------
 
 
+def _trace(loss):
+    """Every node of ``loss``'s trace, by id."""
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    return nodes
+
+
 def _first_step(monkeypatch, config, source, target):
     """Train with ``backward`` wrapped; returns the node count of the first step's
     trace and the pairs of its arrays that share memory with a gradient. Each
@@ -713,12 +725,7 @@ def _first_step(monkeypatch, config, source, target):
     def wrapped(loss):
         if seen:
             return real(loss)
-        nodes, stack = {}, [loss]
-        while stack:
-            node = stack.pop()
-            if id(node) not in nodes:
-                nodes[id(node)] = node
-                stack.extend(node._parents)
+        nodes = _trace(loss)
         grads = {}
 
         def landing(self, g, owned=False):
@@ -751,7 +758,8 @@ def test_flat_step_trace_size_and_gradient_ownership(monkeypatch):
     src, tgt, _ = shift_data(seed=3, per_class=16)
     count, shared = _first_step(monkeypatch, _step_cfg(), src, tgt)
     assert shared == []  # no gradient is a view of a value or of another gradient
-    assert count == 50  # one node per kernel mixture, one for the pull/push sums, one for the CE
+    assert count == 48  # one node per kernel mixture, one for the pull/push sums, one for the CE;
+    # the batch and the adjacency are constants, no nodes
 
 
 def test_image_step_trace_size_and_gradient_ownership(monkeypatch):
@@ -760,4 +768,34 @@ def test_image_step_trace_size_and_gradient_ownership(monkeypatch):
     tgt = Dataset(rng.normal(size=(16, 1, 6, 6)), np.full(16, -1), Domain.TARGET, 2)
     count, shared = _first_step(monkeypatch, _step_cfg(conv_channels=(2, 3)), src, tgt)
     assert shared == []
-    assert count == 62
+    assert count == 51  # one node per conv layer; the batch and the adjacency are no nodes
+
+
+def test_step_computes_no_gradient_for_the_batch_or_the_adjacency(monkeypatch):
+    # both enter the step as plain arrays: every leaf of a step's trace is a
+    # parameter, and col2im runs once, for conv2, as conv1 makes no patch gradient
+    rng = np.random.default_rng(4)
+    src = Dataset(rng.normal(size=(16, 1, 6, 6)), rng.integers(0, 2, 16), Domain.SOURCE, 2)
+    tgt = Dataset(rng.normal(size=(16, 1, 6, 6)), np.full(16, -1), Domain.TARGET, 2)
+    models, steps, col2im = [], [], []
+    real_step, real_backward, real_col2im = (graphda.training.train_step, graphda.training.backward,
+                                             graphda.autodiff._col2im)
+
+    def step(model, *args):
+        models.append(model)
+        breakdown, graph = real_step(model, *args)
+        steps[-1] += (graph.num_edges > 0,)
+        return breakdown, graph
+
+    def backward(loss):
+        params = {id(p) for _, p in models[-1].parameters()}
+        leaves = {k for k, node in _trace(loss).items() if not node._parents}
+        col2im.clear()
+        real_backward(loss)
+        steps.append((leaves <= params, len(col2im)))
+
+    monkeypatch.setattr(graphda.training, "train_step", step)
+    monkeypatch.setattr(graphda.training, "backward", backward)
+    monkeypatch.setattr(graphda.autodiff, "_col2im", lambda *a: (col2im.append(a), real_col2im(*a))[1])
+    train(_step_cfg(conv_channels=(2, 3)), src, tgt)
+    assert len(steps) == 2 and all(s == (True, 1, True) for s in steps)
