@@ -25,7 +25,6 @@ common = dict(
     threshold_percentile=20.0,
     warmup_epochs=2,
     epsilon=0.95,
-    lg_features="backbone",
 )
 
 ARMS = (

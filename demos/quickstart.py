@@ -15,15 +15,14 @@ from graphda import ShiftConfig, TrainConfig, gen_synthetic_shift, normalize, tr
 shift = ShiftConfig(per_class=200, noise_sigma=1.0)
 source, target, truth = gen_synthetic_shift(shift, np.random.default_rng(7))
 
-# small net, short run; the separation loss acts on backbone features and
-# the confidence gate sits at 0.9 so the pseudo-label pool visibly grows
+# small net, short run; the confidence gate sits at 0.9 so the
+# pseudo-label pool visibly grows
 config = TrainConfig(
     epochs=40,
     batch_size=64,
     threshold_percentile=20.0,
     warmup_epochs=2,
     epsilon=0.9,
-    lg_features="backbone",
     hidden=32,
     phi_dim=32,
     backbone_hidden=32,

@@ -92,7 +92,6 @@ _VALUE_PARSERS = {
     "int": int,
     "float": float,
     "float | None": _parse_optional_float,
-    "str": str,
     "tuple[float, ...]": _parse_floats,
     "tuple[int, ...]": _parse_ints,
 }
@@ -107,6 +106,7 @@ _RETIRED_KEYS = {
     "pseudo_refresh": ("epoch",),
     "graph_features": ("pre_relu",),
     "augment": ("true",),
+    "lg_features": ("backbone",),
 }
 
 
@@ -210,11 +210,12 @@ def _check_input_dims(model: Model, dataset: Dataset, path) -> None:
 
 
 def _read_eval_labels(path, target: Dataset) -> np.ndarray:
-    labels, _, m = read_label_file(path)
-    if labels.shape[0] != len(target) or m != target.num_classes:
+    labels, dims, m = read_label_file(path)
+    if (labels.shape[0], dims, m) != (len(target), target.feature_dims, target.num_classes):
         raise DataFormatError(
-            f"{path}: {labels.shape[0]} labels over {m} classes does not match "
-            f"target file ({len(target)} samples, {target.num_classes} classes)"
+            f"{path}: {labels.shape[0]} labels of shape {dims} over {m} classes does not match "
+            f"target file ({len(target)} samples of shape {target.feature_dims}, "
+            f"{target.num_classes} classes)"
         )
     return labels
 
@@ -235,6 +236,8 @@ def cmd_gen(args) -> int:
     clashes = [str(p) for p in paths.values() if p.exists()]
     if clashes and not args.force:
         raise UsageError("refusing to overwrite " + ", ".join(clashes) + " (pass --force)")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
     try:
         cfg = ShiftConfig(
             num_classes=args.classes,
@@ -246,9 +249,9 @@ def cmd_gen(args) -> int:
             translation=tuple(args.translate),
             cov_scale=args.cov_scale,
         )
+        source, target, ev = gen_synthetic_shift(cfg, np.random.default_rng(args.seed))
     except ValueError as exc:
         raise UsageError(str(exc))
-    source, target, ev = gen_synthetic_shift(cfg, np.random.default_rng(args.seed))
     write_dataset(paths["source"], source)
     write_dataset(paths["target"], target)
     write_label_file(paths["eval_labels"], ev, source.feature_dims, cfg.num_classes)
@@ -411,7 +414,6 @@ def _add_config_flags(parser) -> None:
             kw["action"] = "store_false" if default else "store_true"
         else:
             kw["type"] = _VALUE_PARSERS[f.type]
-            kw["choices"] = f.metadata["choices"] or None
         g.add_argument(f.metadata["flag"] or "--" + name.replace("_", "-"), **kw)
 
 

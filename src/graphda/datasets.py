@@ -39,6 +39,9 @@ __all__ = [
 
 MAGIC = b"HDA1"
 FORMAT_VERSION = 1
+# float32 values per sample: a record of them and its label must fit numpy's
+# item size, a C int of bytes
+_MAX_SAMPLE_VALUES = (2**31 - 1 - 4) // 4
 
 
 class DataFormatError(ValueError):
@@ -253,6 +256,10 @@ class ShiftConfig:
         tr = tuple(float(v) for v in self.translation)
         if tr and len(tr) != self.dim:
             raise ValueError(f"translation has {len(tr)} entries for dim {self.dim}")
+        if not all(map(math.isfinite, (self.radius, self.noise_sigma, self.rotation_deg,
+                                       self.cov_scale, *tr))):
+            raise ValueError("radius, noise_sigma, rotation_deg, translation and cov_scale "
+                             "must be finite")
         object.__setattr__(self, "translation", tr)
 
 
@@ -304,8 +311,11 @@ def gen_synthetic_shift(
 
     # round through storage precision so writing and re-reading the
     # generated files reproduces these exact values
-    src_x = src_x.astype(np.float32).astype(np.float64)
-    tgt_x = tgt_x.astype(np.float32).astype(np.float64)
+    with np.errstate(over="ignore"):
+        src_x = src_x.astype(np.float32).astype(np.float64)
+        tgt_x = tgt_x.astype(np.float32).astype(np.float64)
+    if not (np.isfinite(src_x).all() and np.isfinite(tgt_x).all()):
+        raise ValueError("generated features overflow 32-bit storage")
 
     source = Dataset(src_x, src_y, Domain.SOURCE, cfg.num_classes)
     target = Dataset(tgt_x, np.full(len(tgt_y), -1, dtype=np.int64),
@@ -356,6 +366,9 @@ def _read_header(r: _Reader, magic: bytes) -> tuple[int, tuple, int]:
     dims = tuple(r.u32(f"dim {i}") for i in range(rank))
     if any(d == 0 for d in dims):
         raise DataFormatError(f"{r.path}: zero-sized dimension in {dims}")
+    if math.prod(dims) > _MAX_SAMPLE_VALUES:
+        raise DataFormatError(f"{r.path}: dims {dims} at byte 16 make more than "
+                              f"{_MAX_SAMPLE_VALUES} values per sample")
     m = r.u32("class count")
     if m < 2:
         raise DataFormatError(f"{r.path}: class count {m} below 2")
@@ -403,7 +416,7 @@ def read_dataset(path, domain: Domain) -> Dataset:
     """
     r = _Reader(path)
     count, dims, m = _read_header(r, MAGIC)
-    rec = np.dtype([("features", "<f4", (int(np.prod(dims)),)), ("label", "<i4")])
+    rec = np.dtype([("features", "<f4", (math.prod(dims),)), ("label", "<i4")])
     payload = np.frombuffer(r.take(count * rec.itemsize, "sample payload"), dtype=rec)
     r.done("sample payload")
     feats = payload["features"].astype(np.float64).reshape((count,) + dims)

@@ -269,7 +269,11 @@ def load_checkpoint(path) -> dict:
         nlen = r.u32(f"name length of tensor {i}")
         if nlen == 0 or nlen > 4096:
             raise DataFormatError(f"{r.path}: implausible name length {nlen} at byte {r.off - 4}")
-        name = r.take(nlen, f"name of tensor {i}").decode("utf-8")
+        try:
+            name = r.take(nlen, f"name of tensor {i}").decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataFormatError(f"{r.path}: name of tensor {i} at byte {r.off - nlen} "
+                                  "is not UTF-8") from None
         rank = r.u32(f"rank of {name!r}")
         if rank > 8:
             raise DataFormatError(f"{r.path}: implausible rank {rank} for {name!r} at byte {r.off - 4}")
@@ -279,7 +283,7 @@ def load_checkpoint(path) -> dict:
     for name, shape in table:
         if name in out:
             raise DataFormatError(f"{r.path}: duplicate tensor name {name!r}")
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        n = math.prod(shape)
         raw = r.take(n * 8, f"payload of {name!r}")
         out[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
     r.done("checkpoint payload")
@@ -373,11 +377,12 @@ def run_from_tensors(tensors: dict, config: ModelConfig) -> RunMeta:
                                 ok=lambda v: np.isfinite(v) & (v > 0)))
 
     percentile = _entry(tensors, "meta/threshold_percentile", ok=lambda v: ~((v < 0) | (v > 100)))
+    threshold = _entry(tensors, "meta/threshold", ok=lambda v: (0 < v) & (v < np.inf))
     fixed = np.isnan(percentile)
     return RunMeta(
         epoch=count("meta/epoch"),
         positive_class=count("meta/positive_class", config.num_classes),
-        threshold=_entry(tensors, "meta/threshold", ok=lambda v: v > 0) if fixed else None,
+        threshold=threshold if fixed else None,
         percentile=None if fixed else percentile,
         source_stats=stats("source"),
         target_stats=stats("target"),

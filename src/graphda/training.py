@@ -6,7 +6,7 @@ augments images, runs the backbone, builds the threshold graph over the
 joint batch's backbone features phi, applies the graph layer, and takes
 an Adam step on
 
-    L = L_mmd(phi_s, phi_t) + L_g(f, labels) + L_ce(logits, labels)
+    L = L_mmd(phi_s, phi_t) + L_g(phi, labels) + L_ce(logits, labels)
 
 where labels are source ground truth plus current pseudo-labels. An
 ablation that weights a term 0 never builds it, and the step computes
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -62,10 +62,10 @@ class DivergenceError(RuntimeError):
     """Raised when the loss goes non-finite; training must not continue."""
 
 
-def _option(default, help: str, *, flag: str | None = None, choices: tuple = ()):
+def _option(default, help: str, *, flag: str | None = None):
     """A TrainConfig field with its ``graphda train`` flag (``--field-name``
-    unless given), help sentence and, for strings, the allowed values."""
-    return field(default=default, metadata={"help": help, "flag": flag, "choices": choices})
+    unless given) and help sentence."""
+    return field(default=default, metadata={"help": help, "flag": flag})
 
 
 @dataclass(frozen=True)
@@ -100,12 +100,15 @@ class TrainConfig:
     loss_weights: tuple[float, ...] = _option(
         (1.0, 1.0, 1.0), "comma triple scaling alignment, separation, and classification "
         "terms; ablation only, the paper's objective is unweighted")
-    lg_features: str = _option("gnn", "features the separation loss acts on",
-                               choices=("gnn", "backbone"))
     checkpoint_every: int = _option(10, "epochs between checkpoints")
     positive_class: int = _option(1, "class whose precision is reported")
+    # removed: separation always acts on phi; older callers may still pass this value
+    lg_features: InitVar[str] = "backbone"
 
-    def __post_init__(self):
+    def __post_init__(self, lg_features):
+        if lg_features != "backbone":
+            raise ValueError(f"option lg_features was removed; only 'backbone' still runs, "
+                             f"got {lg_features!r}")
         object.__setattr__(self, "kernel_scales", tuple(float(s) for s in self.kernel_scales))
         object.__setattr__(self, "conv_channels", tuple(int(c) for c in self.conv_channels))
         object.__setattr__(self, "loss_weights", tuple(float(w) for w in self.loss_weights))
@@ -125,11 +128,6 @@ class TrainConfig:
             raise ValueError(f"kernel_scales must be positive and finite, got {self.kernel_scales}")
         if self.threshold_percentile is not None and not 0 <= self.threshold_percentile <= 100:
             raise ValueError(f"threshold_percentile must lie in [0, 100], got {self.threshold_percentile}")
-        for f in fields(self):
-            choices = f.metadata["choices"]
-            if choices and getattr(self, f.name) not in choices:
-                raise ValueError(f"{f.name} must be one of {', '.join(choices)}, "
-                                 f"got {getattr(self, f.name)!r}")
         if len(self.loss_weights) != 3 or not all(0 <= w < math.inf for w in self.loss_weights):
             raise ValueError(f"loss_weights must be 3 nonnegative finite values, got {self.loss_weights}")
         if self.warmup_epochs < 0 or self.seed < 0 or self.positive_class < 0:
@@ -361,15 +359,15 @@ def train_step(model: Model, adam: Adam, config: TrainConfig, batch: Batch, labe
     f = model.gnn_forward(phi, graph)
     # a zero-weight term is never built: total_loss reads None as 0.0.
     # The logits come first, as the creation order fixes the order in
-    # which the CE and separation gradients land on f, and so its bits.
+    # which the graph layer's, MMD's and separation's gradients land on
+    # phi, and so its bits.
     logits = model.classify(f) if w_ce else None
     l_mmd = l_g = None
     if w_mmd:
         kernels = KernelSpec.from_median_heuristic(geom, scales=config.kernel_scales)
         l_mmd = mmd_loss(slice_rows(phi, 0, half), slice_rows(phi, half, len(batch)), kernels)
     if w_g:
-        l_g = feature_similarity_loss(f if config.lg_features == "gnn" else phi, labels,
-                                      config.margin)
+        l_g = feature_similarity_loss(phi, labels, config.margin)
     l_ce = cross_entropy_loss(logits, labels) if w_ce else None
     total, breakdown = total_loss(l_mmd, l_g, l_ce, weights=config.loss_weights)
     if np.isfinite(breakdown.l_total):

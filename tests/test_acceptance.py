@@ -282,7 +282,6 @@ EXPERIMENT = dict(
     warmup_epochs=8,
     width=64,
     epsilon=0.95,
-    lg_features="backbone",
 )
 RUN_BUDGET_S = 300.0
 
@@ -297,7 +296,6 @@ def _experiment_arms(seed: int):
         phi_dim=EXPERIMENT["width"],
         backbone_hidden=EXPERIMENT["width"],
         epsilon=EXPERIMENT["epsilon"],
-        lg_features=EXPERIMENT["lg_features"],
         seed=seed,
     )
     full = TrainConfig(**common)

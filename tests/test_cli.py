@@ -166,6 +166,23 @@ def test_gen_rejects_bad_shape_args(tmp_path, capsys):
     capsys.readouterr()
 
 
+# each once exited 1 with a traceback, or 0 with files that train then rejects
+@pytest.mark.parametrize("args, message", [
+    (["--seed", "-1"], "--seed"),
+    (["--sigma", "nan"], "finite"),
+    (["--radius", "inf"], "finite"),
+    (["--rotate", "nan"], "finite"),
+    (["--translate", "nan,0"], "finite"),
+    (["--sigma", "1e300"], "overflow"),  # finite, but not in the files' float32
+], ids=["seed", "sigma-nan", "radius-inf", "rotate-nan", "translate-nan", "sigma-overflow"])
+def test_gen_rejects_bad_numbers_and_writes_nothing(tmp_path, capsys, args, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["gen", "--out", str(tmp_path), *args]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- train ---------------------------------------------------------------------
 
 
@@ -229,13 +246,26 @@ def test_malformed_magic_is_format_error(tmp_path, data_dir, capsys):
     assert not (tmp_path / "run").exists()
 
 
+# dims whose product passes int64 (numpy read a negative width), and a C int
+@pytest.mark.parametrize("dims", [(2**32 - 1,) * 8, (65536, 65536)], ids=["int64", "c-int"])
+def test_header_dims_too_large_are_format_error(tmp_path, data_dir, capsys, dims):
+    bad = tmp_path / "bad.hda"
+    bad.write_bytes(b"HDA1" + np.array([1, 1, len(dims), *dims, 2], dtype="<u4").tobytes()
+                    + bytes(16))
+    code = main(["train", "--source", str(bad), "--target", str(data_dir / "target.hda"),
+                 "--out", str(tmp_path / "run")])
+    assert code == 3
+    assert "byte 16" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_divergence_exit_code(data_dir, tmp_path, capsys):
     d = tmp_path / "blowup"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the overflow IS the point
         code = main(["train", "--source", str(data_dir / "source.hda"),
                      "--target", str(data_dir / "target.hda"),
-                     "--out", str(d), *TINY_TRAIN, "--lr", "1e50"])
+                     "--out", str(d), *TINY_TRAIN, "--lr", "1e100"])
     assert code == 4
     assert "non-finite loss" in capsys.readouterr().err
     assert (d / "divergence.txt").exists()
@@ -337,7 +367,7 @@ def test_non_utf8_config_is_usage_error(data_dir, tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("line, field", [("lg_features=logits", "lg_features"),
+@pytest.mark.parametrize("line, field", [("epsilon=1.5", "epsilon"),
                                          ("batch_size=7", "batch_size"),
                                          ("backbone_hidden=0", "backbone_hidden")])
 def test_config_value_failing_a_check_names_file_and_line(data_dir, tmp_path, capsys, line, field):
@@ -350,7 +380,7 @@ def test_config_value_failing_a_check_names_file_and_line(data_dir, tmp_path, ca
     assert f"{cfg}:3: " in err and field in err
     assert not (tmp_path / "x").exists()
     # an explicit flag overrides the file's value, which is then never checked
-    flag = ["--lg-features", "backbone"] if field == "lg_features" else ["--batch", "8"]
+    flag = ["--epsilon", "0.9"] if field == "epsilon" else ["--batch", "8"]
     assert main(train + TINY_TRAIN + flag + ["--out", str(tmp_path / "y")]) == 0
 
 
@@ -414,9 +444,10 @@ def test_manifest_with_a_one_layer_backbone_names_file_and_line(run_dir, tmp_pat
 
 # removed options, each at the only value that ran as every run does now
 RETIRED_KEPT = ["precision=f32", "precision=f64", "sticky_pseudo=false",
-                "pseudo_refresh=epoch", "graph_features=pre_relu", "augment=true"]
+                "pseudo_refresh=epoch", "graph_features=pre_relu", "augment=true",
+                "lg_features=backbone"]
 RETIRED_REMOVED = ["precision=f16", "sticky_pseudo=true", "pseudo_refresh=batch",
-                   "graph_features=post_relu", "augment=false"]
+                   "graph_features=post_relu", "augment=false", "lg_features=gnn"]
 
 
 @pytest.mark.parametrize("retired", RETIRED_KEPT)
@@ -446,7 +477,7 @@ TRAIN_CONFIG_FLAGS = [
     "--lr", "--weight-decay", "--batch", "--epochs", "--threshold",
     "--threshold-percentile", "--epsilon", "--margin", "--kernel-scales",
     "--hidden", "--phi-dim", "--backbone-hidden", "--conv-channels", "--seed",
-    "--no-gnn", "--no-pseudo", "--warmup", "--loss-weights", "--lg-features",
+    "--no-gnn", "--no-pseudo", "--warmup", "--loss-weights",
     "--checkpoint-every", "--positive-class",
 ]
 
@@ -469,10 +500,11 @@ def test_train_options_come_from_the_dataclass(data_dir, tmp_path, capsys):
     shown = re.findall(r"\((\w+)=(\S*?)\)", " ".join(capsys.readouterr().out.split()))
     assert dict(shown) == defaults and len(shown) == len(names)
 
+    # a removed option's flag is gone, even at its one kept value
     assert main(["train", "--source", str(data_dir / "source.hda"),
                  "--target", str(data_dir / "target.hda"), "--out", str(tmp_path / "x"),
-                 "--lg-features", "logits"]) == 2
-    assert "invalid choice" in capsys.readouterr().err
+                 "--lg-features", "backbone"]) == 2
+    assert "unrecognized arguments: --lg-features" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
@@ -533,6 +565,38 @@ def test_eval_corrupt_checkpoint_writes_nothing(data_dir, tmp_path, capsys):
     assert code == 3
     assert "magic" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "export"])
+def test_sidecar_of_another_feature_shape_is_format_error(run_dir, data_dir, tmp_path, capsys,
+                                                          command):
+    labels, _, m = read_label_file(data_dir / "target_labels.hda")
+    bad = tmp_path / "labels.hda"
+    write_label_file(bad, labels, (3,), m)
+    out = tmp_path / "out"
+    args = [command, "--checkpoint", str(run_dir / "checkpoint_final.hdap"),
+            "--target", str(data_dir / "target.hda"), "--labels", str(bad), "--out", str(out)]
+    if command == "export":
+        args += ["--source", str(data_dir / "source.hda")]
+    assert main(args) == 3
+    assert "shape (3,)" in capsys.readouterr().err and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "export"])
+def test_checkpoint_name_not_utf8_is_format_error(run_dir, data_dir, tmp_path, capsys, command):
+    raw = bytearray((run_dir / "checkpoint_final.hdap").read_bytes())
+    raw[16] = 0xFF  # the first tensor name's first byte
+    bad = tmp_path / "bad.hdap"
+    bad.write_bytes(bytes(raw))
+    out = tmp_path / "out"
+    args = {
+        "eval": ["eval", "--checkpoint", str(bad), "--target", str(data_dir / "target.hda"),
+                 "--labels", str(data_dir / "target_labels.hda"), "--out", str(out)],
+        "export": ["export", "--checkpoint", str(bad), "--source", str(data_dir / "source.hda"),
+                   "--target", str(data_dir / "target.hda"), "--out", str(out)],
+    }[command]
+    assert main(args) == 3
+    assert "byte 16" in capsys.readouterr().err and not out.exists()
 
 
 def test_eval_shape_mismatch_clear_error(run_dir, tmp_path, capsys):
@@ -596,6 +660,14 @@ def _target_std_wrong_shape(blob):
     blob["norm/target_std"] = np.ones(blob["norm/target_std"].size + 1)
 
 
+def _inf_threshold(blob):  # checked although a percentile sets this run's threshold
+    blob["meta/threshold"] = np.asarray(np.inf)
+
+
+def _threshold_wrong_shape(blob):
+    blob["meta/threshold"] = blob["meta/threshold"][None]
+
+
 @pytest.mark.parametrize("command", ["eval", "export"])
 @pytest.mark.parametrize("mutate,message", [
     (_drop_theta2, "theta2"),
@@ -607,6 +679,8 @@ def _target_std_wrong_shape(blob):
     (_nan_epoch, "meta/epoch"),
     (_positive_class_out_of_range, "meta/positive_class"),
     (_target_std_wrong_shape, "norm/target_std"),
+    (_inf_threshold, "meta/threshold"),
+    (_threshold_wrong_shape, "meta/threshold"),
     (_fractional_hidden, "meta/hidden"),
     (_fractional_num_classes, "meta/num_classes"),
     (_fractional_input_dims, "meta/input_dims"),
@@ -910,6 +984,145 @@ def test_failed_write_keeps_old_artifact(writer, tmp_path, monkeypatch):
     write(path, 0.25)
     assert path.read_bytes() != old
     assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+
+# -- mutation fuzz -----------------------------------------------------------------
+
+
+def _u32(raw, off):
+    return int.from_bytes(raw[off:off + 4], "little")
+
+
+def _header_fields(raw, name):
+    """Byte offsets of the u32 header fields after the magic, with the
+    ``.hda`` class count last."""
+    if name.endswith(".hda"):
+        return [4, 8, 12, *range(16, 20 + 4 * _u32(raw, 12), 4)]
+    offsets, off = [4, 8], 12
+    for _ in range(_u32(raw, 8)):
+        offsets.append(off)  # name length
+        off += 4 + _u32(raw, off)
+        offsets.extend(range(off, off + 4 + 4 * _u32(raw, off), 4))  # rank and dims
+        off += 4 + 4 * _u32(raw, off)
+    return offsets
+
+
+def _payload_slots(raw, name):
+    """(byte offset, numpy type) of every real number in the payload that
+    must be finite; a NaN ``meta/threshold_percentile`` marks a fixed threshold."""
+    if name.endswith(".hda"):
+        rank = _u32(raw, 12)
+        start, width = 20 + 4 * rank, int(np.prod([_u32(raw, 16 + 4 * i) for i in range(rank)]))
+        rows = (len(raw) - start) // (4 * width + 4)
+        return [(start + r * (4 * width + 4) + 4 * j, np.float32)
+                for r in range(rows) for j in range(width)]
+    table, off = [], 12
+    for _ in range(_u32(raw, 8)):
+        nlen = _u32(raw, off)
+        tensor = raw[off + 4:off + 4 + nlen].decode()
+        off += 4 + nlen
+        rank = _u32(raw, off)
+        table.append((tensor, int(np.prod([_u32(raw, off + 4 + 4 * i) for i in range(rank)]))))
+        off += 4 + 4 * rank
+    slots = []
+    for tensor, n in table:
+        if tensor != "meta/threshold_percentile":
+            slots += [(off + 8 * i, np.float64) for i in range(n)]
+        off += 8 * n
+    return slots
+
+
+def _truncate(rng, raw, name):
+    return raw[:rng.integers(len(raw))]
+
+
+def _flip_bits(rng, raw, name):
+    out = np.frombuffer(raw, dtype=np.uint8).copy()
+    for bit in rng.choice(8 * len(raw), size=rng.integers(1, 9), replace=False):
+        out[bit // 8] ^= 1 << (bit % 8)
+    return out.tobytes()
+
+
+def _edit_header(rng, raw, name):
+    fields = _header_fields(raw, name)
+    off = fields[rng.integers(len(fields))]
+    old = _u32(raw, off)
+    if name.endswith(".hda") and off == fields[-1]:
+        values = [0, 1]  # the class count: any other value may be a valid count
+    else:
+        values = [v for v in (0, 1, old + 1, 8, 2**31, 2**32 - 1, int(rng.integers(2**32)))
+                  if v != old]
+    return raw[:off] + int(rng.choice(values)).to_bytes(4, "little") + raw[off + 4:]
+
+
+def _non_finite(rng, raw, name):
+    slots = _payload_slots(raw, name)
+    off, kind = slots[rng.integers(len(slots))]
+    value = kind(rng.choice([np.nan, np.inf, -np.inf])).tobytes()
+    return raw[:off] + value + raw[off + len(value):]
+
+
+def _wrong_shape(rng, path, name, out):
+    """Writes the file of ``path`` again with one shape changed."""
+    if name == "target_labels.hda":
+        labels, dims, m = read_label_file(path)
+        keep = rng.integers(len(labels))  # drop or repeat one label
+        labels = np.delete(labels, keep) if rng.integers(2) else np.insert(labels, keep, 0)
+        write_label_file(out, labels, dims, m)
+    elif name.endswith(".hda"):
+        ds = read_dataset(path, Domain.SOURCE if name == "source.hda" else Domain.TARGET)
+        dims = [(1,), (3,), (2, 2), (1, 2, 2)][rng.integers(4)]
+        feats = rng.normal(size=(len(ds), *dims))
+        write_dataset(out, Dataset(feats, ds.labels, ds.domain, ds.num_classes))
+    else:
+        blob = load_checkpoint(path)
+        tensor = sorted(blob)[rng.integers(len(blob))]
+        blob[tensor] = np.append(blob[tensor], 1.0) if rng.integers(2) else blob[tensor][None]
+        save_checkpoint(out, blob)
+
+
+# each mutation with its trials per file kind and the exit codes it allows
+FUZZ_MUTATIONS = [
+    (_truncate, 4, {3}),
+    (_edit_header, 8, {3}),
+    (_non_finite, 4, {3}),
+    (_wrong_shape, 4, {3}),
+    (_flip_bits, 12, {0, 2, 3}),
+]
+FUZZ_FILES = ["source.hda", "target.hda", "target_labels.hda", "checkpoint.hdap"]
+
+
+def test_mutated_inputs_exit_with_a_documented_code(run_dir, data_dir, tmp_path, capsys):
+    """Seeded mutations of every file kind that ``eval`` and ``export`` read:
+    each run exits 0, 2 or 3, and a mutation that breaks the format exits 3."""
+    good = {"source.hda": data_dir / "source.hda", "target.hda": data_dir / "target.hda",
+            "target_labels.hda": data_dir / "target_labels.hda",
+            "checkpoint.hdap": run_dir / "checkpoint_final.hdap"}
+    rng = np.random.default_rng(0)
+    wrong = []
+    for name in FUZZ_FILES:
+        raw = good[name].read_bytes()
+        for mutate, trials, allowed in FUZZ_MUTATIONS:
+            for trial in range(trials):
+                files = dict(good, **{name: tmp_path / f"{mutate.__name__}{trial}_{name}"})
+                if mutate is _wrong_shape:
+                    mutate(rng, good[name], name, files[name])
+                else:
+                    files[name].write_bytes(mutate(rng, raw, name))
+                out = tmp_path / f"out_{name}_{mutate.__name__}{trial}"
+                command = "export" if name == "source.hda" or trial % 2 else "eval"
+                argv = [command, "--checkpoint", str(files["checkpoint.hdap"]),
+                        "--target", str(files["target.hda"]),
+                        "--labels", str(files["target_labels.hda"]), "--out", str(out)]
+                if command == "export":
+                    argv += ["--source", str(files["source.hda"])]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)  # flipped weights overflow
+                    code = main(argv)
+                capsys.readouterr()
+                if code not in allowed:
+                    wrong.append((name, mutate.__name__, trial, command, code))
+    assert wrong == [], wrong
 
 
 # -- BLAS threads ------------------------------------------------------------------
