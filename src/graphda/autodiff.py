@@ -12,10 +12,10 @@ the last closure that reads it finishes. Leaves keep their gradients. Under
 
 Only the operations the models and losses in this package differentiate
 are provided: elementwise arithmetic with broadcasting, matrix products,
-reductions, ReLU, row slices, pairwise squared distances, a one-node 3x3
-convolution with bias and ReLU, and three one-node loss ops, a Gaussian
-kernel mixture, a contrastive pull/push and a mean log-softmax likelihood.
-``reshape`` and ``slice_rows`` return views: no op writes another tensor's
+reductions, ReLU, the pairwise squared distances of one matrix's rows, a
+one-node 3x3 convolution with bias and ReLU, and three one-node loss ops, a
+Gaussian kernel mixture, a contrastive pull/push and a mean log-softmax
+likelihood. ``reshape`` returns a view: no op writes another tensor's
 ``data``. A plain array is a constant, whose gradient no closure computes:
 ``add``'s and ``mul``'s second operand, ``matmul``'s and the conv's first.
 A gradient array that an op built itself is passed ``owned`` and lands
@@ -40,7 +40,6 @@ __all__ = [
     "pull_push",
     "nll",
     "pairwise_sqdist",
-    "slice_rows",
     "conv3x3_relu",
 ]
 
@@ -348,46 +347,30 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     return _result(data, (a,), bw)
 
 
-# -- row slices -------------------------------------------------------------------
-
-
-def slice_rows(a: Tensor, lo: int, hi: int) -> Tensor:
-    """Contiguous rows ``a[lo:hi]`` as a view; backward lands ``g`` in rows
-    ``lo:hi`` of a zero array with the bits of ``zeros + g``, -0.0 included."""
-    data = a.data[lo:hi]
-
-    def bw(g):
-        acc = np.zeros_like(a.data)
-        np.add(g, 0, out=acc[lo:hi])
-        a._accum(acc, owned=True)
-
-    return _result(data, (a,), bw)
-
-
 # -- pairwise squared distances ----------------------------------------------------
 
 
-def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
-    """All-pairs squared Euclidean distances between rows of ``a`` and ``b``.
+def pairwise_sqdist(a: Tensor) -> Tensor:
+    """All-pairs squared Euclidean distances between the rows of ``a``.
 
-    ``out[i, j] = ||a[i] - b[j]||^2`` via the Gram expansion.  Values on
+    ``out[i, j] = ||a[i] - a[j]||^2`` via the Gram expansion.  Values on
     numerically coincident rows can land within ~1e-16 of zero on either
-    side; nothing is clamped so the gradient stays exact.
+    side; nothing is clamped so the gradient stays exact. Backward lands
+    the row term, then the column term.
     """
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ShapeError(f"pairwise_sqdist shape mismatch: {a.shape} vs {b.shape}")
-    A, B = a.data, b.data
-    sa = np.sum(A * A, axis=1)[:, None]
-    sb = np.sum(B * B, axis=1)[None, :]
-    data = sa + sb - 2.0 * (A @ B.T)
+    if a.ndim != 2:
+        raise ShapeError(f"pairwise_sqdist needs a matrix, got shape {a.shape}")
+    A = a.data
+    sq = np.sum(A * A, axis=1)
+    data = sq[:, None] + sq[None, :] - 2.0 * (A @ A.T)
 
     def bw(g):
         rs = g.sum(axis=1, keepdims=True)
         cs = g.sum(axis=0, keepdims=True)
-        a._accum(2.0 * (rs * A - g @ B), owned=True)
-        b._accum(2.0 * (cs.T * B - g.T @ A), owned=True)
+        a._accum(2.0 * (rs * A - g @ A), owned=True)
+        a._accum(2.0 * (cs.T * A - g.T @ A), owned=True)
 
-    return _result(data, (a, b), bw)
+    return _result(data, (a,), bw)
 
 
 # -- fused 3x3 convolution ---------------------------------------------------------

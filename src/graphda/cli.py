@@ -220,6 +220,17 @@ def _read_eval_labels(path, target: Dataset) -> np.ndarray:
     return labels
 
 
+def _infer(model: Model, features, checkpoint) -> tuple:
+    """``model.infer``, refused naming ``checkpoint`` when its weights overflow: a
+    probability is not finite, or 4 times a phi row's squared norm, which bounds
+    its squared distances, is not."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi, probs = model.infer(features)
+        if np.isfinite(probs).all() and np.isfinite(4.0 * np.einsum("ij,ij->i", phi, phi)).all():
+            return phi, probs
+    raise DataFormatError(f"{checkpoint}: the weights overflow at inference")
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -318,7 +329,7 @@ def cmd_eval(args) -> int:
     if not len(target):
         raise DataFormatError(f"{args.target}: no samples; precision and accuracy need at least 1")
     labels = _read_eval_labels(args.labels, target)
-    _, probs = model.infer(meta.target_stats.apply(target.features))
+    _, probs = _infer(model, meta.target_stats.apply(target.features), args.checkpoint)
     metrics = evaluate(probs, labels, positive_class=meta.positive_class)
     epoch = meta.epoch
     if args.json:
@@ -375,8 +386,8 @@ def cmd_export(args) -> int:
         )
     epoch = meta.epoch
 
-    phi_s, _ = model.infer(meta.source_stats.apply(source.features))
-    phi_t, probs_t = model.infer(meta.target_stats.apply(target.features))
+    phi_s, _ = _infer(model, meta.source_stats.apply(source.features), args.checkpoint)
+    phi_t, probs_t = _infer(model, meta.target_stats.apply(target.features), args.checkpoint)
     state = assign_pseudo_labels(probs_t, args.epsilon, epoch=epoch)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -305,13 +305,13 @@ def gen_synthetic_shift(
             labs.append(np.full(cfg.per_class, k, dtype=np.int64))
         return np.concatenate(feats), np.concatenate(labs)
 
-    src_x, src_y = blob(1.0)
-    tgt_x, tgt_y = blob(cfg.cov_scale)
-    tgt_x = tgt_x @ rot.T + tr
-
-    # round through storage precision so writing and re-reading the
-    # generated files reproduces these exact values
-    with np.errstate(over="ignore"):
+    # extreme finite settings overflow here, which the check below refuses;
+    # rounding through storage precision makes writing and re-reading the
+    # generated files reproduce these exact values
+    with np.errstate(over="ignore", invalid="ignore"):
+        src_x, src_y = blob(1.0)
+        tgt_x, tgt_y = blob(cfg.cov_scale)
+        tgt_x = tgt_x @ rot.T + tr
         src_x = src_x.astype(np.float32).astype(np.float64)
         tgt_x = tgt_x.astype(np.float32).astype(np.float64)
     if not (np.isfinite(src_x).all() and np.isfinite(tgt_x).all()):

@@ -206,7 +206,7 @@ def pair_distances(phi: np.ndarray, labels=None) -> PairGeometry:
     direct = ~(s < 2.0 ** 1020)  # NaN, inf, or large enough to overflow an estimate
     s[direct] = 0.0
     k = n - 1 - math.isqrt(n)  # and so is a row far from the rest; a zero s there keeps all
-    direct |= s > 2.0 ** 20 * ((np.partition(s, k)[k] if n else 0.0) or math.inf)
+    direct |= s > 2.0 ** 20 * (float(np.partition(s, k)[k] if n else 0.0) or math.inf)  # float: inf, no warning
     c[direct] = s[direct] = 0.0
     rhs = np.ones_like(lhs)
     np.multiply(c, -2.0, out=rhs[:, :d])

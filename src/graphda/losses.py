@@ -1,9 +1,10 @@
 """Loss terms for graph-based domain adaptation.
 
-Three pieces, summed without coefficients into the training objective:
+Three pieces, summed without coefficients into the training objective;
+the first two read one (B, B) squared-distance node of the joint batch:
 
-* ``mmd_loss``: squared kernel mean discrepancy between the source and
-  target feature clouds, with a convex mixture of Gaussian kernels.
+* ``mmd_loss``: squared kernel mean discrepancy w^T K w between the source
+  and target feature clouds, with a convex mixture of Gaussian kernels.
 * ``feature_similarity_loss``: contrastive pull/push over labeled pairs
   inside a batch; same label attracts, different labels repel up to a
   margin on the squared distance.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, gaussian_mixture, nll, pairwise_sqdist, pull_push
+from .autodiff import Tensor, gaussian_mixture, nll, pull_push
 from .graphs import PairGeometry
 
 __all__ = [
@@ -106,28 +107,24 @@ class LossBreakdown:
     l_total: float
 
 
-def mmd_loss(phi_s: Tensor, phi_t: Tensor, kernels: KernelSpec) -> Tensor:
-    """Biased squared MMD between two feature sets.
-
+def mmd_loss(sqdists: Tensor, n_source: int, kernels: KernelSpec) -> Tensor:
+    """Biased squared MMD between the first ``n_source`` rows of a joint
+    batch and the rest, from its (B, B) squared distances: w^T K w with K
+    the kernel matrix and w = 1/ns on source rows, -1/nt on target rows
+    (Gretton et al. 2012, "A Kernel Two-Sample Test", JMLR 13, eq. 5), i.e.
     (1/ns^2) sum k(s,s') + (1/nt^2) sum k(t,t') - (2/(ns*nt)) sum k(s,t).
-    The diagonal terms stay in, so the value is a squared RKHS norm and
-    never negative. Differentiable in both arguments.
+    The diagonal terms stay in, so the value is a squared RKHS norm,
+    nonnegative up to rounding.
     """
-    ns, nt = phi_s.shape[0], phi_t.shape[0]
+    ns, nt = n_source, sqdists.shape[0] - n_source
     if ns < 1 or nt < 1:
         raise ValueError(f"need at least one row per domain, got {ns} and {nt}")
-    k_ss = kernels.kernel(pairwise_sqdist(phi_s, phi_s))
-    k_tt = kernels.kernel(pairwise_sqdist(phi_t, phi_t))
-    k_st = kernels.kernel(pairwise_sqdist(phi_s, phi_t))
-    return (
-        k_ss.sum() * (1.0 / (ns * ns))
-        + k_tt.sum() * (1.0 / (nt * nt))
-        - k_st.sum() * (2.0 / (ns * nt))
-    )
+    w = np.concatenate([np.full(ns, 1.0 / ns), np.full(nt, -1.0 / nt)])
+    return (kernels.kernel(sqdists) * np.outer(w, w)).sum()
 
 
-def feature_similarity_loss(features: Tensor, labels, margin: float = 2.0) -> Tensor:
-    """Contrastive loss over labeled pairs within a batch.
+def feature_similarity_loss(sqdists: Tensor, labels, margin: float = 2.0) -> Tensor:
+    """Contrastive loss over the labeled pairs of a batch's squared distances.
 
     For each pair i<j with both labels known (not -1): squared distance
     if the labels match, max(0, margin - squared distance) otherwise.
@@ -137,7 +134,7 @@ def feature_similarity_loss(features: Tensor, labels, margin: float = 2.0) -> Te
     then adds the pull gradient; that order fixes the bits.
     """
     lab = np.asarray(labels, dtype=np.int64)
-    b = features.shape[0]
+    b = sqdists.shape[0]
     if lab.shape != (b,):
         raise ValueError(f"labels shape {lab.shape} does not match batch size {b}")
     known = lab != -1
@@ -148,7 +145,7 @@ def feature_similarity_loss(features: Tensor, labels, margin: float = 2.0) -> Te
     count = int(both.sum())
     if count == 0:
         return Tensor(0.0)
-    return pull_push(pairwise_sqdist(features, features), same, diff, margin) * (1.0 / count)
+    return pull_push(sqdists, same, diff, margin) * (1.0 / count)
 
 
 def cross_entropy_loss(logits: Tensor, labels) -> Tensor:

@@ -8,11 +8,12 @@ an Adam step on
 
     L = L_mmd(phi_s, phi_t) + L_g(phi, labels) + L_ce(logits, labels)
 
-where labels are source ground truth plus current pseudo-labels. An
-ablation that weights a term 0 never builds it, and the step computes
-the pair geometry only if the graph or a weighted L_mmd's kernel median
-reads it. Target ground truth enters only as a read-only observer for
-the precision/accuracy and edge-quality columns; deleting it changes no
+where labels are source ground truth plus current pseudo-labels, and
+L_mmd and L_g read one squared-distance node of phi. An ablation that
+weights a term 0 never builds it, and the step computes the pair
+geometry only if the graph or a weighted L_mmd's kernel median reads
+it. Target ground truth enters only as a read-only observer for the
+precision/accuracy and edge-quality columns; deleting it changes no
 parameter update. The refresh and the evaluation read the target
 probabilities of one ``Model.infer`` pass per weight state, so an
 epoch's evaluation and the next epoch's refresh share a pass.
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import backward, slice_rows
+from .autodiff import backward, pairwise_sqdist
 from .datasets import (Batch, DataFormatError, Dataset, TwoDomainSampler, _write_atomic,
                        normalize, warp_image)
 from .graphs import BatchGraph, build_graph, edge_stats, pair_distances, percentile_threshold
@@ -358,16 +359,17 @@ def train_step(model: Model, adam: Adam, config: TrainConfig, batch: Batch, labe
         graph = build_graph(geom, t_used)
     f = model.gnn_forward(phi, graph)
     # a zero-weight term is never built: total_loss reads None as 0.0.
-    # The logits come first, as the creation order fixes the order in
-    # which the graph layer's, MMD's and separation's gradients land on
-    # phi, and so its bits.
+    # The logits come first, then the one distance node both feature
+    # terms read, as the creation order fixes the order in which the
+    # graph layer's and the distances' gradients land on phi, and so its bits.
     logits = model.classify(f) if w_ce else None
+    d2 = pairwise_sqdist(phi) if w_mmd or w_g else None
     l_mmd = l_g = None
     if w_mmd:
         kernels = KernelSpec.from_median_heuristic(geom, scales=config.kernel_scales)
-        l_mmd = mmd_loss(slice_rows(phi, 0, half), slice_rows(phi, half, len(batch)), kernels)
+        l_mmd = mmd_loss(d2, half, kernels)
     if w_g:
-        l_g = feature_similarity_loss(phi, labels, config.margin)
+        l_g = feature_similarity_loss(d2, labels, config.margin)
     l_ce = cross_entropy_loss(logits, labels) if w_ce else None
     total, breakdown = total_loss(l_mmd, l_g, l_ce, weights=config.loss_weights)
     if np.isfinite(breakdown.l_total):

@@ -17,16 +17,11 @@ from graphda.autodiff import Tensor, gaussian_mixture, pull_push
 from graphda.cli import main
 from graphda.datasets import Domain, ShiftConfig, gen_synthetic_shift, read_dataset
 from graphda.graphs import BatchGraph
-from graphda.losses import (
-    KernelSpec,
-    cross_entropy_loss,
-    feature_similarity_loss,
-    mmd_loss,
-)
+from graphda.losses import KernelSpec, cross_entropy_loss
 from graphda.model import Model, ModelConfig
 from graphda.pseudo import assign_pseudo_labels, pseudo_coverage
 from graphda.training import TrainConfig, train
-from geometry import graph_of, kernels_of, threshold_of
+from geometry import graph_of, kernels_of, mmd_of, separation_of, threshold_of
 from gradcheck import grad_check
 
 
@@ -82,12 +77,12 @@ def test_criterion_1_gradient_suite():
         s = rng.normal(size=(4, 3))
         u = rng.normal(size=(5, 3))
         spec = kernels_of(s, u)
-        ok(grad_check(lambda x: mmd_loss(x, t(u), spec), t(s)))
-        ok(grad_check(lambda x: mmd_loss(t(s), x, spec), t(u)))
+        ok(grad_check(lambda x: mmd_of(x, t(u), spec), t(s)))
+        ok(grad_check(lambda x: mmd_of(t(s), x, spec), t(u)))
 
         feats = rng.normal(size=(6, 3))
         labels = rng.integers(-1, 2, size=6)
-        ok(grad_check(lambda x: feature_similarity_loss(x, labels), t(feats)))
+        ok(grad_check(lambda x: separation_of(x, labels), t(feats)))
 
         model = small_model(seed=200 + i)
         x0 = rng.normal(size=(6, 3))
@@ -122,9 +117,9 @@ def test_criterion_2_mmd_oracles():
 
     rng = np.random.default_rng(0)
     x = rng.normal(size=(8, 3))
-    same = float(mmd_loss(t(x), t(x[rng.permutation(8)]), gauss1).data)
+    same = float(mmd_of(t(x), t(x[rng.permutation(8)]), gauss1).data)
 
-    singleton = float(mmd_loss(t([[0.0, 0.0]]), t([[1.0, 1.0]]), gauss1).data)
+    singleton = float(mmd_of(t([[0.0, 0.0]]), t([[1.0, 1.0]]), gauss1).data)
     singleton_err = abs(singleton - (2.0 - 2.0 * math.exp(-1.0)))
 
     violations = 0
@@ -133,8 +128,8 @@ def test_criterion_2_mmd_oracles():
         a = draw.normal(size=(draw.integers(1, 7), 2))
         b = draw.normal(size=(draw.integers(1, 7), 2))
         spec = kernels_of(a, b)
-        ab = float(mmd_loss(t(a), t(b), spec).data)
-        ba = float(mmd_loss(t(b), t(a), spec).data)
+        ab = float(mmd_of(t(a), t(b), spec).data)
+        ba = float(mmd_of(t(b), t(a), spec).data)
         if abs(ab - ba) > 1e-12 or ab < 0.0:
             violations += 1
 
@@ -151,9 +146,9 @@ def test_criterion_3_separation_oracles():
     # squared distances 0 / 3 / 0.5 at margin 2 -> 0, 0, 1.5; coordinates
     # are chosen so the squared distances are exact in binary
     got = (
-        float(feature_similarity_loss(t([[1.0, 1.0], [1.0, 1.0]]), [0, 0]).data),
-        float(feature_similarity_loss(t([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), [0, 1]).data),
-        float(feature_similarity_loss(t([[0.0, 0.0], [0.5, 0.5]]), [0, 1]).data),
+        float(separation_of(t([[1.0, 1.0], [1.0, 1.0]]), [0, 0]).data),
+        float(separation_of(t([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), [0, 1]).data),
+        float(separation_of(t([[0.0, 0.0], [0.5, 0.5]]), [0, 1]).data),
     )
     exact = got == (0.0, 0.0, 1.5)
 
@@ -163,10 +158,10 @@ def test_criterion_3_separation_oracles():
         n = int(rng.integers(3, 9))
         feats = rng.normal(size=(n, 3))
         labels = rng.integers(0, 3, size=n)
-        base = float(feature_similarity_loss(t(feats), labels).data)
-        relabeled = float(feature_similarity_loss(t(feats), (labels + 1) % 3).data)
+        base = float(separation_of(t(feats), labels).data)
+        relabeled = float(separation_of(t(feats), (labels + 1) % 3).data)
         perm = rng.permutation(n)
-        shuffled = float(feature_similarity_loss(t(feats[perm]), labels[perm]).data)
+        shuffled = float(separation_of(t(feats[perm]), labels[perm]).data)
         drift = max(drift, abs(base - relabeled), abs(base - shuffled))
 
     ok = exact and drift <= 1e-12

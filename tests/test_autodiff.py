@@ -18,12 +18,11 @@ from graphda.autodiff import (
     pairwise_sqdist,
     pull_push,
     relu,
-    slice_rows,
     _result,
 )
-from graphda.losses import MEDIAN_SCALES, feature_similarity_loss, mmd_loss
+from graphda.losses import MEDIAN_SCALES
 from graphda.model import Model, ModelConfig
-from geometry import kernels_of
+from geometry import kernels_of, mmd_of, separation_of
 from gradcheck import GradCheckReport, grad_check
 
 
@@ -157,22 +156,6 @@ class TestBackward:
             y.zero_grad()
             y._accum(g, owned=True)
             assert y.grad is not g and y.grad.dtype == np.float64 and y.grad.shape == (2, 2)
-
-    def test_slice_rows_gradient_bits_equal_gather(self):
-        # the slice lands g as zeros + g, -0.0 included, as a row gather's scatter-add does
-        g = np.array([[-0.0, 1.5], [0.0, -0.0], [-2.25, 3.0]])
-        acc = np.zeros((5, 2))
-        np.add.at(acc, np.arange(1, 4), g)
-        for first in (True, False):  # first gradient, and one added to an earlier one
-            x = t(np.arange(10.0).reshape(5, 2))
-            out = slice_rows(x, 1, 4)
-            assert np.array_equal(out.data, x.data[1:4])
-            if not first:
-                x._accum(np.full((5, 2), -0.0))
-            out._accum(g.copy(), owned=True)
-            out._backward(out.grad)
-            want = acc + 0 if first else (np.zeros((5, 2)) + np.full((5, 2), -0.0)) + acc
-            assert np.array_equal(x.grad.view(np.int64), want.view(np.int64))
 
     def test_three_layer_composition_vs_central_differences(self):
         rng = np.random.default_rng(7)
@@ -378,10 +361,8 @@ OP_CASES = {
     "mean_axis": ((2, 3, 2, 2), _weighted(lambda rng: _rand(rng, (2, 3)), lambda x, c: (x.mean(axis=(2, 3)) * c).sum())),
     "reshape": ((3, 4), _weighted(lambda rng: _rand(rng, (6, 2)), lambda x, c: (x.reshape((6, 2)) * c).sum())),
     "transpose": ((3, 4), _weighted(lambda rng: _rand(rng, (4, 3)), lambda x, c: (x.transpose((1, 0)) * c).sum())),
-    "slice_rows": ((5, 3), _weighted(lambda rng: _rand(rng, (3, 3)), lambda x, c: (slice_rows(x, 1, 4) * c).sum())),
     "nll": ((4, 5), lambda rng, shape: lambda x: nll(x, [2, -1, 0, 4])),
-    "pairwise_sqdist_a": ((5, 3), _weighted(lambda rng: (_rand(rng, (4, 3)), _rand(rng, (5, 4))), lambda x, c: (pairwise_sqdist(x, c[0]) * c[1]).sum())),
-    "pairwise_sqdist_self": ((4, 3), _weighted(lambda rng: _rand(rng, (4, 4)), lambda x, c: (pairwise_sqdist(x, x) * c).sum())),
+    "pairwise_sqdist_self": ((4, 3), _weighted(lambda rng: _rand(rng, (4, 4)), lambda x, c: (pairwise_sqdist(x) * c).sum())),
     "conv3x3_relu_input": _conv_case(0),
     "conv3x3_relu_weight": _conv_case(1),
     "conv3x3_relu_bias": _conv_case(2),
@@ -402,21 +383,31 @@ def test_every_op_matches_central_differences(name):
 
 class TestPairwiseSqdist:
     def test_values_match_direct_loop(self):
-        rng = np.random.default_rng(11)
-        a, b = rng.normal(size=(5, 3)), rng.normal(size=(4, 3))
-        d = pairwise_sqdist(t(a), t(b)).data
+        a = np.random.default_rng(11).normal(size=(5, 3))
+        d = pairwise_sqdist(t(a)).data
         for i in range(5):
-            for j in range(4):
-                assert abs(d[i, j] - np.sum((a[i] - b[j]) ** 2)) < 1e-12
+            for j in range(5):
+                assert abs(d[i, j] - np.sum((a[i] - a[j]) ** 2)) < 1e-12
 
     def test_exact_cases(self):
-        a = t([[0.0, 0.0]])
-        b = t([[0.5, 0.5]])
-        assert pairwise_sqdist(a, b).data[0, 0] == 0.5
+        d = pairwise_sqdist(t([[0.0, 0.0], [0.5, 0.5]])).data
+        assert d[0, 1] == d[1, 0] == 0.5 and d[0, 0] == d[1, 1] == 0.0
 
     def test_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            pairwise_sqdist(t(np.zeros((2, 3))), t(np.zeros((2, 4))))
+        # one operand now: a matrix is the only shape it takes
+        for shape in ((3,), (2, 3, 4)):
+            with pytest.raises(ShapeError):
+                pairwise_sqdist(t(np.zeros(shape)))
+
+    def test_gradient_bits_equal_two_operand_form(self):
+        # the row term lands first, then the column term, as the (a, a) node did
+        rng = np.random.default_rng(12)
+        A, g = rng.normal(size=(6, 3)), rng.normal(size=(6, 6))
+        x = t(A)
+        pairwise_sqdist(x)._backward(g)
+        want = 2.0 * (g.sum(axis=1, keepdims=True) * A - g @ A) + 0
+        want += 2.0 * (g.sum(axis=0, keepdims=True).T * A - g.T @ A)
+        assert np.array_equal(x.grad.view(np.int64), want.view(np.int64))
 
 
 def im2col(a, kh, kw, padding=0):
@@ -741,16 +732,16 @@ class TestOneNodeLossOps:
         s, u = rng.normal(size=(7, 4)), rng.normal(size=(6, 4)) + 0.5
         spec = kernels_of(s, u, scales=scales)
         self._check(monkeypatch, "gaussian_mixture", _mixture_chain,
-                    lambda a, b: mmd_loss(a, b, spec), [s, u])
+                    lambda a, b: mmd_of(a, b, spec), [s, u])
 
     @pytest.mark.parametrize("labels", [
         [0, 1, 0, 1, -1, 1], [1, 1, 1, -1, 1, 1], [-1] * 6, [0, 0, 1, 1, 0, 1]])
     def test_pull_push_bit_equal_to_chain(self, monkeypatch, labels):
         # integer points: many squared distances equal the margin 2.0 exactly
         feats = np.array([[0, 0], [1, 1], [2, 0], [0, 2], [1, -1], [3, 1]], dtype=np.float64)
-        d2 = pairwise_sqdist(t(feats), t(feats)).data
+        d2 = pairwise_sqdist(t(feats)).data
         assert (d2 == 2.0).sum() >= 8
         rng = np.random.default_rng(22)
         for x in (feats, feats + rng.normal(scale=0.3, size=feats.shape)):
             self._check(monkeypatch, "pull_push", _pull_push_chain,
-                        lambda f: feature_similarity_loss(f, labels, 2.0), [x])
+                        lambda f: separation_of(f, labels, 2.0), [x])

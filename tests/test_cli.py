@@ -174,7 +174,11 @@ def test_gen_rejects_bad_shape_args(tmp_path, capsys):
     (["--rotate", "nan"], "finite"),
     (["--translate", "nan,0"], "finite"),
     (["--sigma", "1e300"], "overflow"),  # finite, but not in the files' float32
-], ids=["seed", "sigma-nan", "radius-inf", "rotate-nan", "translate-nan", "sigma-overflow"])
+    (["--sigma", "1e308"], "overflow"),  # overflows float64 too
+    (["--radius", "1e308", "--rotate", "30"], "overflow"),
+    (["--translate", "1e308,1e308"], "overflow"),
+], ids=["seed", "sigma-nan", "radius-inf", "rotate-nan", "translate-nan", "sigma-overflow",
+        "sigma-overflow-64", "radius-rotated", "translate-huge"])
 def test_gen_rejects_bad_numbers_and_writes_nothing(tmp_path, capsys, args, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -702,6 +706,30 @@ def test_malformed_checkpoint_is_format_error(run_dir, data_dir, tmp_path, capsy
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "export"])
+@pytest.mark.parametrize("scale, code", [(1e300, 3), (1e152, 0)])
+def test_weights_that_overflow_at_inference(run_dir, data_dir, tmp_path, capsys, command,
+                                            scale, code):
+    # at 1e300 eval exited 0, and export 0 with an all-zero edge row after an overflow
+    # warning; at 1e152 phi's squared distances are finite, and both run without one
+    blob = load_checkpoint(run_dir / "checkpoint_final.hdap")
+    blob["backbone/w1"] = blob["backbone/w1"] * scale
+    ckpt = tmp_path / "scaled.hdap"
+    save_checkpoint(ckpt, blob)
+    out = tmp_path / "out"
+    args = {
+        "eval": ["eval", "--checkpoint", str(ckpt), "--target", str(data_dir / "target.hda"),
+                 "--labels", str(data_dir / "target_labels.hda"), "--out", str(out)],
+        "export": ["export", "--checkpoint", str(ckpt), "--source", str(data_dir / "source.hda"),
+                   "--target", str(data_dir / "target.hda"), "--out", str(out)],
+    }[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == code
+    err = capsys.readouterr().err
+    assert (f"{ckpt}: the weights overflow" in err) == bool(code) and out.exists() != bool(code)
 
 
 # -- export ----------------------------------------------------------------------

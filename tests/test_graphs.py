@@ -346,6 +346,14 @@ class TestExactScreening:
             assert len(_check_against_oracle(phi[-300:], thresholds=(1.0, 2.0)).cuts) > 300, name
         assert spans and (0, 299) not in spans
 
+    def test_huge_finite_rows_warn_nothing(self):
+        # every s is below 2**1020, so no row is direct, but 2**20 times the far-row
+        # rank's s is not finite: that bound once overflowed with a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            geom = _check_against_oracle(np.arange(8.0)[:, None] * 1e152, thresholds=(2.5e152,))
+        assert not geom.direct.any()
+
     @pytest.mark.filterwarnings("ignore")
     def test_non_finite_rows_keep_the_direct_results(self):
         base = np.random.default_rng(710).normal(size=(60, 4))

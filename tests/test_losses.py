@@ -9,11 +9,11 @@ from graphda.losses import (
     KernelSpec,
     LossBreakdown,
     cross_entropy_loss,
-    feature_similarity_loss,
     mmd_loss,
     total_loss,
 )
-from geometry import kernels_of
+from graphda.autodiff import pairwise_sqdist
+from geometry import kernels_of, mmd_blocks, mmd_of, separation_of
 from gradcheck import grad_check
 
 
@@ -65,19 +65,19 @@ class TestMMD:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(7, 3))
         spec = kernels_of(x)
-        assert abs(float(mmd_loss(t(x), t(x), spec).data)) <= 1e-12
+        assert abs(float(mmd_of(t(x), t(x), spec).data)) <= 1e-12
 
     def test_permuted_multiset_near_zero(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(9, 4))
         spec = kernels_of(x)
-        v = float(mmd_loss(t(x), t(x[::-1].copy()), spec).data)
+        v = float(mmd_of(t(x), t(x[::-1].copy()), spec).data)
         assert abs(v) <= 1e-12
 
     def test_singleton_closed_form(self):
         # ||x-y||^2 = 2, one kernel, sigma=1: 2 - 2 e^{-1}
         x, y = t([[0.0, 0.0]]), t([[1.0, 1.0]])
-        got = float(mmd_loss(x, y, GAUSS1).data)
+        got = float(mmd_of(x, y, GAUSS1).data)
         assert got == pytest.approx(2.0 - 2.0 * math.exp(-1.0), abs=1e-9)
 
     def test_symmetric_and_nonnegative(self):
@@ -86,8 +86,8 @@ class TestMMD:
             a = rng.normal(size=(rng.integers(1, 8), 3))
             b = rng.normal(size=(rng.integers(1, 8), 3))
             spec = kernels_of(a, b)
-            ab = float(mmd_loss(t(a), t(b), spec).data)
-            ba = float(mmd_loss(t(b), t(a), spec).data)
+            ab = float(mmd_of(t(a), t(b), spec).data)
+            ba = float(mmd_of(t(b), t(a), spec).data)
             assert abs(ab - ba) <= 1e-12
             assert ab >= 0.0
 
@@ -96,89 +96,101 @@ class TestMMD:
         a, b = rng.normal(size=(6, 2)), rng.normal(size=(5, 2))
         sigmas = (0.5, 1.0, 2.0)
         multi = KernelSpec(bandwidths=sigmas, weights=(1 / 3,) * 3)
-        got = float(mmd_loss(t(a), t(b), multi).data)
+        got = float(mmd_of(t(a), t(b), multi).data)
         parts = [
-            float(mmd_loss(t(a), t(b), KernelSpec(bandwidths=(s,), weights=(1.0,))).data)
+            float(mmd_of(t(a), t(b), KernelSpec(bandwidths=(s,), weights=(1.0,))).data)
             for s in sigmas
         ]
         assert got == pytest.approx(sum(parts) / 3, abs=1e-12)
 
     def test_empty_domain_rejected(self):
-        with pytest.raises(ValueError):
-            mmd_loss(t(np.zeros((0, 3))), t(np.zeros((2, 3))), GAUSS1)
+        d2 = pairwise_sqdist(t(np.zeros((2, 3))))
+        for n_source in (0, 2):
+            with pytest.raises(ValueError, match="one row per domain"):
+                mmd_loss(d2, n_source, GAUSS1)
+
+    @pytest.mark.parametrize("ns, nt", [(1, 1), (1, 6), (5, 1), (4, 9), (8, 8)])
+    def test_quadratic_form_equals_three_blocks(self, ns, nt):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            a, b = rng.normal(size=(ns, 3)), rng.normal(size=(nt, 3)) + 0.5
+            spec = kernels_of(a, b)
+            got = float(mmd_of(t(a), t(b), spec).data)
+            want = mmd_blocks(a, b, spec)
+            assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_gradient_both_arguments(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(4, 3))
         b = rng.normal(size=(5, 3))
         spec = KernelSpec(bandwidths=(0.7, 1.3), weights=(0.4, 0.6))
-        assert grad_check(lambda x: mmd_loss(x, t(b), spec), t(a)).passed
-        assert grad_check(lambda x: mmd_loss(t(a), x, spec), t(b)).passed
+        assert grad_check(lambda x: mmd_of(x, t(b), spec), t(a)).passed
+        assert grad_check(lambda x: mmd_of(t(a), x, spec), t(b)).passed
 
     def test_shrinks_as_clouds_align(self):
         rng = np.random.default_rng(8)
         a = rng.normal(size=(20, 2))
         b = rng.normal(size=(20, 2))
         spec = kernels_of(a, b)
-        far = float(mmd_loss(t(a), t(b + 5.0), spec).data)
-        near = float(mmd_loss(t(a), t(b), spec).data)
+        far = float(mmd_of(t(a), t(b + 5.0), spec).data)
+        near = float(mmd_of(t(a), t(b), spec).data)
         assert near < far
 
 
 class TestFeatureSimilarity:
     def test_identical_same_label_zero(self):
         f = t([[1.0, 2.0], [1.0, 2.0]])
-        assert float(feature_similarity_loss(f, [3, 3]).data) == 0.0
+        assert float(separation_of(f, [3, 3]).data) == 0.0
 
     def test_saturated_hinge_zero(self):
         # squared distance 3 >= margin 2
         f = t([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-        assert float(feature_similarity_loss(f, [0, 1]).data) == 0.0
+        assert float(separation_of(f, [0, 1]).data) == 0.0
 
     def test_hinge_value_exact(self):
         # squared distance 0.5, different labels: 2 - 0.5 = 1.5
         f = t([[0.0, 0.0], [0.5, 0.5]])
-        assert float(feature_similarity_loss(f, [0, 1]).data) == 1.5
+        assert float(separation_of(f, [0, 1]).data) == 1.5
 
     def test_squared_distance_exactly_margin(self):
         f = t([[0.0, 0.0], [1.0, 1.0]])  # squared distance 2
-        assert float(feature_similarity_loss(f, [0, 1]).data) == 0.0
+        assert float(separation_of(f, [0, 1]).data) == 0.0
 
     def test_mean_over_contributing_pairs(self):
         # pairs: (0,1) same at 0, (0,2) and (1,2) different at 0.5 each
         f = t([[0.0, 0.0], [0.0, 0.0], [0.5, 0.5]])
-        got = float(feature_similarity_loss(f, [0, 0, 1]).data)
+        got = float(separation_of(f, [0, 0, 1]).data)
         assert got == pytest.approx((0.0 + 1.5 + 1.5) / 3, abs=0)
 
     def test_unlabeled_pairs_excluded(self):
         f = t([[0.0, 0.0], [9.0, 9.0], [0.5, 0.5]])
         # only (0,2) contributes; row 1 is unlabeled
-        assert float(feature_similarity_loss(f, [0, -1, 1]).data) == 1.5
+        assert float(separation_of(f, [0, -1, 1]).data) == 1.5
 
     def test_no_contributing_pairs(self):
         f = t([[1.0], [2.0], [3.0]])
-        assert float(feature_similarity_loss(f, [-1, -1, -1]).data) == 0.0
-        assert float(feature_similarity_loss(f, [0, -1, -1]).data) == 0.0
+        assert float(separation_of(f, [-1, -1, -1]).data) == 0.0
+        assert float(separation_of(f, [0, -1, -1]).data) == 0.0
 
     def test_invariant_to_order_and_relabeling(self):
         rng = np.random.default_rng(11)
         f = rng.normal(size=(10, 3))
         lab = rng.integers(0, 3, size=10)
-        base = float(feature_similarity_loss(t(f), lab).data)
+        base = float(separation_of(t(f), lab).data)
         perm = rng.permutation(10)
-        shuffled = float(feature_similarity_loss(t(f[perm]), lab[perm]).data)
-        relabeled = float(feature_similarity_loss(t(f), (lab + 1) % 3).data)
+        shuffled = float(separation_of(t(f[perm]), lab[perm]).data)
+        relabeled = float(separation_of(t(f), (lab + 1) % 3).data)
         assert shuffled == pytest.approx(base, abs=1e-12)
         assert relabeled == pytest.approx(base, abs=1e-12)
 
     def test_pull_and_push_directions(self):
         # same label: gradient moves x0 toward x1
         x = t([[1.0, 0.0], [0.0, 0.0]])
-        backward(feature_similarity_loss(x, [0, 0]))
+        backward(separation_of(x, [0, 0]))
         assert x.grad[0, 0] > 0  # decreasing x0 reduces the gap
         # different label inside the margin: gradient pushes x0 away
         y = t([[1.0, 0.0], [0.0, 0.0]])
-        backward(feature_similarity_loss(y, [0, 1]))
+        backward(separation_of(y, [0, 1]))
         assert y.grad[0, 0] < 0
 
     def test_gradient_matches_finite_differences(self):
@@ -188,11 +200,11 @@ class TestFeatureSimilarity:
         # stay away from the hinge kink at squared distance == margin
         d2 = ((f0[:, None, :] - f0[None, :, :]) ** 2).sum(-1)
         assert np.abs(d2 - 2.0).min() > 1e-3
-        assert grad_check(lambda x: feature_similarity_loss(x, lab), t(f0)).passed
+        assert grad_check(lambda x: separation_of(x, lab), t(f0)).passed
 
     def test_label_length_mismatch(self):
         with pytest.raises(ValueError):
-            feature_similarity_loss(t(np.zeros((3, 2))), [0, 1])
+            separation_of(t(np.zeros((3, 2))), [0, 1])
 
 
 def _chain_bits(z, labels, upstream):
@@ -324,19 +336,19 @@ class TestTotalLoss:
         lab = np.array([0, 1, 1, 0])
 
         def composite(x):
-            l_mmd = mmd_loss(x, t(b), GAUSS1)
-            l_g = feature_similarity_loss(x, lab)
+            l_mmd = mmd_of(x, t(b), GAUSS1)
+            l_g = separation_of(x, lab)
             l_ce = cross_entropy_loss(x, [0, 1, -1, 0])
             return total_loss(l_mmd, l_g, l_ce)[0]
 
         assert grad_check(composite, t(x0)).passed
 
         x1, x2, x3, x4 = (t(x0) for _ in range(4))
-        backward(total_loss(mmd_loss(x1, t(b), GAUSS1),
-                            feature_similarity_loss(x1, lab),
+        backward(total_loss(mmd_of(x1, t(b), GAUSS1),
+                            separation_of(x1, lab),
                             cross_entropy_loss(x1, [0, 1, -1, 0]))[0])
-        backward(mmd_loss(x2, t(b), GAUSS1))
-        backward(feature_similarity_loss(x3, lab))
+        backward(mmd_of(x2, t(b), GAUSS1))
+        backward(separation_of(x3, lab))
         backward(cross_entropy_loss(x4, [0, 1, -1, 0]))
         summed = x2.grad + x3.grad + x4.grad
         assert np.allclose(x1.grad, summed, atol=1e-12)

@@ -4,7 +4,7 @@ import pytest
 from graphda.autodiff import ShapeError, Tensor
 from graphda.datasets import DataFormatError
 from graphda.graphs import BatchGraph
-from graphda.losses import KernelSpec, cross_entropy_loss, feature_similarity_loss, mmd_loss, total_loss
+from graphda.losses import KernelSpec, cross_entropy_loss, total_loss
 from graphda.model import (
     Model,
     ModelConfig,
@@ -14,7 +14,7 @@ from graphda.model import (
     save_checkpoint,
 )
 from graphda.training import evaluate
-from geometry import graph_of
+from geometry import graph_of, mmd_of, separation_of
 from gradcheck import grad_check
 
 
@@ -223,8 +223,8 @@ class TestEndToEndGradient:
             phi = model.backbone_forward(x)
             f = model.gnn_forward(phi, graph)
             logits = model.classify(f)
-            l_mmd = mmd_loss(phi, phi * 0.5 + 0.3, kernels)
-            l_g = feature_similarity_loss(f, labels)
+            l_mmd = mmd_of(phi, phi * 0.5 + 0.3, kernels)
+            l_g = separation_of(f, labels)
             l_ce = cross_entropy_loss(logits, labels)
             return total_loss(l_mmd, l_g, l_ce)[0]
 

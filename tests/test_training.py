@@ -413,29 +413,36 @@ def test_default_fixed_threshold_connects_every_pair():
 FLOOR = dict(use_gnn=False, use_pseudo=False, loss_weights=(0.0, 0.0, 1.0))
 
 
-@pytest.mark.parametrize("arm, scans", [
-    # full: the threshold, the graph and the kernel median share one scan
-    pytest.param(dict(), 1, id="full"),
-    pytest.param(FLOOR, 0, id="floor"),
-    pytest.param(dict(use_gnn=False, loss_weights=(0.0, 1.0, 1.0)), 0, id="no-gnn-no-mmd"),
+@pytest.mark.parametrize("arm, scans, dists, kernels", [
+    # full: the threshold, the graph and the kernel median share one scan, and
+    # MMD and separation one distance node
+    pytest.param(dict(), 1, 1, 1, id="full"),
+    pytest.param(FLOOR, 0, 0, 0, id="floor"),
+    pytest.param(dict(use_gnn=False, loss_weights=(0.0, 1.0, 1.0)), 0, 1, 0, id="no-gnn-no-mmd"),
     # the kernel median reads it
-    pytest.param(dict(use_gnn=False, loss_weights=(1.0, 0.0, 1.0)), 1, id="no-gnn-no-g"),
+    pytest.param(dict(use_gnn=False, loss_weights=(1.0, 0.0, 1.0)), 1, 1, 1, id="no-gnn-no-g"),
 ])
-def test_one_pair_scan_per_step(monkeypatch, arm, scans):
+def test_one_pair_scan_per_step(monkeypatch, arm, scans, dists, kernels):
     import graphda.graphs
+    import graphda.losses
 
-    calls = []
-    real = graphda.graphs.pair_distances
+    calls = {"pair_distances": 0, "pairwise_sqdist": 0, "gaussian_mixture": 0}
 
-    def counting(phi):
-        calls.append(1)
-        return real(phi)
+    def counting(mod, name):
+        real = getattr(mod, name)
 
-    for mod in (graphda.graphs, graphda.training):
-        monkeypatch.setattr(mod, "pair_distances", counting)
+        def count(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(mod, name, count)
+
+    for mod, name in ((graphda.graphs, "pair_distances"), (graphda.training, "pair_distances"),
+                      (graphda.training, "pairwise_sqdist"), (graphda.losses, "gaussian_mixture")):
+        counting(mod, name)
     src, tgt, _ = shift_data(seed=10)  # 40 per domain: one 80-sample step per epoch
     _, hist = train(tiny_cfg(epochs=1, batch_size=80, **arm), src, tgt)
-    assert len(calls) == scans
+    assert list(calls.values()) == [scans, dists, kernels]
     assert (hist[0].edges_unknown > 0) == arm.get("use_gnn", True)  # the graph was built
 
 
@@ -768,8 +775,8 @@ def test_flat_step_trace_size_and_gradient_ownership(monkeypatch):
     src, tgt, _ = shift_data(seed=3, per_class=16)
     count, shared = _first_step(monkeypatch, _step_cfg(), src, tgt)
     assert shared == []  # no gradient is a view of a value or of another gradient
-    assert count == 48  # one node per kernel mixture, one for the pull/push sums, one for the CE;
-    # the batch and the adjacency are constants, no nodes
+    assert count == 34  # one distance node and one kernel node for MMD and separation, one
+    # for the pull/push sums, one for the CE; the batch and the adjacency are constants, no nodes
 
 
 def test_image_step_trace_size_and_gradient_ownership(monkeypatch):
@@ -778,7 +785,8 @@ def test_image_step_trace_size_and_gradient_ownership(monkeypatch):
     tgt = Dataset(rng.normal(size=(16, 1, 6, 6)), np.full(16, -1), Domain.TARGET, 2)
     count, shared = _first_step(monkeypatch, _step_cfg(conv_channels=(2, 3)), src, tgt)
     assert shared == []
-    assert count == 51  # one node per conv layer; the batch and the adjacency are no nodes
+    assert count == 37  # the flat step's loss nodes, and one per conv layer; the batch and the
+    # adjacency are no nodes
 
 
 def test_step_computes_no_gradient_for_the_batch_or_the_adjacency(monkeypatch):
