@@ -142,7 +142,7 @@ class Tensor:
     def reshape(self, shape) -> "Tensor":
         return reshape(self, shape)
 
-    def transpose(self, axes=None) -> "Tensor":
+    def transpose(self, axes) -> "Tensor":
         return transpose(self, axes)
 
 
@@ -334,9 +334,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _result(data, (a,), bw)
 
 
-def transpose(a: Tensor, axes=None) -> Tensor:
-    if axes is None:
-        axes = tuple(reversed(range(a.ndim)))
+def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inv = np.argsort(axes)
     data = a.data.transpose(axes).copy()

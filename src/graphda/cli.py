@@ -28,6 +28,7 @@ from .datasets import (
     Dataset,
     Domain,
     ShiftConfig,
+    _fmt,
     _write_atomic,
     gen_synthetic_shift,
     read_dataset,
@@ -61,7 +62,7 @@ def _version() -> str:
 
 # -- config value round-trip ---------------------------------------------------
 #
-# Manifest and config-file values share one text form so a manifest's
+# Manifest and config-file values share one text form, ``_fmt``, so a manifest's
 # config section can be fed back in as a config file unchanged.
 
 
@@ -108,18 +109,6 @@ _RETIRED_KEYS = {
     "augment": ("true",),
     "lg_features": ("backbone",),
 }
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):  # ``float(...)`` first: numpy scalars repr differently
-        return repr(float(value))
-    if isinstance(value, tuple):
-        return ",".join(_fmt(v) for v in value)
-    return str(value)
 
 
 def _read_config_file(path, lines=None) -> dict:
@@ -485,6 +474,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_EXIT_CODES = {UsageError: 2, DataFormatError: 3, DivergenceError: 4, OSError: 2}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -493,18 +485,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except UsageError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

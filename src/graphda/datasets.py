@@ -42,6 +42,7 @@ FORMAT_VERSION = 1
 # float32 values per sample: a record of them and its label must fit numpy's
 # item size, a C int of bytes
 _MAX_SAMPLE_VALUES = (2**31 - 1 - 4) // 4
+_VAR_FLOOR = 1e-8  # the least per-channel variance normalization divides by
 
 
 class DataFormatError(ValueError):
@@ -133,8 +134,8 @@ class NormStats:
         return (features - mean) / std
 
 
-def compute_norm_stats(features: np.ndarray, var_floor: float = 1e-8) -> NormStats:
-    """Population mean/variance per channel, variance clamped from below."""
+def compute_norm_stats(features: np.ndarray) -> NormStats:
+    """Population mean/variance per channel, variance clamped from below at ``_VAR_FLOOR``."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim == 4:
         axes = (0, 2, 3)
@@ -144,27 +145,21 @@ def compute_norm_stats(features: np.ndarray, var_floor: float = 1e-8) -> NormSta
         raise ValueError(f"expected (N, D) or (N, c, h, w) features, got {x.shape}")
     mean = x.mean(axis=axes)
     var = x.var(axis=axes)  # population variance, matches the stated contract
-    if np.any(var < var_floor):
+    if np.any(var < _VAR_FLOOR):
         warnings.warn(
-            f"{int((var < var_floor).sum())} channel(s) have near-zero variance; "
-            f"clamping to {var_floor}",
+            f"{int((var < _VAR_FLOOR).sum())} channel(s) have near-zero variance; "
+            f"clamping to {_VAR_FLOOR}",
             stacklevel=2,
         )
-        var = np.maximum(var, var_floor)
+        var = np.maximum(var, _VAR_FLOOR)
     return NormStats(mean=_frozen(mean), std=_frozen(np.sqrt(var)))
 
 
-def normalize(dataset: Dataset, stats: NormStats | None = None) -> tuple[Dataset, NormStats]:
-    """Shift each channel to mean 0 and scale to unit variance.
-
-    With ``stats=None`` the statistics come from this dataset (each
-    dataset normalizes independently); pass stored stats to reproduce
-    the training-time transform at inference.
-    """
-    if stats is None:
-        stats = compute_norm_stats(dataset.features)
-    out = replace(dataset, features=stats.apply(dataset.features))
-    return out, stats
+def normalize(dataset: Dataset) -> tuple[Dataset, NormStats]:
+    """Shift each channel to mean 0 and scale to unit variance by this dataset's own
+    statistics, which are returned: ``NormStats.apply`` reproduces the transform."""
+    stats = compute_norm_stats(dataset.features)
+    return replace(dataset, features=stats.apply(dataset.features)), stats
 
 
 # -- augmentation --------------------------------------------------------------
@@ -180,8 +175,8 @@ def _reflect(idx: np.ndarray, n: int) -> np.ndarray:
 
 
 def warp_image(img: np.ndarray, theta_deg, scale, shear) -> np.ndarray:
-    """Affine warp of a (c, h, w) image about its center, or of each image
-    of a (B, c, h, w) batch given length-B parameter sequences.
+    """Affine warp of each image of a (B, c, h, w) batch about its center,
+    given length-B parameter sequences; one image is the batch ``img[None]``.
 
     Forward map is rotation(theta) . scale . shear applied to (row, col)
     offsets; pixels are pulled through the inverse map with bilinear
@@ -189,11 +184,9 @@ def warp_image(img: np.ndarray, theta_deg, scale, shear) -> np.ndarray:
     reproduce the input exactly.
     """
     img = np.asarray(img, dtype=np.float64)
-    if img.ndim == 3:
-        return warp_image(img[None], [theta_deg], [scale], [shear])[0]
     if img.ndim != 4 or {np.shape(p) for p in (theta_deg, scale, shear)} != {img.shape[:1]}:
-        raise ValueError(f"expected a (c, h, w) image or a (B, c, h, w) batch with B "
-                         f"parameter triples, got shape {img.shape}")
+        raise ValueError(f"expected a (B, c, h, w) batch with B parameter triples, "
+                         f"got shape {img.shape}")
     b, c, h, w = img.shape
     inv = []  # inverse-map coefficients per image, in Python float arithmetic
     for t, s, sh in zip(theta_deg, scale, shear):
@@ -382,6 +375,19 @@ def _pack_header(magic: bytes, count: int, dims: tuple, m: int) -> bytes:
         + struct.pack(f"<{len(dims)}I", *dims)
         + struct.pack("<I", m)
     )
+
+
+def _fmt(value) -> str:
+    """A value's text in a run artifact; a float's repr reads back exactly."""
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):  # ``float(...)`` first: numpy scalars repr differently
+        return repr(float(value))
+    if isinstance(value, tuple):
+        return ",".join(_fmt(v) for v in value)
+    return str(value)
 
 
 def _write_atomic(path, data) -> None:

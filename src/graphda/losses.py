@@ -4,7 +4,7 @@ Three pieces, summed without coefficients into the training objective;
 the first two read one (B, B) squared-distance node of the joint batch:
 
 * ``mmd_loss``: squared kernel mean discrepancy w^T K w between the source
-  and target feature clouds, with a convex mixture of Gaussian kernels.
+  and target feature clouds, with an equal-weight mixture of Gaussian kernels.
 * ``feature_similarity_loss``: contrastive pull/push over labeled pairs
   inside a batch; same label attracts, different labels repel up to a
   margin on the squared distance.
@@ -38,28 +38,18 @@ MEDIAN_SCALES = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Convex combination of Gaussian kernels.
+    """Equal-weight mixture of kappa Gaussian kernels.
 
-    k(a, b) = sum_m weights[m] * exp(-||a-b||^2 / (2 * bandwidths[m]^2)),
-    with weights nonnegative and summing to 1.
+    k(a, b) = (1/kappa) sum_m exp(-||a-b||^2 / (2 * bandwidths[m]^2)).
     """
 
     bandwidths: tuple
-    weights: tuple
 
     def __post_init__(self):
         bw = tuple(float(s) for s in self.bandwidths)
-        w = tuple(float(b) for b in self.weights)
         object.__setattr__(self, "bandwidths", bw)
-        object.__setattr__(self, "weights", w)
-        if len(bw) != len(w) or not bw:
-            raise ValueError(f"{len(bw)} bandwidths vs {len(w)} weights")
-        if any(s <= 0 for s in bw):
-            raise ValueError(f"bandwidths must be positive, got {bw}")
-        if any(b < 0 for b in w):
-            raise ValueError(f"mixture weights must be nonnegative, got {w}")
-        if abs(sum(w) - 1.0) > 1e-9:
-            raise ValueError(f"mixture weights must sum to 1, got {sum(w)}")
+        if not bw or any(s <= 0 for s in bw):
+            raise ValueError(f"bandwidths must be one or more positive values, got {bw}")
 
     def kernel(self, sqdists: Tensor) -> Tensor:
         """Apply the mixture to a matrix of squared distances.
@@ -69,7 +59,7 @@ class KernelSpec:
         order, which fixes the bits of the loss and of every gradient.
         """
         coefs = tuple(-0.5 / (sigma * sigma) for sigma in self.bandwidths)
-        return gaussian_mixture(sqdists, coefs, self.weights)
+        return gaussian_mixture(sqdists, coefs, (1.0 / len(coefs),) * len(coefs))
 
     @classmethod
     def from_median_heuristic(cls, geom: PairGeometry, scales=MEDIAN_SCALES) -> "KernelSpec":
@@ -90,11 +80,7 @@ class KernelSpec:
                 stacklevel=2,
             )
             med = 1.0
-        kappa = len(scales)
-        return cls(
-            bandwidths=tuple(med * s for s in scales),
-            weights=(1.0 / kappa,) * kappa,
-        )
+        return cls(bandwidths=tuple(med * s for s in scales))
 
 
 @dataclass(frozen=True)
@@ -170,18 +156,16 @@ def total_loss(
     l_g: Tensor | None,
     l_ce: Tensor | None,
     *,
-    weights=None,
+    weights,
 ) -> tuple[Tensor, LossBreakdown]:
     """Weighted sum of the three terms, added as ``(mmd + g) + ce``.
 
-    ``weights`` (default all 1) exist for ablation runs only; the
-    objective itself carries no coefficients. Training builds no term
+    ``weights`` are ``TrainConfig.loss_weights``: all 1 is the paper's
+    objective, other values are ablations. Training builds no term
     whose weight is 0 and passes ``None`` for it: such a term adds
     nothing, reads ``0.0`` in the breakdown and so cannot make the total
     non-finite. With no term built the total is a constant 0.
     """
-    if weights is None:
-        weights = (1.0, 1.0, 1.0)
     terms = [None if t is None else t * float(w) for t, w in zip((l_mmd, l_g, l_ce), weights)]
     tm, tg, tc = (0.0 if t is None else float(t.data) for t in terms)
     built = [t for t in terms if t is not None]

@@ -43,6 +43,7 @@ __all__ = [
 
 CHECKPOINT_MAGIC = b"HDAP"
 CHECKPOINT_VERSION = 1
+_INFER_VALUES = 2 ** 14  # input values per inference chunk, which bound its activations' memory
 
 
 @dataclass(frozen=True)
@@ -148,10 +149,10 @@ class Model:
             )
         return x
 
-    def chunks(self, n: int, chunk: int | None = None) -> list:
-        """Row slices for inference over ``n`` rows; by default each holds at
-        most 2**14 input values, which bounds the memory of a chunk's activations."""
-        step = chunk or max(1, 2 ** 14 // math.prod(self.config.input_dims))
+    def chunks(self, n: int) -> list:
+        """Row slices for inference over ``n`` rows, each of at most
+        ``_INFER_VALUES`` input values (or one row, if a row holds more)."""
+        step = max(1, _INFER_VALUES // math.prod(self.config.input_dims))
         return [slice(lo, lo + step) for lo in range(0, n, step)]
 
     def backbone_forward(self, features) -> Tensor:
@@ -190,7 +191,7 @@ class Model:
         turns them into probabilities and training's loss reads them raw."""
         return add(matmul(f, self.params["fc2/w"]), self.params["fc2/b"])
 
-    def infer(self, features, chunk: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def infer(self, features) -> tuple[np.ndarray, np.ndarray]:
         """Graph-free inference over any number of rows: the (N, phi_dim)
         backbone features and the (N, m) class probabilities as float64
         arrays. Rows run in ``chunks`` only to bound memory; the
@@ -201,7 +202,7 @@ class Model:
         phi = [np.empty((0, self.config.phi_dim))]
         probs = [np.empty((0, self.config.num_classes))]
         with no_trace():
-            for rows in self.chunks(x.shape[0], chunk):
+            for rows in self.chunks(x.shape[0]):
                 p = self.backbone_forward(x[rows])
                 phi.append(p.data)
                 logits = self.classify(self.gnn_forward(p, None)).data

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import _write_atomic
+from .datasets import _fmt, _write_atomic
 
 __all__ = [
     "PseudoState",
@@ -101,12 +101,12 @@ def pseudo_coverage(state: PseudoState) -> float:
 def write_pseudo_csv(path, state: PseudoState) -> None:
     """Dump the snapshot for label-drift auditing.
 
-    Floats are written with repr so files are byte-stable across runs
-    and parse back to the exact same value.
+    Confidences are written by ``_fmt`` so files are byte-stable across
+    runs and parse back to the exact same value.
     """
     lines = ["sample_id,label,confidence,epoch"]
     for i in range(state.labels.shape[0]):
         lines.append(
-            f"{i},{state.labels[i]},{repr(float(state.confidence[i]))},{state.epoch}"
+            f"{i},{state.labels[i]},{_fmt(state.confidence[i])},{state.epoch}"
         )
     _write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import backward, pairwise_sqdist
-from .datasets import (Batch, DataFormatError, Dataset, TwoDomainSampler, _write_atomic,
+from .datasets import (Batch, DataFormatError, Dataset, TwoDomainSampler, _fmt, _write_atomic,
                        normalize, warp_image)
 from .graphs import BatchGraph, build_graph, edge_stats, pair_distances, percentile_threshold
 from .losses import (
@@ -133,9 +133,13 @@ class TrainConfig:
             raise ValueError(f"loss_weights must be 3 nonnegative finite values, got {self.loss_weights}")
         if self.warmup_epochs < 0 or self.seed < 0 or self.positive_class < 0:
             raise ValueError("warmup_epochs, seed and positive_class must be nonnegative")
-        # the model's own width checks, so a bad width fails before any output
-        ModelConfig(input_dims=(1,), num_classes=2, hidden=self.hidden, phi_dim=self.phi_dim,
-                    backbone_hidden=self.backbone_hidden, conv_channels=self.conv_channels)
+        self.model_config((1,), 2)  # the model's own width checks, before any output
+
+    def model_config(self, input_dims: tuple, num_classes: int) -> ModelConfig:
+        """The architecture these widths give over the data's shape and classes."""
+        return ModelConfig(input_dims=input_dims, num_classes=num_classes, hidden=self.hidden,
+                           phi_dim=self.phi_dim, backbone_hidden=self.backbone_hidden,
+                           conv_channels=self.conv_channels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,37 +171,30 @@ METRICS_COLUMNS = ",".join(f.name for f in fields(EpochMetrics))
 STEPS_COLUMNS = ",".join(["step", *(f.name for f in fields(LossBreakdown)), "pseudo_count"])
 
 
-def _f(x) -> str:
-    return repr(float(x))
-
-
 def _csv_fields(record) -> list:
-    """A record's values in field order, floats through ``_f``."""
-    values = (getattr(record, f.name) for f in fields(record))
-    return [_f(v) if isinstance(v, float) else v for v in values]
+    """A record's values in field order, in their ``_fmt`` text."""
+    return [_fmt(getattr(record, f.name)) for f in fields(record)]
 
 
 class Adam:
     """Adam with coupled L2 decay: grad += wd * param before the moments.
 
-    beta1=0.9, beta2=0.999, eps=1e-8, bias correction on. The moments
-    and a step's scratch are flat float64 arrays over all registered
+    Fixed BETA1=0.9, BETA2=0.999 and EPS=1e-8, bias correction on. The
+    moments and a step's scratch are flat float64 arrays over all registered
     tensors: a step is one run of in-place element-wise operations, in
     the order of the per-parameter update, so its bits are that update's.
     Each parameter's ``data`` then becomes its slice of a new flat array.
     Parameters with zero gradient and zero decay stay bit-identical.
     """
 
-    def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8,
-                 weight_decay=0.0):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr=0.001, weight_decay=0.0):
         self.params = list(params)  # (name, Tensor) pairs
         names = [n for n, _ in self.params]
         if len(names) != len(set(names)):
             raise ValueError("duplicate parameter registered")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         bounds = np.cumsum([0] + [p.data.size for _, p in self.params]).tolist()
@@ -212,24 +209,24 @@ class Adam:
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - self.BETA1 ** t
+        bc2 = 1.0 - self.BETA2 ** t
         data, g, tmp, m, v = self._data, self._g, self._tmp, self._m, self._v
         for p, lo, hi in self._spans:
             data[lo:hi] = p.data.ravel()
             g[lo:hi] = 0.0 if p.grad is None else p.grad.ravel()
         if self.weight_decay:
             g += np.multiply(data, self.weight_decay, out=tmp)
-        m *= self.beta1
-        m += np.multiply(g, 1.0 - self.beta1, out=tmp)
-        v *= self.beta2
-        tmp = np.multiply(g, 1.0 - self.beta2, out=tmp)
+        m *= self.BETA1
+        m += np.multiply(g, 1.0 - self.BETA1, out=tmp)
+        v *= self.BETA2
+        tmp = np.multiply(g, 1.0 - self.BETA2, out=tmp)
         tmp *= g
         v += tmp
         update = np.divide(m, bc1, out=g)  # lr * m_hat / (sqrt(v_hat) + eps)
         update *= self.lr
         denom = np.sqrt(np.divide(v, bc2, out=tmp), out=tmp)
-        denom += self.eps
+        denom += self.EPS
         update /= denom
         new = data - update
         for p, lo, hi in self._spans:
@@ -399,15 +396,14 @@ def train(
         eval_labels = np.asarray(eval_labels, dtype=np.int64)
         if eval_labels.shape != (len(target),):
             raise ValueError("eval labels do not match the target set")
+        if eval_labels.size and not 0 <= eval_labels.min() <= eval_labels.max() < target.num_classes:
+            raise ValueError(f"eval labels must be known classes in [0, {target.num_classes})")
 
     init_ss, sampler_ss, augment_ss = np.random.SeedSequence(config.seed).spawn(3)
     augment_rng = np.random.default_rng(augment_ss)
     source, src_stats = normalize(source)
     target, tgt_stats = normalize(target)
-    model_cfg = ModelConfig(input_dims=source.feature_dims, num_classes=source.num_classes,
-                            hidden=config.hidden, phi_dim=config.phi_dim,
-                            backbone_hidden=config.backbone_hidden,
-                            conv_channels=config.conv_channels)
+    model_cfg = config.model_config(source.feature_dims, source.num_classes)
     model = Model.init(model_cfg, np.random.default_rng(init_ss))
     adam = Adam(model.parameters(), lr=config.lr, weight_decay=config.weight_decay)
     sampler = TwoDomainSampler(source, target, config.batch_size, np.random.default_rng(sampler_ss))
@@ -444,7 +440,8 @@ def train(
                 labels[half:] = pseudo.labels[batch.ids[half:]]  # all -1 until the first refresh
                 breakdown, graph = train_step(model, adam, config, batch, labels, augment_rng)
                 if not np.isfinite(breakdown.l_total):
-                    _dump_divergence(run_dir, epoch, step, breakdown, batch)
+                    if run_dir is not None:
+                        _dump_divergence(run_dir / "divergence.txt", epoch, step, breakdown, batch)
                     raise DivergenceError(
                         f"non-finite loss at epoch {epoch}, step {step}: "
                         f"mmd={breakdown.l_mmd} g={breakdown.l_g} ce={breakdown.l_ce}"
@@ -484,9 +481,7 @@ def train(
     return model, history
 
 
-def _dump_divergence(run_dir, epoch, step, breakdown, batch) -> None:
-    if run_dir is None:
-        return
+def _dump_divergence(path, epoch, step, breakdown, batch) -> None:
     lines = [
         f"epoch={epoch} step={step}",
         f"l_mmd={breakdown.l_mmd} l_g={breakdown.l_g} l_ce={breakdown.l_ce} "
@@ -494,7 +489,7 @@ def _dump_divergence(run_dir, epoch, step, breakdown, batch) -> None:
         "source_ids=" + ",".join(map(str, batch.ids[:batch.source_count])),
         "target_ids=" + ",".join(map(str, batch.ids[batch.source_count:])),
     ]
-    (Path(run_dir) / "divergence.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 # -- embedding export ------------------------------------------------------------
@@ -546,7 +541,7 @@ def export_embeddings(
     pooled = np.concatenate([phi_source, phi_target])
     _, proj = pca_2d(pooled)
 
-    values = pooled.astype(np.float64, copy=False)  # tolist() then yields what _f reprs
+    values = pooled.astype(np.float64, copy=False)  # tolist() then yields what _fmt reprs
 
     def rows():  # one encoded line at a time: no whole-file text is held
         yield ("epoch,id,domain,label," + ",".join(f"phi_{k}" for k in range(pooled.shape[1]))
@@ -556,7 +551,7 @@ def export_embeddings(
             for i, label in enumerate(labels):
                 yield (f"{epoch},{i},{dom},{label},"
                        + ",".join(map(repr, values[row].tolist()))
-                       + f",{_f(proj[row, 0])},{_f(proj[row, 1])}\n").encode("utf-8")
+                       + f",{_fmt(proj[row, 0])},{_fmt(proj[row, 1])}\n").encode("utf-8")
                 row += 1
 
     _write_atomic(path, rows())

@@ -113,7 +113,7 @@ def test_criterion_1_gradient_suite():
 
 
 def test_criterion_2_mmd_oracles():
-    gauss1 = KernelSpec(bandwidths=(1.0,), weights=(1.0,))
+    gauss1 = KernelSpec(bandwidths=(1.0,))
 
     rng = np.random.default_rng(0)
     x = rng.normal(size=(8, 3))

@@ -28,6 +28,7 @@ from graphda.cli import (
     main,
 )
 from graphda.datasets import (
+    Batch,
     Dataset,
     Domain,
     read_dataset,
@@ -36,9 +37,10 @@ from graphda.datasets import (
     write_label_file,
 )
 from graphda.graphs import edge_stats
+from graphda.losses import LossBreakdown
 from graphda.model import Model, load_checkpoint, save_checkpoint
 from graphda.pseudo import PseudoState, write_pseudo_csv
-from graphda.training import TrainConfig, export_embeddings
+from graphda.training import TrainConfig, _dump_divergence, export_embeddings
 from geometry import graph_of, threshold_of
 
 scipy_stats = pytest.importorskip("scipy.stats")
@@ -974,6 +976,8 @@ ARTIFACT_WRITERS = {
     "dataset": lambda path, v: write_dataset(path, Dataset(np.full((2, 3), v), np.zeros(2), Domain.SOURCE, 2)),
     "embeddings": lambda path, v: export_embeddings(path, np.full((3, 2), v), np.eye(2), [0, 1, 0], [-1, 1],
                                                     epoch=1),
+    "divergence": lambda path, v: _dump_divergence(path, 1, 2, LossBreakdown(v, v, v, v),
+                                                   Batch(np.zeros((2, 1)), np.zeros(2), np.arange(2), 1)),
 }
 
 

@@ -95,20 +95,25 @@ class TestNormalize:
     def test_reusing_stored_stats(self):
         stats = NormStats(mean=np.array([10.0]), std=np.array([2.0]))
         ds = _dataset([[12.0], [8.0]], [0, 1])
-        out, back = normalize(ds, stats)
-        assert back is stats
-        assert np.array_equal(out.features[:, 0], [1.0, -1.0])
+        assert np.array_equal(stats.apply(ds.features)[:, 0], [1.0, -1.0])
+        out, own = normalize(ds)
+        assert np.array_equal(own.apply(ds.features), out.features)
+
+
+def _warp_one(img, theta, scale, shear):
+    """``warp_image`` of one (c, h, w) image, as a one-image batch."""
+    return warp_image(img[None], [theta], [scale], [shear])[0]
 
 
 class TestWarpImage:
     def test_identity_is_exact(self):
         rng = np.random.default_rng(3)
         img = rng.normal(size=(2, 7, 6))
-        assert np.array_equal(warp_image(img, 0.0, 1.0, 0.0), img)
+        assert np.array_equal(_warp_one(img, 0.0, 1.0, 0.0), img)
 
     def test_quarter_turn_permutes_pixels(self):
         img = np.array([[[1.0, 2.0], [3.0, 4.0]]])  # a,b,c,d
-        got = warp_image(img, 90.0, 1.0, 0.0)
+        got = _warp_one(img, 90.0, 1.0, 0.0)
         assert np.allclose(got, [[[2.0, 4.0], [1.0, 3.0]]], atol=1e-12)
 
     def test_four_quarter_turns_return_home(self):
@@ -116,13 +121,13 @@ class TestWarpImage:
         img = rng.normal(size=(1, 5, 5))
         out = img
         for _ in range(4):
-            out = warp_image(out, 90.0, 1.0, 0.0)
+            out = _warp_one(out, 90.0, 1.0, 0.0)
         assert np.allclose(out, img, atol=1e-9)
 
     def test_reflect_padding_keeps_value_range(self):
         rng = np.random.default_rng(5)
         img = rng.uniform(0.0, 1.0, size=(1, 6, 6))
-        out = warp_image(img, 25.0, 0.7, 0.08)  # zoom out pulls beyond borders
+        out = _warp_one(img, 25.0, 0.7, 0.08)  # zoom out pulls beyond borders
         assert np.isfinite(out).all()
         assert out.min() >= img.min() - 1e-12
         assert out.max() <= img.max() + 1e-12
@@ -130,12 +135,14 @@ class TestWarpImage:
     def test_rejects_non_image(self):
         with pytest.raises(ValueError):
             warp_image(np.zeros((4, 4)), 10.0, 1.0, 0.0)
+        with pytest.raises(ValueError):  # one unbatched image
+            warp_image(np.zeros((1, 4, 4)), [10.0], [1.0], [0.0])
 
     def test_batch_bit_equal_to_per_image_loop(self):
         rng = np.random.default_rng(9)
         imgs = rng.normal(size=(6, 2, 7, 5)) * 10.0 ** rng.uniform(-8, 8, (6, 2, 7, 5))
         theta, scale, shear = rng.uniform(-30, 30, 6), rng.uniform(0.7, 1.3, 6), rng.uniform(-0.2, 0.2, 6)
-        loop = np.stack([warp_image(imgs[i], theta[i], scale[i], shear[i]) for i in range(6)])
+        loop = np.stack([_warp_one(imgs[i], theta[i], scale[i], shear[i]) for i in range(6)])
         batch = warp_image(imgs, theta, scale, shear)
         assert np.array_equal(batch.view(np.int64), loop.view(np.int64))
 

@@ -21,26 +21,22 @@ def t(x):
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
-GAUSS1 = KernelSpec(bandwidths=(1.0,), weights=(1.0,))
+GAUSS1 = KernelSpec(bandwidths=(1.0,))
 
 
 class TestKernelSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
-            KernelSpec(bandwidths=(1.0, -1.0), weights=(0.5, 0.5))
+            KernelSpec(bandwidths=(1.0, -1.0))
         with pytest.raises(ValueError):
-            KernelSpec(bandwidths=(1.0, 2.0), weights=(0.5, 0.6))
-        with pytest.raises(ValueError):
-            KernelSpec(bandwidths=(1.0, 2.0), weights=(1.5, -0.5))
-        with pytest.raises(ValueError):
-            KernelSpec(bandwidths=(1.0, 2.0), weights=(1.0,))
-        with pytest.raises(ValueError):
-            KernelSpec(bandwidths=(), weights=())
+            KernelSpec(bandwidths=())
 
     def test_kappa_and_defaults(self):
         spec = kernels_of(np.eye(3))
         assert len(spec.bandwidths) == len(MEDIAN_SCALES) == 5
-        assert spec.weights == (0.2,) * 5
+        # an equal-weight mixture: 1 at distance 0, the mean of the five exps elsewhere
+        want = [1.0, np.mean([math.exp(-0.5 / s ** 2) for s in spec.bandwidths])]
+        assert np.allclose(spec.kernel(t([[0.0, 1.0]])).data, [want], rtol=1e-15, atol=0)
 
     def test_median_heuristic_known_value(self):
         # collinear 0,1,2,3: pair distances {1,1,1,2,2,3}, median 1.5
@@ -95,10 +91,10 @@ class TestMMD:
         rng = np.random.default_rng(3)
         a, b = rng.normal(size=(6, 2)), rng.normal(size=(5, 2))
         sigmas = (0.5, 1.0, 2.0)
-        multi = KernelSpec(bandwidths=sigmas, weights=(1 / 3,) * 3)
+        multi = KernelSpec(bandwidths=sigmas)
         got = float(mmd_of(t(a), t(b), multi).data)
         parts = [
-            float(mmd_of(t(a), t(b), KernelSpec(bandwidths=(s,), weights=(1.0,))).data)
+            float(mmd_of(t(a), t(b), KernelSpec(bandwidths=(s,))).data)
             for s in sigmas
         ]
         assert got == pytest.approx(sum(parts) / 3, abs=1e-12)
@@ -123,7 +119,7 @@ class TestMMD:
         rng = np.random.default_rng(5)
         a = rng.normal(size=(4, 3))
         b = rng.normal(size=(5, 3))
-        spec = KernelSpec(bandwidths=(0.7, 1.3), weights=(0.4, 0.6))
+        spec = KernelSpec(bandwidths=(0.7, 1.3))
         assert grad_check(lambda x: mmd_of(x, t(b), spec), t(a)).passed
         assert grad_check(lambda x: mmd_of(t(a), x, spec), t(b)).passed
 
@@ -296,12 +292,12 @@ class TestCrossEntropy:
 
 class TestTotalLoss:
     def test_plain_sum(self):
-        tot, bd = total_loss(t(0.5), t(0.25), t(0.25))
+        tot, bd = total_loss(t(0.5), t(0.25), t(0.25), weights=(1.0, 1.0, 1.0))
         assert float(tot.data) == 1.0
         assert bd == LossBreakdown(0.5, 0.25, 0.25, 1.0)
 
     def test_zero_term_drops_out(self):
-        tot, bd = total_loss(t(0.0), t(0.3), t(0.4))
+        tot, bd = total_loss(t(0.0), t(0.3), t(0.4), weights=(1.0, 1.0, 1.0))
         assert float(tot.data) == pytest.approx(0.7, abs=1e-15)
         assert bd.l_mmd == 0.0
 
@@ -309,7 +305,7 @@ class TestTotalLoss:
         rng = np.random.default_rng(23)
         for _ in range(30):
             a, b, c = rng.normal(size=3)
-            _, bd = total_loss(t(a), t(b), t(c))
+            _, bd = total_loss(t(a), t(b), t(c), weights=(1.0, 1.0, 1.0))
             assert abs(bd.l_total - (bd.l_mmd + bd.l_g + bd.l_ce)) <= 1e-12
 
     def test_ablation_weights(self):
@@ -325,7 +321,7 @@ class TestTotalLoss:
         assert repr(bd.l_mmd) == "-0.0"  # a built term keeps its own bits, weight 0 or not
         _, bd = total_loss(t(float("nan")), None, t(0.5), weights=(0.0, 0.0, 1.0))
         assert math.isnan(bd.l_total)  # only a term that is not built cannot diverge
-        tot, bd = total_loss(None, None, None)
+        tot, bd = total_loss(None, None, None, weights=(1.0, 1.0, 1.0))
         assert float(tot.data) == 0.0 and bd == LossBreakdown(0.0, 0.0, 0.0, 0.0)
         backward(tot)  # a weight-decay-only step still has a total to differentiate
 
@@ -339,14 +335,14 @@ class TestTotalLoss:
             l_mmd = mmd_of(x, t(b), GAUSS1)
             l_g = separation_of(x, lab)
             l_ce = cross_entropy_loss(x, [0, 1, -1, 0])
-            return total_loss(l_mmd, l_g, l_ce)[0]
+            return total_loss(l_mmd, l_g, l_ce, weights=(1.0, 1.0, 1.0))[0]
 
         assert grad_check(composite, t(x0)).passed
 
         x1, x2, x3, x4 = (t(x0) for _ in range(4))
         backward(total_loss(mmd_of(x1, t(b), GAUSS1),
                             separation_of(x1, lab),
-                            cross_entropy_loss(x1, [0, 1, -1, 0]))[0])
+                            cross_entropy_loss(x1, [0, 1, -1, 0]), weights=(1.0, 1.0, 1.0))[0])
         backward(mmd_of(x2, t(b), GAUSS1))
         backward(separation_of(x3, lab))
         backward(cross_entropy_loss(x4, [0, 1, -1, 0]))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import graphda.model
 from graphda.autodiff import ShapeError, Tensor
 from graphda.datasets import DataFormatError
 from graphda.graphs import BatchGraph
@@ -176,19 +177,20 @@ class TestInfer:
         assert np.array_equal(probs, probs_inf)
 
     @pytest.mark.parametrize("dims", [(3,), (2, 6, 6)])
-    def test_bit_equal_to_traced_pass(self, dims):
+    def test_bit_equal_to_traced_pass(self, dims, monkeypatch):
         cfg = ModelConfig(input_dims=dims, num_classes=3, hidden=5, phi_dim=4,
                           backbone_hidden=4, conv_channels=(3, 4))
         model = Model.init(cfg, np.random.default_rng(19))
         x = np.random.default_rng(20).normal(size=(20, *dims))
+        monkeypatch.setattr(graphda.model, "_INFER_VALUES", 7 * x[0].size)  # 7-row chunks
         phi, probs = [], []
-        for rows in model.chunks(20, 7):
+        for rows in model.chunks(20):
             p = model.backbone_forward(x[rows])
             f = model.gnn_forward(p, None)
             phi.append(p.data)
             probs.append(_softmax(model.classify(f).data))
             assert p._parents and f._parents  # the reference pass is traced
-        for got, want in zip(model.infer(x, 7), (np.concatenate(phi), np.concatenate(probs))):
+        for got, want in zip(model.infer(x), (np.concatenate(phi), np.concatenate(probs))):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_independent_of_batch_composition(self):
@@ -217,7 +219,7 @@ class TestEndToEndGradient:
         x0 = rng.normal(size=(6, 3))
         labels = np.array([0, 1, 2, -1, 2, -1])
         graph = graph_of(model.backbone_forward(x0).data, 3.0)
-        kernels = KernelSpec(bandwidths=(0.8, 1.6), weights=(0.5, 0.5))
+        kernels = KernelSpec(bandwidths=(0.8, 1.6))
 
         def loss_from(x):
             phi = model.backbone_forward(x)
@@ -226,7 +228,7 @@ class TestEndToEndGradient:
             l_mmd = mmd_of(phi, phi * 0.5 + 0.3, kernels)
             l_g = separation_of(f, labels)
             l_ce = cross_entropy_loss(logits, labels)
-            return total_loss(l_mmd, l_g, l_ce)[0]
+            return total_loss(l_mmd, l_g, l_ce, weights=(1.0, 1.0, 1.0))[0]
 
         assert grad_check(loss_from, t(x0), tol=1e-5).passed
 

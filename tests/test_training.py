@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import graphda.autodiff
+import graphda.model
 import graphda.training
 from graphda.autodiff import Tensor
 from graphda.datasets import (Dataset, Domain, ShiftConfig, TwoDomainSampler, gen_synthetic_shift,
@@ -239,12 +240,14 @@ def test_evaluate_always_positive_on_balanced_gives_half():
     assert ev.accuracy == 0.5
 
 
-def test_evaluate_matches_per_sample_oracle():
+def test_evaluate_matches_per_sample_oracle(monkeypatch):
     model = small_model(seed=5, num_classes=3)
     rng = np.random.default_rng(6)
     feats = rng.normal(size=(25, 3))
     labels = rng.integers(0, 3, size=25)
-    ev = evaluate(model.infer(feats, chunk=4)[1], labels, positive_class=2)
+    with monkeypatch.context() as m:
+        m.setattr(graphda.model, "_INFER_VALUES", 4 * 3)  # 4-row chunks
+        ev = evaluate(model.infer(feats)[1], labels, positive_class=2)
     confusion = np.zeros((3, 3), dtype=np.int64)
     for i in range(25):
         pred = int(np.argmax(model.infer(feats[i:i + 1])[1][0]))
@@ -255,7 +258,7 @@ def test_evaluate_matches_per_sample_oracle():
     assert ev.precision == (confusion[2, 2] / col if col else 0.0)
 
 
-def test_inference_chunk_size_changes_no_bit():
+def test_inference_chunk_size_changes_no_bit(monkeypatch):
     # the default widths; a one-row chunk is a BLAS gemv and a 7-row chunk ends in
     # edge kernels, which round some last bits differently, so those only match closely
     model = Model.init(ModelConfig(input_dims=(1, 16, 16), num_classes=2),
@@ -263,9 +266,16 @@ def test_inference_chunk_size_changes_no_bit():
     n = 150
     assert len(model.chunks(n)) == 3  # 64 rows of 2**14 input values by default
     feats = np.random.default_rng(41).normal(size=(n, 1, 16, 16))
-    want = model.infer(feats, chunk=n)
+
+    def infer(chunk):  # chunks of ``chunk`` rows, or the default
+        with monkeypatch.context() as m:
+            if chunk is not None:
+                m.setattr(graphda.model, "_INFER_VALUES", chunk * 16 * 16)
+            return model.infer(feats)
+
+    want = infer(n)
     for chunk in (None, 32, 512, 1, 7):
-        got = model.infer(feats, chunk=chunk)
+        got = infer(chunk)
         for a, b in zip(got, want):
             if chunk in (1, 7):
                 assert np.allclose(a, b, rtol=1e-12, atol=0), chunk
@@ -553,8 +563,7 @@ def test_one_target_pass_per_weight_state(monkeypatch):
     src, tgt, ev = shift_data(seed=16)
     rows = []
     infer = Model.infer
-    monkeypatch.setattr(Model, "infer", lambda self, f, chunk=None: (
-        rows.append(len(f)), infer(self, f, chunk))[1])
+    monkeypatch.setattr(Model, "infer", lambda self, f: (rows.append(len(f)), infer(self, f))[1])
     cfg = tiny_cfg(epochs=3, warmup_epochs=0)
     train(cfg, src, tgt, eval_labels=ev)
     assert rows == [len(tgt)] * (3 + 1)  # one refresh per epoch, then the last evaluation
@@ -596,6 +605,16 @@ def test_train_rejects_mismatched_domains():
         train(tiny_cfg(), src, bad_tgt)
     with pytest.raises(ValueError, match="eval labels"):
         train(tiny_cfg(), src, tgt, eval_labels=ev[:-1])
+
+
+@pytest.mark.parametrize("bad", [7, -1])
+def test_train_rejects_eval_labels_outside_the_classes_before_any_output(tmp_path, bad):
+    src, tgt, ev = shift_data(seed=18)
+    ev = ev.copy()
+    ev[5] = bad
+    with pytest.raises(ValueError, match=r"eval labels must be known classes in \[0, 2\)"):
+        train(tiny_cfg(), src, tgt, eval_labels=ev, run_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_rejects_a_positive_class_outside_the_data(tmp_path):
@@ -713,7 +732,7 @@ def test_augment_batch_is_one_warp_equal_to_per_image_loop(monkeypatch):
     want = []
     for img in feats:
         theta, scale, shear = rng.uniform(-30.0, 30.0), rng.uniform(0.9, 1.1), rng.uniform(-0.1, 0.1)
-        want.append(warp_image(img, theta, scale, shear))
+        want.append(warp_image(img[None], [theta], [scale], [shear])[0])
     assert calls == [feats.shape]
     assert np.array_equal(got.view(np.int64), np.stack(want).view(np.int64))
 
