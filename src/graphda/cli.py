@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import sys
-from importlib import metadata
 from pathlib import Path
 
 import numpy as np
@@ -53,11 +53,19 @@ class UsageError(Exception):
     """Bad arguments or preconditions; maps to exit code 2."""
 
 
+@functools.cache
 def _version() -> str:
+    from importlib import metadata  # imported here: it pulls in email and socket
     try:
         return metadata.version("graphda")
     except metadata.PackageNotFoundError:
         return "0.0.0"
+
+
+class _PrintVersion(argparse.Action):
+    def __call__(self, parser, *_):  # the version is read only when --version is given
+        print(f"{parser.prog} {_version()}")
+        parser.exit()
 
 
 # -- config value round-trip ---------------------------------------------------
@@ -417,12 +425,14 @@ def _add_config_flags(parser) -> None:
         g.add_argument(f.metadata["flag"] or "--" + name.replace("_", "-"), **kw)
 
 
+@functools.cache  # parsing leaves no state in the parser, so one serves every main call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphda",
         description="Unsupervised domain adaptation with batch graphs and pseudo-labels.",
     )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {_version()}")
+    parser.add_argument("--version", action=_PrintVersion, nargs=0,
+                        help="show program's version number and exit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic source/target pair")
@@ -442,7 +452,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="target noise rescale (1.0)")
     gen.add_argument("--seed", type=int, default=0, help="generator seed (0)")
     gen.add_argument("--force", action="store_true", help="overwrite existing output files")
-    gen.set_defaults(func=cmd_gen)
 
     tr = sub.add_parser("train", help="run the adaptation loop, writing all run artifacts")
     tr.add_argument("--source", required=True, help="labeled source dataset file")
@@ -452,7 +461,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--force", action="store_true", help="write into a non-empty run directory")
     tr.add_argument("--config", help="flat key=value config file; flags override it")
     _add_config_flags(tr)
-    tr.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("eval", help="score a checkpoint on a labeled target set")
     ev.add_argument("--checkpoint", required=True, help="checkpoint file to score")
@@ -460,7 +468,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--labels", required=True, help="ground-truth sidecar for the target file")
     ev.add_argument("--out", default="eval.csv", help="CSV file the result row is appended to")
     ev.add_argument("--json", action="store_true", help="print the result as JSON")
-    ev.set_defaults(func=cmd_eval)
 
     ex = sub.add_parser("export", help="dump per-sample embeddings and edge statistics")
     ex.add_argument("--checkpoint", required=True, help="checkpoint file to export from")
@@ -470,7 +477,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--out", required=True, help="output directory (created if missing)")
     ex.add_argument("--epsilon", type=float, default=0.97,
                     help="confidence gate for the exported pseudo-labels (0.97)")
-    ex.set_defaults(func=cmd_export)
     return parser
 
 
@@ -484,7 +490,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse has already printed its message
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)  # by name at each call: wrappers apply
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

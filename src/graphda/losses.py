@@ -125,7 +125,7 @@ def feature_similarity_loss(sqdists: Tensor, labels, margin: float = 2.0) -> Ten
         raise ValueError(f"labels shape {lab.shape} does not match batch size {b}")
     known = lab != -1
     both = known[:, None] & known[None, :]
-    both &= np.triu(np.ones((b, b), dtype=bool), k=1)
+    both &= ~np.tri(b, dtype=bool)  # strict upper triangle: pairs i < j
     same = (both & (lab[:, None] == lab[None, :])).astype(np.float64)
     diff = (both & (lab[:, None] != lab[None, :])).astype(np.float64)
     count = int(both.sum())

@@ -104,9 +104,6 @@ def write_pseudo_csv(path, state: PseudoState) -> None:
     Confidences are written by ``_fmt`` so files are byte-stable across
     runs and parse back to the exact same value.
     """
-    lines = ["sample_id,label,confidence,epoch"]
-    for i in range(state.labels.shape[0]):
-        lines.append(
-            f"{i},{state.labels[i]},{_fmt(state.confidence[i])},{state.epoch}"
-        )
-    _write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    rows = (f"{i},{label},{_fmt(conf)},{state.epoch}"
+            for i, (label, conf) in enumerate(zip(state.labels.tolist(), state.confidence.tolist())))
+    _write_atomic(path, "\n".join(["sample_id,label,confidence,epoch", *rows, ""]).encode("utf-8"))

@@ -236,6 +236,16 @@ class Adam:
 # -- evaluation ------------------------------------------------------------------
 
 
+def _class_labels(labels, num_classes: int, what: str) -> np.ndarray:
+    """``labels`` as int64 classes in [0, num_classes), refusing non-integers such as 1.7 or NaN."""
+    raw = np.asarray(labels)
+    with np.errstate(invalid="ignore"):  # a NaN casts to garbage, which the check below refuses
+        lab = raw.astype(np.int64)
+    if np.any((lab != raw) | (lab < 0) | (lab >= num_classes)):
+        raise ValueError(f"{what} must be known classes in [0, {num_classes})")
+    return lab
+
+
 def evaluate(probs: np.ndarray, labels, *, positive_class: int = 1) -> EvalMetrics:
     """Metrics of the (N, m) inference probabilities (``Model.infer``)
     against ground-truth labels; the prediction is the argmax, ties to
@@ -244,13 +254,11 @@ def evaluate(probs: np.ndarray, labels, *, positive_class: int = 1) -> EvalMetri
     Precision is TP/(TP+FP) for ``positive_class``; if the model never
     predicts it, precision is reported as 0 with the flag cleared.
     """
-    lab = np.asarray(labels, dtype=np.int64)
+    m = probs.shape[1]
+    lab = _class_labels(labels, m, "evaluation labels")
     n = lab.shape[0]
     if probs.shape[0] != n:
         raise ValueError(f"{probs.shape[0]} probability rows but {n} labels")
-    m = probs.shape[1]
-    if lab.size and (lab.min() < 0 or lab.max() >= m):
-        raise ValueError("evaluation labels must be known classes in [0, m)")
     if not 0 <= positive_class < m:
         raise ValueError(f"positive class {positive_class} outside [0, {m})")
     pred = np.argmax(probs, axis=1)
@@ -393,11 +401,9 @@ def train(
     """
     _check_inputs(config, source, target)
     if eval_labels is not None:
-        eval_labels = np.asarray(eval_labels, dtype=np.int64)
+        eval_labels = _class_labels(eval_labels, target.num_classes, "eval labels")
         if eval_labels.shape != (len(target),):
             raise ValueError("eval labels do not match the target set")
-        if eval_labels.size and not 0 <= eval_labels.min() <= eval_labels.max() < target.num_classes:
-            raise ValueError(f"eval labels must be known classes in [0, {target.num_classes})")
 
     init_ss, sampler_ss, augment_ss = np.random.SeedSequence(config.seed).spawn(3)
     augment_rng = np.random.default_rng(augment_ss)
@@ -418,7 +424,7 @@ def train(
 
     pseudo = PseudoState(labels=np.full(len(target), -1, dtype=np.int64),
                          confidence=np.zeros(len(target)), epoch=0, epsilon=config.epsilon)
-    history, step = [], 0
+    history, step, written = [], 0, None
     probs = None  # target probabilities under the current weights, None once stale
 
     def target_probs():
@@ -454,8 +460,9 @@ def train(
                 if steps_csv is not None:
                     steps_csv.row([step, *_csv_fields(breakdown), int((labels[half:] != -1).sum())])
 
-            if run_dir is not None:
+            if run_dir is not None and pseudo is not written:  # only a refresh changes the file
                 write_pseudo_csv(run_dir / "pseudo.csv", pseudo)
+                written = pseudo
             if eval_labels is not None:
                 ev = evaluate(target_probs(), eval_labels, positive_class=config.positive_class)
                 precision, accuracy = ev.precision, ev.accuracy

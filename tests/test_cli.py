@@ -95,6 +95,7 @@ def test_gen_writes_both_domains_and_sidecar(data_dir):
     assert (target.labels == -1).all()
     manifest = read_manifest(data_dir / "manifest.txt")
     assert manifest["command"] == "gen"
+    assert manifest["version"] == cli._version()
     assert manifest["gen.per_class"] == "30"
     assert len(manifest["digest.source"]) == 64
 
@@ -204,6 +205,7 @@ def test_train_smoke_artifacts(run_dir):
 def test_manifest_written_with_resolved_config(run_dir):
     manifest = read_manifest(run_dir / "manifest.txt")
     assert manifest["command"] == "train"
+    assert manifest["version"] == cli._version()
     assert manifest["config.epochs"] == "2"
     assert manifest["config.batch_size"] == "8"
     assert manifest["config.lr"] == "0.001"          # untouched default, materialized
@@ -962,7 +964,34 @@ def test_no_subcommand_is_usage_error(capsys):
 
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
-    assert "graphda" in capsys.readouterr().out
+    assert capsys.readouterr() == (f"graphda {cli._version()}\n", "")
+
+
+def test_main_calls_build_the_parser_once(monkeypatch, capsys):
+    cli._build_parser.cache_clear()
+    builds = []
+    real = cli._add_config_flags
+    monkeypatch.setattr(cli, "_add_config_flags", lambda parser: (builds.append(parser), real(parser)))
+    assert main(["--version"]) == 0
+    assert main([]) == 2
+    assert len(builds) == 1
+    capsys.readouterr()
+
+
+def test_commands_are_looked_up_at_each_call(monkeypatch):
+    cli._build_parser()  # built before the command is replaced, as when a tracer wraps it
+    calls = []
+    monkeypatch.setattr(cli, "cmd_eval", lambda args: calls.append(args.checkpoint) or 0)
+    assert main(["eval", "--checkpoint", "c", "--target", "t", "--labels", "l"]) == 0
+    assert calls == ["c"]
+
+
+def test_importing_the_cli_reads_no_package_metadata():
+    src = str(pathlib.Path(graphs.__file__).resolve().parents[1])
+    code = "import sys, graphda.cli; print('importlib.metadata' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True,
+                         timeout=60, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "False\n"
 
 
 # -- crash-safe artifacts ------------------------------------------------------

@@ -9,9 +9,10 @@ import graphda.autodiff
 import graphda.model
 import graphda.training
 from graphda.autodiff import Tensor
-from graphda.datasets import (Dataset, Domain, ShiftConfig, TwoDomainSampler, gen_synthetic_shift,
-                              normalize, warp_image)
+from graphda.datasets import (Dataset, Domain, ShiftConfig, TwoDomainSampler, _fmt,
+                              gen_synthetic_shift, normalize, warp_image)
 from graphda.model import Model, ModelConfig, load_checkpoint, config_from_tensors
+from graphda.pseudo import PseudoState
 from graphda.training import (
     METRICS_COLUMNS,
     STEPS_COLUMNS,
@@ -294,6 +295,14 @@ def test_evaluate_validates_inputs():
         evaluate(probs, np.array([0, 1, 0, 1]), positive_class=5)
 
 
+@pytest.mark.parametrize("bad", [1.7, 0.5, np.nan, 2.0**70])
+def test_evaluate_refuses_labels_that_are_not_whole_classes(bad):
+    _, probs = small_model().infer(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match=r"evaluation labels must be known classes in \[0, 2\)"):
+        evaluate(probs, [0.0, bad])
+    assert np.array_equal(evaluate(probs, [0.0, 1.0]).confusion, evaluate(probs, [0, 1]).confusion)
+
+
 # -- train loop ------------------------------------------------------------------
 
 
@@ -541,6 +550,38 @@ def test_no_pseudo_keeps_targets_unlabeled(tmp_path):
     assert all(r.split(",")[1] == "-1" for r in rows)
 
 
+def _pseudo_csv_as_rewritten_each_epoch(state):
+    """The bytes of ``pseudo.csv`` as written at every epoch end, formatting numpy scalars."""
+    rows = [f"{i},{state.labels[i]},{_fmt(state.confidence[i])},{state.epoch}"
+            for i in range(len(state.labels))]
+    return ("\n".join(["sample_id,label,confidence,epoch", *rows]) + "\n").encode()
+
+
+@pytest.mark.parametrize("arm, writes", [(dict(epochs=4, warmup_epochs=2), 1 + 4 - 2),
+                                         (dict(epochs=3, warmup_epochs=0), 3),
+                                         (dict(epochs=3, use_pseudo=False), 1)])
+def test_pseudo_csv_is_written_only_when_the_state_changes(monkeypatch, tmp_path, arm, writes):
+    src, tgt, ev = shift_data(seed=14)
+    cfg = tiny_cfg(epsilon=0.55, **arm)
+    written, at_epoch_end = [], []
+    states = [PseudoState(np.full(len(tgt), -1), np.zeros(len(tgt)), epoch=0, epsilon=cfg.epsilon)]
+    csv = tmp_path / "pseudo.csv"
+    for name, log in (("write_pseudo_csv", lambda a, r: written.append(a[1])),
+                      ("assign_pseudo_labels", lambda a, r: states.append(r)),
+                      ("evaluate", lambda a, r: at_epoch_end.append(csv.read_bytes()))):
+        def logged(*args, _real=getattr(graphda.training, name), _log=log, **kw):
+            out = _real(*args, **kw)
+            _log(args, out)
+            return out
+        monkeypatch.setattr(graphda.training, name, logged)
+    train(cfg, src, tgt, eval_labels=ev, run_dir=tmp_path)
+    assert len(written) == writes
+    assert len(at_epoch_end) == cfg.epochs
+    for epoch, got in enumerate(at_epoch_end, 1):  # the last state refreshed by this epoch, every time
+        assert got == _pseudo_csv_as_rewritten_each_epoch([s for s in states if s.epoch <= epoch][-1])
+    assert states[-1].num_assigned > 0 or not cfg.use_pseudo
+
+
 @pytest.mark.parametrize("arm", [dict(use_pseudo=False), dict(warmup_epochs=2)])
 def test_target_truth_never_trains(tmp_path, arm):
     # with pseudo-labels off, the target half of every batch is unlabeled even
@@ -611,6 +652,16 @@ def test_train_rejects_mismatched_domains():
 def test_train_rejects_eval_labels_outside_the_classes_before_any_output(tmp_path, bad):
     src, tgt, ev = shift_data(seed=18)
     ev = ev.copy()
+    ev[5] = bad
+    with pytest.raises(ValueError, match=r"eval labels must be known classes in \[0, 2\)"):
+        train(tiny_cfg(), src, tgt, eval_labels=ev, run_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", [0.9, 1.5, np.nan])
+def test_train_rejects_eval_labels_that_are_not_whole_classes(tmp_path, bad):
+    src, tgt, ev = shift_data(seed=18)
+    ev = ev.astype(np.float64)
     ev[5] = bad
     with pytest.raises(ValueError, match=r"eval labels must be known classes in \[0, 2\)"):
         train(tiny_cfg(), src, tgt, eval_labels=ev, run_dir=tmp_path)
