@@ -17,12 +17,12 @@ import dataclasses
 import functools
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .datasets import (
     DataFormatError,
     Dataset,
@@ -53,21 +53,6 @@ class UsageError(Exception):
     """Bad arguments or preconditions; maps to exit code 2."""
 
 
-@functools.cache
-def _version() -> str:
-    from importlib import metadata  # imported here: it pulls in email and socket
-    try:
-        return metadata.version("graphda")
-    except metadata.PackageNotFoundError:
-        return "0.0.0"
-
-
-class _PrintVersion(argparse.Action):
-    def __call__(self, parser, *_):  # the version is read only when --version is given
-        print(f"{parser.prog} {_version()}")
-        parser.exit()
-
-
 # -- config value round-trip ---------------------------------------------------
 #
 # Manifest and config-file values share one text form, ``_fmt``, so a manifest's
@@ -87,10 +72,6 @@ def _parse_floats(text: str) -> tuple:
     return tuple(float(p) for p in text.split(",") if p.strip())
 
 
-def _parse_ints(text: str) -> tuple:
-    return tuple(int(p) for p in text.split(",") if p.strip())
-
-
 def _parse_optional_float(text: str):
     return None if text.strip().lower() == "none" else float(text)
 
@@ -102,7 +83,6 @@ _VALUE_PARSERS = {
     "float": float,
     "float | None": _parse_optional_float,
     "tuple[float, ...]": _parse_floats,
-    "tuple[int, ...]": _parse_ints,
 }
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
 
@@ -116,6 +96,10 @@ _RETIRED_KEYS = {
     "graph_features": ("pre_relu",),
     "augment": ("true",),
     "lg_features": ("backbone",),
+    "kernel_scales": ("0.25,0.5,1.0,2.0,4.0",),  # now losses.MEDIAN_SCALES
+    "conv_channels": ("8,16",),  # now ModelConfig's default
+    "checkpoint_every": ("10",),  # now training.CHECKPOINT_EVERY
+    "positive_class": ("1",),  # now training.POSITIVE_CLASS
 }
 
 
@@ -157,14 +141,8 @@ def _read_config_file(path, lines=None) -> dict:
 
 
 def _resolve_train_config(args) -> TrainConfig:
-    """Defaults, then HDA_SEED, then the config file, then explicit flags."""
+    """Defaults, then the config file, then explicit flags."""
     values, lines = {}, {}
-    env_seed = os.environ.get("HDA_SEED")
-    if env_seed is not None:
-        try:
-            values["seed"] = int(env_seed)
-        except ValueError:
-            raise UsageError(f"HDA_SEED must be an integer, got {env_seed!r}")
     if args.config is not None:
         values.update(_read_config_file(args.config, lines))
     for name in _CONFIG_FIELDS:
@@ -263,10 +241,9 @@ def cmd_gen(args) -> int:
     write_dataset(paths["source"], source)
     write_dataset(paths["target"], target)
     write_label_file(paths["eval_labels"], ev, source.feature_dims, cfg.num_classes)
-    entries = {"command": "gen", "version": _version(), "gen.seed": args.seed}
-    for name in ("num_classes", "per_class", "dim", "radius", "noise_sigma",
-                 "rotation_deg", "translation", "cov_scale"):
-        entries[f"gen.{name}"] = _fmt(getattr(cfg, name))
+    entries = {"command": "gen", "version": __version__, "gen.seed": args.seed}
+    for f in dataclasses.fields(cfg):
+        entries[f"gen.{f.name}"] = _fmt(getattr(cfg, f.name))
     for name in ("source", "target", "eval_labels"):
         entries[f"files.{name}"] = paths[name].name
         entries[f"digest.{name}"] = _digest(paths[name])
@@ -293,7 +270,7 @@ def cmd_train(args) -> int:
     run_dir.mkdir(parents=True, exist_ok=True)
     entries = {
         "command": "train",
-        "version": _version(),
+        "version": __version__,
         "source": str(args.source),
         "target": str(args.target),
         "out": str(args.out),
@@ -431,8 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="graphda",
         description="Unsupervised domain adaptation with batch graphs and pseudo-labels.",
     )
-    parser.add_argument("--version", action=_PrintVersion, nargs=0,
-                        help="show program's version number and exit")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic source/target pair")

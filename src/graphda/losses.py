@@ -62,14 +62,14 @@ class KernelSpec:
         return gaussian_mixture(sqdists, coefs, (1.0 / len(coefs),) * len(coefs))
 
     @classmethod
-    def from_median_heuristic(cls, geom: PairGeometry, scales=MEDIAN_SCALES) -> "KernelSpec":
+    def from_median_heuristic(cls, geom: PairGeometry) -> "KernelSpec":
         """Bandwidths from the median pairwise distance of the rows of
         ``geom``, the joint batch's pair geometry.
 
         The median is scale-matched to the data, so the same kernel family
-        works across feature magnitudes; ``scales`` spreads bandwidths
-        around it. All-identical rows give no usable scale; falls back to
-        a median of 1 with a warning.
+        works across feature magnitudes; ``MEDIAN_SCALES`` spreads the
+        bandwidths around it. All-identical rows give no usable scale;
+        falls back to a median of 1 with a warning.
         """
         m = geom.pairs
         a, b = geom.ranks([(m - 1) // 2, m // 2])  # the ranks np.median reads
@@ -80,7 +80,7 @@ class KernelSpec:
                 stacklevel=2,
             )
             med = 1.0
-        return cls(bandwidths=tuple(med * s for s in scales))
+        return cls(bandwidths=tuple(med * s for s in MEDIAN_SCALES))
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from .datasets import (Batch, DataFormatError, Dataset, TwoDomainSampler, _fmt, 
                        normalize, warp_image)
 from .graphs import BatchGraph, build_graph, edge_stats, pair_distances, percentile_threshold
 from .losses import (
-    MEDIAN_SCALES,
     KernelSpec,
     LossBreakdown,
     cross_entropy_loss,
@@ -63,6 +62,10 @@ class DivergenceError(RuntimeError):
     """Raised when the loss goes non-finite; training must not continue."""
 
 
+CHECKPOINT_EVERY = 10  # epochs between checkpoints; the final epoch is always saved
+POSITIVE_CLASS = 1  # the class whose precision is reported
+
+
 def _option(default, help: str, *, flag: str | None = None):
     """A TrainConfig field with its ``graphda train`` flag (``--field-name``
     unless given) and help sentence."""
@@ -75,6 +78,9 @@ class TrainConfig:
     margin, and threshold=150 follow the published protocol; the rest
     are implementation choices with stated defaults. Each field declares
     its command-line flag, config-file key (the field name) and help here.
+    Choices no run varies are constants: the kernel bandwidth multipliers
+    (``losses.MEDIAN_SCALES``), the conv widths (``ModelConfig``'s default),
+    ``CHECKPOINT_EVERY`` and ``POSITIVE_CLASS``.
     """
 
     lr: float = _option(0.001, "Adam learning rate")
@@ -87,12 +93,9 @@ class TrainConfig:
         "'none' for fixed")
     epsilon: float = _option(0.97, "pseudo-label confidence gate")
     margin: float = _option(2.0, "cross-class separation margin")
-    kernel_scales: tuple[float, ...] = _option(
-        MEDIAN_SCALES, "comma list of bandwidth multipliers for the kernel mixture")
     hidden: int = _option(64, "graph layer width")
     phi_dim: int = _option(64, "backbone feature width")
     backbone_hidden: int = _option(64, "backbone hidden width")
-    conv_channels: tuple[int, ...] = _option((8, 16), "comma pair of conv channels for image inputs")
     seed: int = _option(0, "run seed")
     use_gnn: bool = _option(True, "classify from backbone features; no graph is built",
                             flag="--no-gnn")
@@ -101,8 +104,6 @@ class TrainConfig:
     loss_weights: tuple[float, ...] = _option(
         (1.0, 1.0, 1.0), "comma triple scaling alignment, separation, and classification "
         "terms; ablation only, the paper's objective is unweighted")
-    checkpoint_every: int = _option(10, "epochs between checkpoints")
-    positive_class: int = _option(1, "class whose precision is reported")
     # removed: separation always acts on phi; older callers may still pass this value
     lg_features: InitVar[str] = "backbone"
 
@@ -110,36 +111,31 @@ class TrainConfig:
         if lg_features != "backbone":
             raise ValueError(f"option lg_features was removed; only 'backbone' still runs, "
                              f"got {lg_features!r}")
-        object.__setattr__(self, "kernel_scales", tuple(float(s) for s in self.kernel_scales))
-        object.__setattr__(self, "conv_channels", tuple(int(c) for c in self.conv_channels))
         object.__setattr__(self, "loss_weights", tuple(float(w) for w in self.loss_weights))
         if not 0 < self.lr < math.inf or not 0 <= self.weight_decay < math.inf:
             raise ValueError("lr must be positive and weight_decay nonnegative, both finite")
         if self.batch_size < 2 or self.batch_size % 2:
             raise ValueError(f"batch_size must be even and >= 2, got {self.batch_size}")
-        if self.epochs < 1 or self.checkpoint_every < 1:
-            raise ValueError("epochs and checkpoint_every must be >= 1")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not 0 < self.epsilon < 1:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if not 0 < self.margin < math.inf:
             raise ValueError(f"margin must be positive and finite, got {self.margin}")
         if not 0 < self.threshold < math.inf:
             raise ValueError(f"threshold must be positive and finite, got {self.threshold}")
-        if not self.kernel_scales or not all(0 < s < math.inf for s in self.kernel_scales):
-            raise ValueError(f"kernel_scales must be positive and finite, got {self.kernel_scales}")
         if self.threshold_percentile is not None and not 0 <= self.threshold_percentile <= 100:
             raise ValueError(f"threshold_percentile must lie in [0, 100], got {self.threshold_percentile}")
         if len(self.loss_weights) != 3 or not all(0 <= w < math.inf for w in self.loss_weights):
             raise ValueError(f"loss_weights must be 3 nonnegative finite values, got {self.loss_weights}")
-        if self.warmup_epochs < 0 or self.seed < 0 or self.positive_class < 0:
-            raise ValueError("warmup_epochs, seed and positive_class must be nonnegative")
+        if self.warmup_epochs < 0 or self.seed < 0:
+            raise ValueError("warmup_epochs and seed must be nonnegative")
         self.model_config((1,), 2)  # the model's own width checks, before any output
 
     def model_config(self, input_dims: tuple, num_classes: int) -> ModelConfig:
         """The architecture these widths give over the data's shape and classes."""
         return ModelConfig(input_dims=input_dims, num_classes=num_classes, hidden=self.hidden,
-                           phi_dim=self.phi_dim, backbone_hidden=self.backbone_hidden,
-                           conv_channels=self.conv_channels)
+                           phi_dim=self.phi_dim, backbone_hidden=self.backbone_hidden)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,7 +242,7 @@ def _class_labels(labels, num_classes: int, what: str) -> np.ndarray:
     return lab
 
 
-def evaluate(probs: np.ndarray, labels, *, positive_class: int = 1) -> EvalMetrics:
+def evaluate(probs: np.ndarray, labels, *, positive_class: int = POSITIVE_CLASS) -> EvalMetrics:
     """Metrics of the (N, m) inference probabilities (``Model.infer``)
     against ground-truth labels; the prediction is the argmax, ties to
     the lowest class index.
@@ -322,8 +318,8 @@ def _audit_labels(batch, eval_labels) -> np.ndarray:
 def _check_inputs(config: TrainConfig, source: Dataset, target: Dataset,
                   names=("source", "target")) -> None:
     """Raise DataFormatError unless both domains hold samples of one feature
-    shape over one count m of classes, and ValueError unless ``positive_class``
-    is one of them and ``epsilon`` lies above 1/m. ``names`` name the domains."""
+    shape over one count m of classes, and ValueError unless ``epsilon`` lies
+    above 1/m. ``names`` name the domains."""
     for name, dataset in zip(names, (source, target)):
         if not len(dataset):
             raise DataFormatError(f"{name}: no samples; training draws from both domains")
@@ -332,9 +328,6 @@ def _check_inputs(config: TrainConfig, source: Dataset, target: Dataset,
             f"{names[1]}: {target.num_classes} classes of shape {target.feature_dims}, but "
             f"{names[0]} has {source.num_classes} of shape {source.feature_dims}; the domains' "
             "class counts and feature shapes must agree")
-    if config.positive_class >= source.num_classes:
-        raise ValueError(f"positive_class {config.positive_class} is not one of the data's "
-                         f"{source.num_classes} classes")
     _check_epsilon(config.epsilon, source.num_classes)
 
 
@@ -371,7 +364,7 @@ def train_step(model: Model, adam: Adam, config: TrainConfig, batch: Batch, labe
     d2 = pairwise_sqdist(phi) if w_mmd or w_g else None
     l_mmd = l_g = None
     if w_mmd:
-        kernels = KernelSpec.from_median_heuristic(geom, scales=config.kernel_scales)
+        kernels = KernelSpec.from_median_heuristic(geom)
         l_mmd = mmd_loss(d2, half, kernels)
     if w_g:
         l_g = feature_similarity_loss(d2, labels, config.margin)
@@ -464,7 +457,7 @@ def train(
                 write_pseudo_csv(run_dir / "pseudo.csv", pseudo)
                 written = pseudo
             if eval_labels is not None:
-                ev = evaluate(target_probs(), eval_labels, positive_class=config.positive_class)
+                ev = evaluate(target_probs(), eval_labels)
                 precision, accuracy = ev.precision, ev.accuracy
             else:
                 precision = accuracy = float("nan")
@@ -473,9 +466,8 @@ def train(
             history.append(em)
             if metrics_csv is not None:
                 metrics_csv.row(_csv_fields(em))
-            if run_dir is not None and (epoch % config.checkpoint_every == 0
-                                        or epoch == config.epochs):
-                run = RunMeta(epoch, config.positive_class, config.threshold,
+            if run_dir is not None and (epoch % CHECKPOINT_EVERY == 0 or epoch == config.epochs):
+                run = RunMeta(epoch, POSITIVE_CLASS, config.threshold,
                               config.threshold_percentile, src_stats, tgt_stats)
                 blob = {**model.state(), **config_to_tensors(model_cfg), **run_to_tensors(run)}
                 save_checkpoint(run_dir / f"checkpoint_epoch{epoch:03d}.hdap", blob)

@@ -7,7 +7,7 @@ import numpy as np
 
 from graphda.autodiff import matmul, pairwise_sqdist
 from graphda.graphs import build_graph, pair_distances, percentile_threshold
-from graphda.losses import MEDIAN_SCALES, KernelSpec, feature_similarity_loss, mmd_loss
+from graphda.losses import KernelSpec, feature_similarity_loss, mmd_loss
 
 
 def graph_of(phi, threshold, **kwargs):
@@ -18,11 +18,10 @@ def threshold_of(phi, p):
     return percentile_threshold(pair_distances(phi), p)
 
 
-def kernels_of(*feature_sets, scales=MEDIAN_SCALES):
+def kernels_of(*feature_sets):
     """The median-heuristic kernels of the stacked sets, as a training step
     takes them over its joint batch."""
-    return KernelSpec.from_median_heuristic(pair_distances(np.concatenate(feature_sets)),
-                                            scales=scales)
+    return KernelSpec.from_median_heuristic(pair_distances(np.concatenate(feature_sets)))
 
 
 def stacked(a, b):

@@ -18,6 +18,7 @@ import warnings
 import numpy as np
 import pytest
 
+import graphda
 from graphda import cli, graphs
 from graphda.cli import (
     _RETIRED_KEYS,
@@ -51,11 +52,6 @@ TINY_TRAIN = [
     "--epochs", "2", "--batch", "8", "--hidden", "8", "--phi-dim", "8",
     "--backbone-hidden", "8", "--threshold-percentile", "30", "--seed", "1",
 ]
-
-
-@pytest.fixture(autouse=True)
-def _no_ambient_seed(monkeypatch):
-    monkeypatch.delenv("HDA_SEED", raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +91,7 @@ def test_gen_writes_both_domains_and_sidecar(data_dir):
     assert (target.labels == -1).all()
     manifest = read_manifest(data_dir / "manifest.txt")
     assert manifest["command"] == "gen"
-    assert manifest["version"] == cli._version()
+    assert manifest["version"] == graphda.__version__
     assert manifest["gen.per_class"] == "30"
     assert len(manifest["digest.source"]) == 64
 
@@ -205,7 +201,7 @@ def test_train_smoke_artifacts(run_dir):
 def test_manifest_written_with_resolved_config(run_dir):
     manifest = read_manifest(run_dir / "manifest.txt")
     assert manifest["command"] == "train"
-    assert manifest["version"] == cli._version()
+    assert manifest["version"] == graphda.__version__
     assert manifest["config.epochs"] == "2"
     assert manifest["config.batch_size"] == "8"
     assert manifest["config.lr"] == "0.001"          # untouched default, materialized
@@ -235,7 +231,9 @@ def test_train_defaults_match_protocol(data_dir, tmp_path):
 # --frobnicate never existed; the others are removed options
 @pytest.mark.parametrize("flag", [["--frobnicate", "1"], ["--precision", "f64"], ["--sticky"],
                                   ["--pseudo-refresh", "batch"],
-                                  ["--graph-features", "post_relu"], ["--no-augment"]],
+                                  ["--graph-features", "post_relu"], ["--no-augment"],
+                                  ["--kernel-scales", "1.0"], ["--conv-channels", "8,16"],
+                                  ["--checkpoint-every", "10"], ["--positive-class", "1"]],
                          ids=lambda flag: flag[0])
 def test_unknown_flag_rejected(capsys, flag):
     assert main(["train", "--source", "a", "--target", "b", "--out", "c", *flag]) == 2
@@ -310,34 +308,14 @@ def test_flag_beats_config_file_beats_default(data_dir, tmp_path):
     assert manifest["config.lr"] == "0.001"      # default survives
 
 
-def test_env_seed_lowest_precedence(data_dir, tmp_path, monkeypatch):
+def test_hda_seed_is_not_read(data_dir, tmp_path, monkeypatch):
+    # the seed comes from --seed or the config file only; earlier releases also read HDA_SEED
     monkeypatch.setenv("HDA_SEED", "9")
-    base = ["train", "--source", str(data_dir / "source.hda"),
-            "--target", str(data_dir / "target.hda"),
-            "--epochs", "1", "--batch", "8"]
-
-    d1 = tmp_path / "env_only"
-    assert main(base + ["--out", str(d1)]) == 0
-    assert read_manifest(d1 / "manifest.txt")["config.seed"] == "9"
-
-    cfg = tmp_path / "seeded.cfg"
-    cfg.write_text("seed=5\n")
-    d2 = tmp_path / "env_file"
-    assert main(base + ["--out", str(d2), "--config", str(cfg)]) == 0
-    assert read_manifest(d2 / "manifest.txt")["config.seed"] == "5"
-
-    d3 = tmp_path / "env_flag"
-    assert main(base + ["--out", str(d3), "--seed", "4"]) == 0
-    assert read_manifest(d3 / "manifest.txt")["config.seed"] == "4"
-
-
-def test_bad_env_seed_is_usage_error(data_dir, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("HDA_SEED", "not-a-number")
-    code = main(["train", "--source", str(data_dir / "source.hda"),
+    d = tmp_path / "env"
+    assert main(["train", "--source", str(data_dir / "source.hda"),
                  "--target", str(data_dir / "target.hda"),
-                 "--out", str(tmp_path / "x"), "--epochs", "1"])
-    assert code == 2
-    assert "HDA_SEED" in capsys.readouterr().err
+                 "--epochs", "1", "--batch", "8", "--out", str(d)]) == 0
+    assert read_manifest(d / "manifest.txt")["config.seed"] == "0"
 
 
 @pytest.mark.parametrize("line", ["nonsense=1", "epochs", "epochs=x"])
@@ -453,9 +431,12 @@ def test_manifest_with_a_one_layer_backbone_names_file_and_line(run_dir, tmp_pat
 # removed options, each at the only value that ran as every run does now
 RETIRED_KEPT = ["precision=f32", "precision=f64", "sticky_pseudo=false",
                 "pseudo_refresh=epoch", "graph_features=pre_relu", "augment=true",
-                "lg_features=backbone"]
+                "lg_features=backbone", "kernel_scales=0.25,0.5,1.0,2.0,4.0",
+                "conv_channels=8,16", "checkpoint_every=10", "positive_class=1"]
 RETIRED_REMOVED = ["precision=f16", "sticky_pseudo=true", "pseudo_refresh=batch",
-                   "graph_features=post_relu", "augment=false", "lg_features=gnn"]
+                   "graph_features=post_relu", "augment=false", "lg_features=gnn",
+                   "kernel_scales=1.0", "conv_channels=4,8", "checkpoint_every=5",
+                   "positive_class=0"]
 
 
 @pytest.mark.parametrize("retired", RETIRED_KEPT)
@@ -483,10 +464,9 @@ def test_retired_key_at_a_removed_value_names_file_and_line(run_dir, data_dir, t
 # every training flag, frozen: removed options stay gone and no spelling may change
 TRAIN_CONFIG_FLAGS = [
     "--lr", "--weight-decay", "--batch", "--epochs", "--threshold",
-    "--threshold-percentile", "--epsilon", "--margin", "--kernel-scales",
-    "--hidden", "--phi-dim", "--backbone-hidden", "--conv-channels", "--seed",
+    "--threshold-percentile", "--epsilon", "--margin",
+    "--hidden", "--phi-dim", "--backbone-hidden", "--seed",
     "--no-gnn", "--no-pseudo", "--warmup", "--loss-weights",
-    "--checkpoint-every", "--positive-class",
 ]
 
 
@@ -929,8 +909,7 @@ def test_train_mismatched_domains_is_format_error(data_dir, tmp_path, capsys, ge
 
 
 @pytest.mark.parametrize("flags", [
-    ["--hidden", "0"], ["--phi-dim", "-1"], ["--backbone-hidden", "-2"], ["--conv-channels", "8"],
-    ["--positive-class", "-1"], ["--positive-class", "5"], ["--epsilon", "0.4"]])
+    ["--hidden", "0"], ["--phi-dim", "-1"], ["--backbone-hidden", "-2"], ["--epsilon", "0.4"]])
 def test_train_bad_width_or_positive_class_is_usage_error(data_dir, tmp_path, capsys, flags):
     out = tmp_path / "run"
     code = main(["train", "--source", str(data_dir / "source.hda"),
@@ -964,7 +943,7 @@ def test_no_subcommand_is_usage_error(capsys):
 
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
-    assert capsys.readouterr() == (f"graphda {cli._version()}\n", "")
+    assert capsys.readouterr() == (f"graphda {graphda.__version__}\n", "")
 
 
 def test_main_calls_build_the_parser_once(monkeypatch, capsys):

@@ -170,7 +170,6 @@ def test_adam_rejects_duplicate_names():
     dict(lr=0.0),
     dict(weight_decay=-1e-3),
     dict(epochs=0),
-    dict(checkpoint_every=0),
     dict(epsilon=1.0),
     dict(epsilon=0.0),
     dict(margin=0.0),
@@ -190,9 +189,6 @@ def test_adam_rejects_duplicate_names():
     dict(margin=float("nan")),
     dict(weight_decay=float("nan")),
     dict(weight_decay=float("inf")),
-    dict(kernel_scales=(float("nan"), 1.0)),
-    dict(kernel_scales=(0.0, 1.0)),
-    dict(kernel_scales=()),
     dict(loss_weights=(float("nan"), 1.0, 1.0)),
     dict(loss_weights=(1.0, float("inf"), 1.0)),
 ])
@@ -668,13 +664,6 @@ def test_train_rejects_eval_labels_that_are_not_whole_classes(tmp_path, bad):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_train_rejects_a_positive_class_outside_the_data(tmp_path):
-    src, tgt, _ = shift_data(seed=18)
-    with pytest.raises(ValueError, match="positive_class 2 is not one of the data's 2 classes"):
-        train(tiny_cfg(positive_class=2), src, tgt, run_dir=tmp_path / "run")
-    assert not (tmp_path / "run").exists()
-
-
 def test_checkpoint_reproduces_model(tmp_path):
     src, tgt, ev = shift_data(seed=19)
     model, _ = train(tiny_cfg(), src, tgt, eval_labels=ev, run_dir=tmp_path)
@@ -853,7 +842,7 @@ def test_image_step_trace_size_and_gradient_ownership(monkeypatch):
     rng = np.random.default_rng(4)
     src = Dataset(rng.normal(size=(16, 1, 6, 6)), rng.integers(0, 2, 16), Domain.SOURCE, 2)
     tgt = Dataset(rng.normal(size=(16, 1, 6, 6)), np.full(16, -1), Domain.TARGET, 2)
-    count, shared = _first_step(monkeypatch, _step_cfg(conv_channels=(2, 3)), src, tgt)
+    count, shared = _first_step(monkeypatch, _step_cfg(), src, tgt)
     assert shared == []
     assert count == 37  # the flat step's loss nodes, and one per conv layer; the batch and the
     # adjacency are no nodes
@@ -885,5 +874,5 @@ def test_step_computes_no_gradient_for_the_batch_or_the_adjacency(monkeypatch):
     monkeypatch.setattr(graphda.training, "train_step", step)
     monkeypatch.setattr(graphda.training, "backward", backward)
     monkeypatch.setattr(graphda.autodiff, "_col2im", lambda *a: (col2im.append(a), real_col2im(*a))[1])
-    train(_step_cfg(conv_channels=(2, 3)), src, tgt)
+    train(_step_cfg(), src, tgt)
     assert len(steps) == 2 and all(s == (True, 1, True) for s in steps)
